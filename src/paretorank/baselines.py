@@ -31,10 +31,7 @@ class PopularityTable:
 
     @classmethod
     def from_matrix(cls, train: RatingMatrix) -> "PopularityTable":
-        counts = np.zeros(train.n_items, dtype=np.int64)
-        for _, i, _ in train.iter_entries():
-            counts[i] += 1
-        return cls(counts)
+        return cls(np.bincount(train.indices, minlength=train.n_items))
 
     def rank(self, item: int) -> int:
         return int(self.ranks[item])
@@ -96,10 +93,7 @@ def train_classic_mf(
         raise DataError("cannot train on an empty rating matrix")
     model = init_model(train.n_users, train.n_items, n_factors, seed)
     U, V = model.U, model.V
-    entries = list(train.iter_entries())
-    users = np.array([e[0] for e in entries], dtype=np.int64)
-    items = np.array([e[1] for e in entries], dtype=np.int64)
-    ratings = np.array([e[2] for e in entries])
+    users, items, ratings = train.entry_users(), train.indices, train.ratings
     epoch_seeds = np.random.SeedSequence(seed).spawn(epochs) if epochs else []
     losses = []
     # overflow to inf is tolerated mid-epoch; the epoch-end check converts it
@@ -107,7 +101,7 @@ def train_classic_mf(
     with np.errstate(over="ignore", invalid="ignore"):
         for ep in range(epochs):
             rng = np.random.default_rng(epoch_seeds[ep])
-            for pos in rng.permutation(len(entries)):
+            for pos in rng.permutation(train.n_entries):
                 u = users[pos]
                 i = items[pos]
                 u_row = U[u]

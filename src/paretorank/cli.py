@@ -246,10 +246,12 @@ def cmd_train(args) -> None:
 
 def cmd_evaluate(args) -> None:
     scorer, header = store.load_model(args.model)
-    trained = header.get("config", {})
+    trained = header["config"]
     seed = args.seed if args.seed is not None else trained.get("seed", DEFAULT_SEED)
     test_ratio = (args.test_ratio if args.test_ratio is not None
                   else trained.get("test_ratio", DEFAULT_TEST_RATIO))
+    if not (isinstance(seed, int) and isinstance(test_ratio, (int, float))):
+        raise DataError(f"{args.model}: echoed seed {seed!r} or test_ratio {test_ratio!r} is not a number")
     k = args.k if args.k is not None else DEFAULT_K
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")

@@ -4,6 +4,9 @@ Two input formats are supported: the `::`-separated MovieLens ``.dat`` layout
 (no header) and generic delimited text with a header row, where a column map
 names the user/item/rating columns. All text is treated as UTF-8; both LF and
 CRLF line endings are accepted.
+
+Ratings are held as CSR arrays; :class:`RatingMatrix` fixes the entry order
+that splits, and so every downstream result, depend on.
 """
 
 import math
@@ -34,23 +37,27 @@ class ParseResult:
 
 
 class RatingMatrix:
-    """Sparse user x item rating store with dense 0-based index remapping.
+    """Sparse user x item rating store in compressed sparse row (CSR) form.
 
-    Raw string ids are remapped to dense indices in first-appearance order.
-    Per-user ratings are held as ``{item_index: rating}`` dicts so a user's
-    items are retrievable in O(items-of-user). Instances are treated as
-    immutable after construction and are safe for concurrent reads.
+    Raw string ids are remapped to dense 0-based indices in first-appearance
+    order. Entry ``n`` holds item ``indices[n]`` rated ``ratings[n]``; user
+    ``u``'s entries are the contiguous slice ``indptr[u]:indptr[u + 1]``.
+    Entries are user-major and, within a user, in the order each item first
+    appeared for that user; train/test splits draw one number per entry in
+    this order. Instances are treated as immutable after construction and
+    are safe for concurrent reads.
     """
 
-    def __init__(self, user_ids, item_ids, by_user, r_min, r_max):
+    def __init__(self, user_ids, item_ids, indptr, indices, ratings, r_min, r_max):
         self.user_ids = user_ids
         self.item_ids = item_ids
         self.user_to_index = {u: idx for idx, u in enumerate(user_ids)}
         self.item_to_index = {i: idx for idx, i in enumerate(item_ids)}
-        self._by_user = by_user
+        self.indptr = indptr
+        self.indices = indices
+        self.ratings = ratings
         self.r_min = float(r_min)
         self.r_max = float(r_max)
-        self._n_entries = sum(len(d) for d in by_user)
 
     @property
     def n_users(self) -> int:
@@ -62,27 +69,22 @@ class RatingMatrix:
 
     @property
     def n_entries(self) -> int:
-        return self._n_entries
+        return len(self.indices)
 
-    def rating(self, user: int, item: int) -> float:
-        return self._by_user[user][item]
+    def row(self, user: int) -> tuple[np.ndarray, np.ndarray]:
+        """The user's (items, ratings) as array views in entry order. Treat as read-only."""
+        lo, hi = self.indptr[user], self.indptr[user + 1]
+        return self.indices[lo:hi], self.ratings[lo:hi]
 
-    def has(self, user: int, item: int) -> bool:
-        return item in self._by_user[user]
+    def entry_users(self) -> np.ndarray:
+        """The user index of every entry, aligned with ``indices``."""
+        return np.repeat(np.arange(self.n_users), np.diff(self.indptr))
 
-    def items_of(self, user: int) -> dict[int, float]:
-        """The user's ``{item_index: rating}`` map. Treat as read-only."""
-        return self._by_user[user]
-
-    def iter_entries(self) -> Iterator[tuple[int, int, float]]:
-        """Yield (user, item, rating) user-major, insertion order within user."""
-        for u, items in enumerate(self._by_user):
-            for i, r in items.items():
-                yield u, i, r
-
-    def same_space(self, by_user) -> "RatingMatrix":
-        """A matrix over the same ids/scale but a different entry subset."""
-        return RatingMatrix(self.user_ids, self.item_ids, by_user, self.r_min, self.r_max)
+    def subset(self, mask: np.ndarray) -> "RatingMatrix":
+        """The entries where ``mask`` is true, over the same ids and scale."""
+        kept = np.concatenate(([0], np.cumsum(mask)))
+        return RatingMatrix(self.user_ids, self.item_ids, kept[self.indptr],
+                            self.indices[mask], self.ratings[mask], self.r_min, self.r_max)
 
 
 @dataclass
@@ -208,63 +210,58 @@ def build_matrix(
 ) -> RatingMatrix:
     """Build a RatingMatrix from records.
 
-    Indices are assigned in first-appearance order; duplicate (user, item)
-    pairs keep the last record's rating. With no declared scale the observed
-    (min, max) is used; with a declared scale any rating outside it is an
-    error.
+    Indices are assigned in first-appearance order. A duplicate (user, item)
+    pair keeps the position of its first record and the rating of its last.
+    With no declared scale the observed (min, max) is used; with a declared
+    scale any rating outside it is an error naming the first such record.
     """
     if not records:
         raise DataError("cannot build a rating matrix from zero records")
-    user_ids: list[str] = []
-    item_ids: list[str] = []
-    u_index: dict[str, int] = {}
-    i_index: dict[str, int] = {}
-    by_user: list[dict[int, float]] = []
-    lo = math.inf
-    hi = -math.inf
-    for rec in records:
+    n = len(records)
+    ratings = np.fromiter((rec.rating for rec in records), dtype=float, count=n)
+    valid = np.isfinite(ratings)
+    if scale is not None:
+        valid &= (scale[0] <= ratings) & (ratings <= scale[1])
+    if not valid.all():
+        rec = records[int(np.argmin(valid))]
         if not math.isfinite(rec.rating):
             raise DataError(f"non-finite rating for user {rec.user_id!r}, item {rec.item_id!r}")
-        if scale is not None and not (scale[0] <= rec.rating <= scale[1]):
-            raise DataError(
-                f"rating {rec.rating} outside declared scale [{scale[0]}, {scale[1]}] "
-                f"(user {rec.user_id!r}, item {rec.item_id!r})"
-            )
-        u = u_index.setdefault(rec.user_id, len(user_ids))
-        if u == len(user_ids):
-            user_ids.append(rec.user_id)
-            by_user.append({})
-        i = i_index.setdefault(rec.item_id, len(item_ids))
-        if i == len(item_ids):
-            item_ids.append(rec.item_id)
-        by_user[u][i] = rec.rating
-        lo = min(lo, rec.rating)
-        hi = max(hi, rec.rating)
-    r_min, r_max = scale if scale is not None else (lo, hi)
-    return RatingMatrix(user_ids, item_ids, by_user, r_min, r_max)
+        raise DataError(
+            f"rating {rec.rating} outside declared scale [{scale[0]}, {scale[1]}] "
+            f"(user {rec.user_id!r}, item {rec.item_id!r})"
+        )
+    u_index: dict[str, int] = {}
+    i_index: dict[str, int] = {}
+    users = np.fromiter((u_index.setdefault(rec.user_id, len(u_index)) for rec in records),
+                        dtype=np.int64, count=n)
+    items = np.fromiter((i_index.setdefault(rec.item_id, len(i_index)) for rec in records),
+                        dtype=np.int64, count=n)
+    # one entry per distinct (user, item): the first record fixes its position, the last its rating
+    key = users * len(i_index) + items
+    first = np.unique(key, return_index=True)[1]
+    last = n - 1 - np.unique(key[::-1], return_index=True)[1]
+    entry_users = users[first]
+    order = np.lexsort((first, entry_users))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(entry_users, minlength=len(u_index)))))
+    r_min, r_max = scale if scale is not None else (ratings.min(), ratings.max())
+    return RatingMatrix(list(u_index), list(i_index), indptr, items[first][order],
+                        ratings[last][order], r_min, r_max)
 
 
 def split(matrix: RatingMatrix, test_ratio: float, seed: int) -> SplitPair:
     """Split entries uniformly at random into train/test, driven only by seed.
 
-    Each entry lands in test with probability ``test_ratio``. Train and test
-    share the source matrix's full index space, so users or items whose every
-    entry went to test keep their (empty) rows in train.
+    One uniform draw is taken per entry in entry order, and the entry lands
+    in test when its draw is below ``test_ratio``. Train and test share the
+    source matrix's full index space, so users or items whose every entry
+    went to test keep their (empty) rows in train.
     """
     if not 0.0 <= test_ratio <= 1.0:
         raise ValueError(f"test_ratio must be in [0, 1], got {test_ratio}")
-    rng = np.random.default_rng(seed)
-    draws = rng.random(matrix.n_entries)
-    train_by_user: list[dict[int, float]] = [{} for _ in range(matrix.n_users)]
-    test_by_user: list[dict[int, float]] = [{} for _ in range(matrix.n_users)]
-    for pos, (u, i, r) in enumerate(matrix.iter_entries()):
-        if draws[pos] < test_ratio:
-            test_by_user[u][i] = r
-        else:
-            train_by_user[u][i] = r
+    test = np.random.default_rng(seed).random(matrix.n_entries) < test_ratio
     return SplitPair(
-        train=matrix.same_space(train_by_user),
-        test=matrix.same_space(test_by_user),
+        train=matrix.subset(~test),
+        test=matrix.subset(test),
         seed=seed,
         test_ratio=test_ratio,
     )

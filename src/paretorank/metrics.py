@@ -36,6 +36,9 @@ class MetricsReport:
     config: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("mae", "dme_slope", "dme_abs"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mae < 0:
             raise ValueError(f"mae must be >= 0, got {self.mae}")
         if not math.isclose(self.dme_abs, abs(self.dme_slope)):
@@ -77,15 +80,14 @@ def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
 def mae(predictions, test: RatingMatrix) -> float:
     """Mean absolute error of per-entry predictions against test ratings.
 
-    Predictions must align with ``test.iter_entries()`` order, one per entry.
+    Predictions must align with the matrix's entry order, one per entry.
     """
     if test.n_entries == 0:
         raise DataError("cannot compute MAE on an empty test set")
     preds = np.asarray(predictions, dtype=float)
     if preds.shape != (test.n_entries,):
         raise ValueError(f"expected {test.n_entries} predictions, got shape {preds.shape}")
-    truth = np.fromiter((r for _, _, r in test.iter_entries()), dtype=float, count=test.n_entries)
-    return float(np.mean(np.abs(preds - truth)))
+    return float(np.mean(np.abs(preds - test.ratings)))
 
 
 def recommendation_frequencies(recs: RecommendationSet, n_items: int) -> np.ndarray:
@@ -138,7 +140,8 @@ def rating_diff_histogram(matrix: RatingMatrix) -> DiffHistogram:
     """
     hist: Counter = Counter()
     for u in range(matrix.n_users):
-        ratings = list(matrix.items_of(u).values())
+        # Python floats, so the CSV's {value!r} reads 1.0 rather than np.float64(1.0)
+        ratings = matrix.row(u)[1].tolist()
         if len(ratings) < 2:
             continue
         values = Counter(ratings)

@@ -100,9 +100,7 @@ def top_k(scorer, train: RatingMatrix, k: int) -> RecommendationSet:
     scores = []
     for u in range(scorer.n_users):
         unrated = np.ones(n_items, dtype=bool)
-        rated = train.items_of(u)
-        if rated:
-            unrated[list(rated)] = False
+        unrated[train.row(u)[0]] = False
         cand = np.flatnonzero(unrated)
         s = scorer.score_row(u)[cand]
         order = np.lexsort((cand, -s))[:k]
@@ -112,15 +110,10 @@ def top_k(scorer, train: RatingMatrix, k: int) -> RecommendationSet:
 
 
 def score_entries(scorer, matrix: RatingMatrix) -> np.ndarray:
-    """Raw scores for every entry of a matrix, in entry-iteration order."""
+    """Raw scores for every entry of a matrix, in entry order; one score_row call per non-empty user."""
     out = np.empty(matrix.n_entries)
-    pos = 0
-    for u in range(matrix.n_users):
-        rated = matrix.items_of(u)
-        if not rated:
-            continue
-        row = scorer.score_row(u)
-        for i in rated:
-            out[pos] = row[i]
-            pos += 1
+    indptr = matrix.indptr
+    for u in np.flatnonzero(np.diff(indptr)).tolist():
+        lo, hi = indptr[u], indptr[u + 1]
+        out[lo:hi] = scorer.score_row(u)[matrix.indices[lo:hi]]
     return out

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import RatingMatrix
-from .errors import DataError
+from .errors import DataError, DivergenceError
 from .model import FactorModel, init_model
 
 STEP_NORM_CAP = 1.0
@@ -162,6 +162,8 @@ def pair_update(
     return PairUpdateResult(applied=True, clipped=clipped, margin=margin)
 
 
+# overflow is tolerated mid-iteration; the iteration-end check raises DivergenceError
+@np.errstate(over="ignore", invalid="ignore")
 def train_ppr(
     train: RatingMatrix,
     config: TrainConfig,
@@ -185,6 +187,9 @@ def train_ppr(
 
     Returns:
         The trained model and per-iteration TrainStats.
+
+    Raises:
+        DivergenceError: if the factors go non-finite during an iteration.
     """
     if train.n_entries == 0:
         raise DataError("cannot train on an empty rating matrix")
@@ -202,13 +207,13 @@ def train_ppr(
         n_clips = 0
         for user in users:
             user = int(user)
-            rated = train.items_of(user)
-            if len(rated) < 2:
+            items, item_ratings = train.row(user)
+            if len(items) < 2:
                 continue
-            item_arr = np.fromiter(rated.keys(), dtype=np.int64, count=len(rated))
-            take = min(config.item_sample_size, len(rated))
-            sampled = item_arr[rng.choice(len(rated), size=take, replace=False)]
-            ratings = np.array([rated[int(i)] for i in sampled])
+            take = min(config.item_sample_size, len(items))
+            pick = rng.choice(len(items), size=take, replace=False)
+            sampled = items[pick]
+            ratings = item_ratings[pick]
             order = np.lexsort((sampled, -ratings))
             sampled = sampled[order]
             ratings = ratings[order]
@@ -234,6 +239,10 @@ def train_ppr(
         stats.updates.append(n_updates)
         stats.skips.append(n_skips)
         stats.clips.append(n_clips)
+        if not (np.isfinite(model.U).all() and np.isfinite(model.V).all()):
+            raise DivergenceError(
+                f"factors went non-finite at iteration {it + 1}; try a smaller learning rate"
+            )
     return model, stats
 
 
@@ -246,11 +255,9 @@ def pairwise_concordance(scorer, test: RatingMatrix) -> float:
     num = 0.0
     den = 0
     for u in range(test.n_users):
-        rated = test.items_of(u)
-        if len(rated) < 2:
+        items, r = test.row(u)
+        if len(items) < 2:
             continue
-        items = np.fromiter(rated.keys(), dtype=np.int64, count=len(rated))
-        r = np.array([rated[int(i)] for i in items])
         s = scorer.score_row(u)[items]
         prefer = r[:, None] > r[None, :]
         n_pairs = int(prefer.sum())

@@ -3,11 +3,13 @@
 An artifact is one file: a JSON header line describing the model kind,
 dimensions, seed and run configuration, followed by the raw little-endian
 bytes of each array named in the header. Factor models store U then V;
-Zipf scorers store their popularity ranks; random scorers need no payload.
+Zipf scorers store their popularity counts; random scorers need no payload.
 Round-trips are bit-exact.
 """
 
 import json
+import math
+import os
 
 import numpy as np
 
@@ -23,6 +25,17 @@ def _header_bytes(header: dict) -> bytes:
     return (json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 
+def _array_specs(header: dict) -> list:
+    """The [name, shape, dtype] of each payload array that a header's kind and shape imply."""
+    kind = header["kind"]
+    if kind == "factors":
+        return [["U", [header["n_users"], header["d"]], "<f8"],
+                ["V", [header["n_items"], header["d"]], "<f8"]]
+    if kind == "zipf":
+        return [["counts", [header["n_items"]], "<i8"]]
+    return []
+
+
 def save_model(scorer, path, seed: int, config: dict | None = None):
     """Persist any supported scorer with its seed and config echoed."""
     header = {
@@ -33,54 +46,71 @@ def save_model(scorer, path, seed: int, config: dict | None = None):
         "seed": seed,
         "config": config or {},
     }
-    arrays: list[np.ndarray] = []
     if isinstance(scorer, FactorModel):
         header["kind"] = "factors"
         header["d"] = scorer.n_factors
-        header["arrays"] = [
-            ["U", [scorer.n_users, scorer.n_factors], "<f8"],
-            ["V", [scorer.n_items, scorer.n_factors], "<f8"],
-        ]
         arrays = [scorer.U, scorer.V]
     elif isinstance(scorer, RandomScorer):
         header["kind"] = "random"
-        header["arrays"] = []
+        arrays = []
     elif isinstance(scorer, ZipfScorer):
         header["kind"] = "zipf"
-        header["arrays"] = [["counts", [scorer.n_items], "<i8"]]
         arrays = [scorer.popularity.counts]
     else:
         raise TypeError(f"cannot serialize scorer of type {type(scorer).__name__}")
+    header["arrays"] = _array_specs(header)
     with open(path, "wb") as fp:
         fp.write(_header_bytes(header))
         for arr in arrays:
             fp.write(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
 
 
+def _check_header(header, path):
+    """Raise DataError unless the header describes a supported kind with valid counts and arrays."""
+    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
+        raise DataError(f"{path}: not a {FORMAT_NAME} artifact header")
+    kind = header.get("kind")
+    if kind not in ("factors", "random", "zipf"):
+        raise DataError(f"{path}: unknown model kind {kind!r}")
+    minimums = {"n_users": 1, "n_items": 1, "seed": 0, **({"d": 1} if kind == "factors" else {})}
+    for key, minimum in minimums.items():
+        value = header.get(key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            raise DataError(f"{path}: header {key} must be an integer >= {minimum}, got {value!r}")
+    if not isinstance(header.get("config"), dict):
+        raise DataError(f"{path}: header config must be a JSON object")
+    if header.get("arrays") != _array_specs(header):
+        raise DataError(f"{path}: header arrays {header.get('arrays')!r} do not match its kind and shape")
+
+
 def load_model(path):
-    """Load an artifact; returns (scorer, header)."""
+    """Load an artifact; returns (scorer, header).
+
+    Raises:
+        DataError: if the header is malformed, the payload is not exactly the
+            arrays the header declares, or a factor array is non-finite.
+    """
     with open(path, "rb") as fp:
         header_line = fp.readline()
         try:
             header = json.loads(header_line)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:
             raise DataError(f"{path}: not a model artifact ({exc})") from None
-        if header.get("format") != FORMAT_NAME:
-            raise DataError(f"{path}: unrecognized artifact format {header.get('format')!r}")
-        arrays = {}
-        for name, shape, dtype in header.get("arrays", []):
-            n_bytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-            buf = fp.read(n_bytes)
-            if len(buf) != n_bytes:
-                raise DataError(f"{path}: truncated artifact, array {name!r} incomplete")
-            arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
-    kind = header.get("kind")
+        _check_header(header, path)
+        specs = _array_specs(header)
+        sizes = [math.prod(shape) * np.dtype(dtype).itemsize for _, shape, dtype in specs]
+        payload = os.fstat(fp.fileno()).st_size - fp.tell()
+        if payload != sum(sizes):
+            raise DataError(f"{path}: payload is {payload} bytes, the header declares {sum(sizes)}")
+        arrays = {name: np.frombuffer(fp.read(size), dtype=dtype).reshape(shape).copy()
+                  for (name, shape, dtype), size in zip(specs, sizes)}
+    kind = header["kind"]
     if kind == "factors":
+        if not (np.isfinite(arrays["U"]).all() and np.isfinite(arrays["V"]).all()):
+            raise DataError(f"{path}: factor arrays hold non-finite values")
         scorer = FactorModel(U=arrays["U"], V=arrays["V"])
     elif kind == "random":
         scorer = RandomScorer(header["n_users"], header["n_items"], header["seed"])
-    elif kind == "zipf":
-        scorer = ZipfScorer(PopularityTable(arrays["counts"]), header["n_users"])
     else:
-        raise DataError(f"{path}: unknown model kind {kind!r}")
+        scorer = ZipfScorer(PopularityTable(arrays["counts"]), header["n_users"])
     return scorer, header

@@ -47,6 +47,17 @@ def movielens_like_lines(n_users=900, n_items=1200, mean_ratings=130, seed=2024,
     return lines
 
 
+def items_of(matrix, user):
+    """User's {item: rating} map, read from the matrix's CSR row."""
+    items, ratings = matrix.row(user)
+    return dict(zip(items.tolist(), ratings.tolist()))
+
+
+def entry_triples(matrix):
+    """(user, item, rating) per entry, in entry order."""
+    return list(zip(matrix.entry_users().tolist(), matrix.indices.tolist(), matrix.ratings.tolist()))
+
+
 def planted_matrix(n_users=200, n_items=100, d=8, per_user=40, seed=11):
     """Ratings quantized from dot products of positive ground-truth factors."""
     rng = np.random.default_rng(seed)

@@ -14,7 +14,7 @@ import pytest
 from scipy import stats as sps
 
 import paretorank as pr
-from conftest import planted_matrix, tiny_movielens_lines
+from conftest import items_of, planted_matrix, tiny_movielens_lines
 from paretorank.cli import main
 
 PAIR = pr.PairSample(user=0, preferred=0, other=1)
@@ -212,7 +212,7 @@ def test_criterion_9_brute_force_pair_enumeration():
 
     expected = set()
     for u in range(matrix.n_users):
-        rated = matrix.items_of(u)
+        rated = items_of(matrix, u)
         for j, k in itertools.permutations(rated, 2):
             if rated[j] > rated[k]:
                 expected.add((u, j, k))

@@ -53,6 +53,14 @@ class TestTrain:
                    "--model-out", tmp_path / "m.bin")
         assert code == 3
 
+    def test_ppr_divergence_exit_code(self, tiny_path, tmp_path, capsys):
+        model_out = tmp_path / "m.bin"
+        code = run("train", "--data", tiny_path, "--algo", "ppr", "--learning-rate", "1e308",
+                   "--alpha", "10", "--model-out", model_out, *FAST_PPR)
+        assert code == 3
+        assert capsys.readouterr().err.startswith("divergence:")
+        assert not model_out.exists()
+
     def test_skip_policy_trains_through_bad_lines(self, tmp_path):
         data = tmp_path / "dirty.dat"
         good = [f"{u}::{i}::{1 + (u + i) % 5}::0" for u in range(1, 9) for i in range(1, 7)]
@@ -83,6 +91,16 @@ class TestTrain:
         scorer, header = pr.load_model(tmp_path / "m.bin")
         assert isinstance(scorer, pr.ZipfScorer)
         assert header["config"]["format"] == "csv"
+
+
+MALFORMED_HEADERS = {
+    "factors-no-arrays": lambda h: {k: v for k, v in h.items() if k != "arrays"},
+    "random-no-n_users": lambda h: {**{k: v for k, v in h.items() if k != "n_users"},
+                                    "kind": "random", "arrays": []},
+    "list-header": lambda h: [1, 2],
+    "config-list": lambda h: {**h, "config": [1]},
+    "echoed-seed-string": lambda h: {**h, "config": {**h["config"], "seed": "7"}},
+}
 
 
 class TestEvaluate:
@@ -134,6 +152,16 @@ class TestEvaluate:
         assert counts == sorted(counts, reverse=True)
         report = json.loads((tmp_path / "r.json").read_text())
         assert len(counts) == report["fit_points"]
+
+    @pytest.mark.parametrize("malform", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
+    def test_malformed_artifact_is_data_error(self, tiny_path, tmp_path, capsys, malform):
+        model = self._train(tiny_path, tmp_path)
+        header_line, payload = model.read_bytes().split(b"\n", 1)
+        model.write_bytes(json.dumps(malform(json.loads(header_line))).encode() + b"\n" + payload)
+        code = run("evaluate", "--data", tiny_path, "--model", model,
+                   "--report-out", tmp_path / "r.json")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error:")
 
     def test_dimension_mismatch_names_both_shapes(self, tiny_path, tmp_path, capsys):
         model = self._train(tiny_path, tmp_path)

@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paretorank as pr
+from conftest import entry_triples, items_of
 from paretorank.errors import ConfigError, DataError, LineParseError
 
 
@@ -104,7 +106,7 @@ class TestBuildMatrix:
     def test_duplicate_keeps_last(self):
         m = pr.build_matrix(records(("a", "x", 3), ("a", "x", 5)))
         assert m.n_entries == 1
-        assert m.rating(0, 0) == 5.0
+        assert items_of(m, 0)[0] == 5.0
 
     def test_observed_scale(self):
         m = pr.build_matrix(records(("a", "x", 1), ("a", "y", 5), ("b", "x", 3)))
@@ -129,12 +131,14 @@ class TestBuildMatrix:
         res = pr.parse_movielens(io.BytesIO(data))
         m = pr.build_matrix(res.records)
         assert m.n_entries == 4 - 1  # one duplicate (1,1)
-        assert m.rating(0, 0) == 3.0  # last wins
+        assert items_of(m, 0)[0] == 3.0  # last wins
 
-    def test_items_of_is_fast_view(self):
+    def test_row_is_array_view(self):
         m = pr.build_matrix(records(("a", "x", 3), ("a", "y", 4), ("b", "x", 5)))
-        assert m.items_of(0) == {0: 3.0, 1: 4.0}
-        assert m.items_of(1) == {0: 5.0}
+        assert items_of(m, 0) == {0: 3.0, 1: 4.0}
+        assert items_of(m, 1) == {0: 5.0}
+        items, ratings = m.row(0)
+        assert np.shares_memory(items, m.indices) and np.shares_memory(ratings, m.ratings)
 
 
 class TestSplit:
@@ -142,7 +146,7 @@ class TestSplit:
         m = pr.build_matrix(records(("a", "x", 3), ("b", "y", 4)))
         sp = pr.split(m, 0.0, seed=1)
         assert sp.test.n_entries == 0
-        assert sorted(sp.train.iter_entries()) == sorted(m.iter_entries())
+        assert sorted(entry_triples(sp.train)) == sorted(entry_triples(m))
 
     def test_ratio_one(self):
         m = pr.build_matrix(records(("a", "x", 3), ("b", "y", 4)))
@@ -156,8 +160,8 @@ class TestSplit:
         sp1 = pr.split(m, 0.2, seed=123)
         sp2 = pr.split(m, 0.2, seed=123)
         assert 150 <= sp1.test.n_entries <= 250
-        assert list(sp1.test.iter_entries()) == list(sp2.test.iter_entries())
-        assert list(sp1.train.iter_entries()) == list(sp2.train.iter_entries())
+        assert entry_triples(sp1.test) == entry_triples(sp2.test)
+        assert entry_triples(sp1.train) == entry_triples(sp2.train)
 
     def test_index_space_shared(self):
         # user "b" has a single entry; with it in test, b must keep a train row
@@ -184,7 +188,35 @@ class TestSplit:
         recs = [pr.RatingRecord(f"u{u}", f"i{i}", float(1 + (u + i) % 5)) for u, i in entries]
         m = pr.build_matrix(recs)
         sp = pr.split(m, ratio, seed)
-        train = set(sp.train.iter_entries())
-        test = set(sp.test.iter_entries())
-        assert train | test == set(m.iter_entries())
+        train = set(entry_triples(sp.train))
+        test = set(entry_triples(sp.test))
+        assert train | test == set(entry_triples(m))
         assert not (train & test)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        triples=st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 9), st.integers(1, 5)), min_size=1, max_size=60
+        ),
+        ratio=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_layout_matches_dict_reference(self, triples, ratio, seed):
+        # duplicates and out-of-order ids included: the dict-of-dicts reference
+        # keeps a duplicate's first position and its last rating
+        recs = [pr.RatingRecord(f"u{u}", f"i{i}", float(r)) for u, i, r in triples]
+        u_index, i_index, rows = {}, {}, []
+        for rec in recs:
+            u = u_index.setdefault(rec.user_id, len(u_index))
+            if u == len(rows):
+                rows.append({})
+            rows[u][i_index.setdefault(rec.item_id, len(i_index))] = rec.rating
+        reference = [(u, i, r) for u, row in enumerate(rows) for i, r in row.items()]
+        m = pr.build_matrix(recs)
+        assert m.indptr.tolist() == [0, *itertools.accumulate(len(row) for row in rows)]
+        assert (m.user_ids, m.item_ids) == (list(u_index), list(i_index))
+        assert entry_triples(m) == reference
+        test_draws = np.random.default_rng(seed).random(len(reference)) < ratio
+        sp = pr.split(m, ratio, seed)
+        assert entry_triples(sp.test) == [e for e, t in zip(reference, test_draws) if t]
+        assert entry_triples(sp.train) == [e for e, t in zip(reference, test_draws) if not t]

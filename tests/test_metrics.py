@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 import paretorank as pr
+from conftest import items_of
 from paretorank.errors import ConfigError, DataError
 
 
@@ -46,7 +47,7 @@ class TestMae:
 
     def test_empty_test_set(self):
         m = matrix_from(("a", "x", 5))
-        empty = m.same_space([{}])
+        empty = m.subset(np.zeros(m.n_entries, dtype=bool))
         with pytest.raises(DataError):
             pr.mae([], empty)
 
@@ -124,7 +125,7 @@ class TestDegreeOfMatthewEffect:
 def brute_force_diffs(matrix):
     hist = Counter()
     for u in range(matrix.n_users):
-        vals = list(matrix.items_of(u).values())
+        vals = list(items_of(matrix, u).values())
         for a, b in itertools.combinations(vals, 2):
             d = abs(a - b)
             if d > 0:
@@ -165,7 +166,7 @@ class TestRatingDiffHistogram:
             assert hist.counts == brute_force_diffs(m)
             total = sum(hist.counts.values())
             all_pairs = sum(
-                math.comb(len(m.items_of(u)), 2) for u in range(m.n_users)
+                math.comb(len(items_of(m, u)), 2) for u in range(m.n_users)
             )
             tied = all_pairs - total
             assert tied >= 0
@@ -251,6 +252,13 @@ class TestMetricsReport:
                 algorithm="a", dataset="d", mae=1.0, dme_slope=-0.5, dme_abs=0.4,
                 fit_points=3, k=10, seed=1, test_ratio=0.2,
             )
+
+    @pytest.mark.parametrize("field", ["mae", "dme_slope", "dme_abs"])
+    def test_non_finite_rejected(self, field):
+        values = {"mae": 1.0, "dme_slope": -0.5, "dme_abs": 0.5, field: math.nan}
+        with pytest.raises(ValueError):
+            pr.MetricsReport(algorithm="a", dataset="d", fit_points=3, k=10, seed=1,
+                             test_ratio=0.2, **values)
 
     def test_json_roundtrip(self):
         rep = make_report("ppr", 1.25, -0.75)

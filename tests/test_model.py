@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paretorank as pr
+from conftest import entry_triples
 
 
 class TestInitModel:
@@ -114,9 +115,8 @@ def one_user_matrix(rated_items, n_items):
     recs = [pr.RatingRecord("u", f"i{j}", 3.0) for j in rated_items]
     recs += [pr.RatingRecord("u", f"i{j}", 1.0) for j in range(n_items) if j not in rated_items]
     m = pr.build_matrix(recs)
-    # rebuild with only the rated subset as entries, keeping the full item space
-    by_user = [{m.item_to_index[f"i{j}"]: 3.0 for j in rated_items}]
-    return m.same_space(by_user)
+    # keep only the rated subset as entries, with the full item space
+    return m.subset(np.isin(m.indices, [m.item_to_index[f"i{j}"] for j in rated_items]))
 
 
 class TestTopK:
@@ -150,7 +150,7 @@ class TestTopK:
         model = pr.init_model(train.n_users, train.n_items, 4, seed=2)
         out = pr.top_k(model, train, k=5)
         for u in range(train.n_users):
-            assert not set(out.items[u].tolist()) & set(train.items_of(u))
+            assert not set(out.items[u].tolist()) & set(train.row(u)[0].tolist())
 
     def test_k_must_be_positive(self):
         train = one_user_matrix(rated_items=[], n_items=3)
@@ -167,5 +167,5 @@ def test_score_entries_alignment():
     m = pr.build_matrix(recs)
     model = pr.init_model(2, 2, 3, seed=0)
     out = pr.score_entries(model, m)
-    expected = [model.score(u, i) for u, i, _ in m.iter_entries()]
+    expected = [model.score(u, i) for u, i, _ in entry_triples(m)]
     assert out.tolist() == pytest.approx(expected)

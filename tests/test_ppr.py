@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import paretorank as pr
-from paretorank.errors import DataError
+from conftest import items_of
+from paretorank.errors import DataError, DivergenceError
 
 
 def matrix_from(*triples):
@@ -156,7 +157,7 @@ def enumerate_admissible(matrix, allowed_items=None):
     """Brute-force {(i, j, k) : R[i,j] > R[i,k]} over rated (sampled) items."""
     pairs = set()
     for u in range(matrix.n_users):
-        rated = matrix.items_of(u)
+        rated = items_of(matrix, u)
         items = [i for i in rated if allowed_items is None or i in allowed_items.get(u, rated)]
         for j, k in itertools.permutations(items, 2):
             if rated[j] > rated[k]:
@@ -198,7 +199,8 @@ class TestTrainPpr:
         cfg = pr.TrainConfig(n_factors=2, max_iters=3, seed=2)
         pr.train_ppr(m, cfg, on_pair=lambda it, pair, res: visited.append(pair))
         for pair in visited:
-            assert m.rating(pair.user, pair.preferred) > m.rating(pair.user, pair.other)
+            rated = items_of(m, pair.user)
+            assert rated[pair.preferred] > rated[pair.other]
 
     def test_skip_accounting(self):
         rng = np.random.default_rng(4)
@@ -237,9 +239,16 @@ class TestTrainPpr:
 
     def test_empty_matrix_rejected(self):
         m = matrix_from(("a", "x", 3))
-        empty = m.same_space([{}])
+        empty = m.subset(np.zeros(m.n_entries, dtype=bool))
         with pytest.raises(DataError):
             pr.train_ppr(empty, pr.TrainConfig())
+
+    def test_divergence_raises(self):
+        # a step so large that the clip computes inf * 0 and the factors go NaN
+        m = matrix_from(("a", "x", 5), ("a", "y", 3), ("a", "z", 1))
+        cfg = pr.TrainConfig(learning_rate=1e308, alpha=10, n_factors=2, max_iters=3, seed=0)
+        with pytest.raises(DivergenceError):
+            pr.train_ppr(m, cfg)
 
     def test_stats_csv_layout(self, tmp_path):
         m = matrix_from(("a", "A", 5), ("a", "B", 3))
