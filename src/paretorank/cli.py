@@ -247,11 +247,21 @@ def cmd_train(args) -> None:
 def cmd_evaluate(args) -> None:
     scorer, header = store.load_model(args.model)
     trained = header["config"]
-    seed = args.seed if args.seed is not None else trained.get("seed", DEFAULT_SEED)
-    test_ratio = (args.test_ratio if args.test_ratio is not None
-                  else trained.get("test_ratio", DEFAULT_TEST_RATIO))
-    if not (isinstance(seed, int) and isinstance(test_ratio, (int, float))):
-        raise DataError(f"{args.model}: echoed seed {seed!r} or test_ratio {test_ratio!r} is not a number")
+    # a bad value echoed from the artifact is a data error; as a flag, a config error
+    seed = args.seed
+    if seed is None:
+        seed = trained.get("seed", DEFAULT_SEED)
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise DataError(f"{args.model}: echoed seed {seed!r} is not a non-negative integer")
+    elif seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    test_ratio = args.test_ratio
+    if test_ratio is None:
+        test_ratio = trained.get("test_ratio", DEFAULT_TEST_RATIO)
+        if (isinstance(test_ratio, bool) or not isinstance(test_ratio, (int, float))
+                or not 0.0 <= test_ratio <= 1.0):
+            raise DataError(
+                f"{args.model}: echoed test_ratio {test_ratio!r} is not a number in [0, 1]")
     k = args.k if args.k is not None else DEFAULT_K
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")

@@ -92,6 +92,11 @@ def top_k(scorer, train: RatingMatrix, k: int) -> RecommendationSet:
     Ordering is descending score with ascending item index as the tie-break,
     which makes the output fully deterministic. Users with fewer than k
     unrated items get shorter lists.
+
+    Each user's list is selected, not sorted: one ``np.partition`` finds the
+    k-th best unrated score, and only the items that tie or beat it (every
+    tie at the boundary included) are ordered. The cost per user is linear
+    in ``n_items``. Scores must not be NaN.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -99,13 +104,22 @@ def top_k(scorer, train: RatingMatrix, k: int) -> RecommendationSet:
     items = []
     scores = []
     for u in range(scorer.n_users):
-        unrated = np.ones(n_items, dtype=bool)
-        unrated[train.row(u)[0]] = False
-        cand = np.flatnonzero(unrated)
-        s = scorer.score_row(u)[cand]
-        order = np.lexsort((cand, -s))[:k]
-        items.append(cand[order])
-        scores.append(s[order])
+        row = scorer.score_row(u)
+        rated = train.row(u)[0]
+        kk = min(k, n_items - rated.size)
+        if kk == 0:
+            items.append(np.empty(0, dtype=np.intp))
+            scores.append(row[:0])
+            continue
+        # a new array: score_row may return a shared row that must stay unwritten
+        neg = -row
+        neg[rated] = np.inf
+        keep = neg <= np.partition(neg, kk - 1)[kk - 1]
+        keep[rated] = False
+        cand = np.flatnonzero(keep)
+        top = cand[np.lexsort((cand, neg[cand]))[:kk]]
+        items.append(top)
+        scores.append(row[top])
     return RecommendationSet(k=k, items=items, scores=scores)
 
 

@@ -100,6 +100,9 @@ MALFORMED_HEADERS = {
     "list-header": lambda h: [1, 2],
     "config-list": lambda h: {**h, "config": [1]},
     "echoed-seed-string": lambda h: {**h, "config": {**h["config"], "seed": "7"}},
+    "echoed-seed-negative": lambda h: {**h, "config": {**h["config"], "seed": -1}},
+    "echoed-test-ratio-above-one": lambda h: {**h, "config": {**h["config"], "test_ratio": 1.5}},
+    "echoed-test-ratio-negative": lambda h: {**h, "config": {**h["config"], "test_ratio": -0.1}},
 }
 
 
@@ -162,6 +165,15 @@ class TestEvaluate:
                    "--report-out", tmp_path / "r.json")
         assert code == 2
         assert capsys.readouterr().err.startswith("data error:")
+
+    @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--test-ratio", "1.5"],
+                                      ["--test-ratio", "-0.1"]], ids=["seed", "ratio-high", "ratio-low"])
+    def test_bad_flag_value_is_config_error(self, tiny_path, tmp_path, capsys, flag):
+        model = self._train(tiny_path, tmp_path)
+        code = run("evaluate", "--data", tiny_path, "--model", model,
+                   "--report-out", tmp_path / "r.json", *flag)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_dimension_mismatch_names_both_shapes(self, tiny_path, tmp_path, capsys):
         model = self._train(tiny_path, tmp_path)

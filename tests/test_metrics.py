@@ -13,6 +13,7 @@ from scipy import stats as sps
 import paretorank as pr
 from conftest import items_of
 from paretorank.errors import ConfigError, DataError
+from test_model import assert_same_recs, reference_top_k
 
 
 def matrix_from(*triples):
@@ -101,6 +102,14 @@ class TestDegreeOfMatthewEffect:
         freqs = pr.recommendation_frequencies(recs_with_counts([3, 0, 7, 3]), 4)
         assert freqs.tolist() == [7, 3, 3]
 
+    @pytest.mark.parametrize("n_lists", [0, 3])
+    def test_frequencies_without_recommendations(self, n_lists):
+        recs = pr.RecommendationSet(k=10, items=[np.empty(0, dtype=np.intp)] * n_lists,
+                                    scores=[np.empty(0)] * n_lists)
+        freqs = pr.recommendation_frequencies(recs, 4)
+        assert freqs.tolist() == []
+        assert freqs.dtype == np.int64
+
     def test_dme_points_csv(self):
         buf = io.StringIO()
         pr.write_dme_points_csv(recs_with_counts([8, 4, 2, 1]), 4, buf)
@@ -131,6 +140,60 @@ def brute_force_diffs(matrix):
             if d > 0:
                 hist[d] += 1
     return dict(hist)
+
+
+def reference_frequencies(recs, n_items):
+    """Per-list loop oracle for recommendation_frequencies."""
+    counts = np.zeros(n_items, dtype=np.int64)
+    for items in recs.items:
+        counts += np.bincount(items, minlength=n_items)
+    pos = np.flatnonzero(counts)
+    order = np.lexsort((pos, -counts[pos]))
+    return counts[pos][order]
+
+
+def reference_diff_histogram(matrix):
+    """Per-user Counter loop oracle for rating_diff_histogram."""
+    hist = Counter()
+    for u in range(matrix.n_users):
+        ratings = matrix.row(u)[1].tolist()
+        if len(ratings) < 2:
+            continue
+        values = Counter(ratings)
+        distinct = sorted(values)
+        for a in range(len(distinct)):
+            for b in range(a + 1, len(distinct)):
+                hist[distinct[b] - distinct[a]] += values[distinct[a]] * values[distinct[b]]
+    values = sorted(hist)
+    counts = np.array([hist[v] for v in values], dtype=float)
+    slope = pr.metrics._ols_slope(np.log(np.array(values)), np.log(counts))
+    return pr.DiffHistogram(counts={v: hist[v] for v in values}, slope=slope)
+
+
+class TestCorpusScale:
+    """top_k, exposure counts and the difference histogram against their loop oracles."""
+
+    @pytest.mark.parametrize("algo", ["random", "zipf", "factors"])
+    def test_top_k_and_frequencies(self, ml_like_split, algo):
+        train = ml_like_split.train
+        scorer = {
+            "random": lambda: pr.RandomScorer(train.n_users, train.n_items, seed=12),
+            "zipf": lambda: pr.ZipfScorer(pr.PopularityTable.from_matrix(train), train.n_users),
+            "factors": lambda: pr.init_model(train.n_users, train.n_items, 8, seed=12),
+        }[algo]()
+        recs = pr.top_k(scorer, train, k=10)
+        assert_same_recs(recs, reference_top_k(scorer, train, k=10))
+        got = pr.recommendation_frequencies(recs, train.n_items)
+        want = reference_frequencies(recs, train.n_items)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
+    def test_rating_diff_histogram(self, ml_like_matrix):
+        got = pr.rating_diff_histogram(ml_like_matrix)
+        want = reference_diff_histogram(ml_like_matrix)
+        assert list(got.counts.items()) == list(want.counts.items())
+        assert all(type(v) is float and type(c) is int for v, c in got.counts.items())
+        assert got.slope.hex() == want.slope.hex()
 
 
 class TestRatingDiffHistogram:

@@ -119,7 +119,77 @@ def one_user_matrix(rated_items, n_items):
     return m.subset(np.isin(m.indices, [m.item_to_index[f"i{j}"] for j in rated_items]))
 
 
+def reference_top_k(scorer, train, k):
+    """Full-sort oracle for top_k: lexsort every unrated item, keep the first k."""
+    n_items = scorer.n_items
+    items = []
+    scores = []
+    for u in range(scorer.n_users):
+        unrated = np.ones(n_items, dtype=bool)
+        unrated[train.row(u)[0]] = False
+        cand = np.flatnonzero(unrated)
+        s = scorer.score_row(u)[cand]
+        order = np.lexsort((cand, -s))[:k]
+        items.append(cand[order])
+        scores.append(s[order])
+    return pr.RecommendationSet(k=k, items=items, scores=scores)
+
+
+def assert_same_recs(got, want):
+    """List for list: same items, same score bits, same dtypes."""
+    assert got.k == want.k
+    assert len(got.items) == len(want.items) == len(got.scores) == len(want.scores)
+    for gi, gs, wi, ws in zip(got.items, got.scores, want.items, want.scores):
+        assert (gi.dtype, gs.dtype) == (wi.dtype, ws.dtype)
+        assert gi.tolist() == wi.tolist()
+        assert gs.tobytes() == ws.tobytes()
+
+
+def matrix_with_rated(rated_sets, n_items):
+    """A matrix over len(rated_sets) users x n_items where user u rated exactly rated_sets[u]."""
+    indptr = np.concatenate(([0], np.cumsum([len(r) for r in rated_sets])))
+    indices = np.array([i for r in rated_sets for i in sorted(r)], dtype=np.intp)
+    return pr.RatingMatrix([f"u{u}" for u in range(len(rated_sets))],
+                           [f"i{j}" for j in range(n_items)],
+                           indptr, indices, np.full(indices.size, 3.0), 1.0, 5.0)
+
+
+@st.composite
+def top_k_cases(draw):
+    n_users = draw(st.integers(1, 5))
+    n_items = draw(st.integers(1, 12))
+    # small integer scores force ties at the k-th place; the float branch adds +-inf
+    value = draw(st.sampled_from([
+        st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0]),
+        st.floats(allow_nan=False),
+    ]))
+    table = draw(st.lists(st.lists(value, min_size=n_items, max_size=n_items),
+                          min_size=n_users, max_size=n_users))
+    every_item = set(range(n_items))
+    rated = draw(st.lists(st.sets(st.integers(0, n_items - 1)) | st.just(every_item),
+                          min_size=n_users, max_size=n_users))
+    k = draw(st.integers(1, n_items + 3))
+    return table, rated, k
+
+
 class TestTopK:
+    @settings(max_examples=300, deadline=None)
+    @given(top_k_cases())
+    def test_matches_full_sort_reference(self, case):
+        table, rated, k = case
+        scorer = _FixedScorer(table)
+        train = matrix_with_rated(rated, scorer.n_items)
+        assert_same_recs(pr.top_k(scorer, train, k), reference_top_k(scorer, train, k))
+
+    def test_leaves_shared_score_row_unchanged(self):
+        train = matrix_with_rated([{0, 3}, {1}, set()], n_items=5)
+        scorer = pr.ZipfScorer(pr.PopularityTable.from_matrix(train), train.n_users)
+        before = scorer.score_row(0).copy()
+        recs = pr.top_k(scorer, train, k=2)
+        assert scorer.score_row(0) is scorer.score_row(2)  # the row is shared by every user
+        assert scorer.score_row(0).tobytes() == before.tobytes()
+        assert_same_recs(recs, reference_top_k(scorer, train, k=2))
+
     def test_forced_ordering(self):
         train = one_user_matrix(rated_items=[], n_items=3)
         scorer = _FixedScorer([[0.9, 0.5, 0.1]])
