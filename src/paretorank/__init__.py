@@ -3,6 +3,7 @@
 from .baselines import PopularityTable, RandomScorer, ZipfScorer, train_classic_mf
 from .dataio import (
     ParseResult,
+    RatingColumns,
     RatingMatrix,
     RatingRecord,
     SplitPair,

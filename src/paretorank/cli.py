@@ -276,6 +276,7 @@ def cmd_evaluate(args) -> None:
     algorithm = trained.get("algo", header.get("kind", "unknown"))
     echo = {**_data_echo(args), "k": k, "seed": seed, "test_ratio": test_ratio,
             "trained_with": trained}
+    recs = model.top_k(scorer, sp.train, k)
     report = metrics.evaluate_scorer(
         scorer, sp.train, sp.test, k,
         algorithm=algorithm,
@@ -283,11 +284,11 @@ def cmd_evaluate(args) -> None:
         seed=seed,
         test_ratio=test_ratio,
         config=echo,
+        recs=recs,
     )
     with open(args.report_out, "w", encoding="utf-8", newline="") as fp:
         fp.write(report.to_json())
     if args.dme_points_out:
-        recs = model.top_k(scorer, sp.train, k)
         with open(args.dme_points_out, "w", encoding="utf-8", newline="") as fp:
             metrics.write_dme_points_csv(recs, sp.train.n_items, fp,
                                          config_echo=_echo_json(echo))

@@ -3,19 +3,36 @@
 Two input formats are supported: the `::`-separated MovieLens ``.dat`` layout
 (no header) and generic delimited text with a header row, where a column map
 names the user/item/rating columns. All text is treated as UTF-8; both LF and
-CRLF line endings are accepted.
+CRLF line endings are accepted, and a line that is not valid UTF-8 is a
+malformed line like any other.
 
-Ratings are held as CSR arrays; :class:`RatingMatrix` fixes the entry order
+Parsers return :class:`RatingColumns`, the ids, ratings and timestamps of the
+well-formed lines as parallel columns, without one object per line. A byte
+stream is read in blocks of whole lines; a block is split into fields by a
+few whole-block string operations and its numbers are converted a column at
+a time. Only the lines those column checks reject are passed one by one to
+the line validator, which alone defines a well-formed line and names the
+line and the reason in its error.
+
+:func:`build_matrix` takes columns (or a sequence of :class:`RatingRecord`)
+and returns a :class:`RatingMatrix`, whose CSR arrays fix the entry order
 that splits, and so every downstream result, depend on.
 """
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from functools import partial
+from itertools import chain, compress, islice, repeat
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigError, DataError, LineParseError
+
+_BLOCK_BYTES = 1 << 20  # a byte stream is parsed in blocks of whole lines of about this size
+_BLOCK_LINES = 1 << 14  # an iterable of lines, in blocks of this many lines
+_INT64 = (-(2**63), 2**63)
 
 
 @dataclass
@@ -28,11 +45,36 @@ class RatingRecord:
     timestamp: Optional[int] = None
 
 
+@dataclass(eq=False)
+class RatingColumns:
+    """Rating observations as parallel columns, in file order.
+
+    ``ratings`` is a float64 array and ``timestamps`` an int64 array, or None
+    for a source without timestamps. Indexing or iterating yields one
+    :class:`RatingRecord` view per observation, built on demand.
+    """
+
+    user_ids: list[str]
+    item_ids: list[str]
+    ratings: np.ndarray
+    timestamps: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.user_ids)
+
+    def __getitem__(self, n: int) -> RatingRecord:
+        timestamp = None if self.timestamps is None else int(self.timestamps[n])
+        return RatingRecord(self.user_ids[n], self.item_ids[n], float(self.ratings[n]), timestamp)
+
+    def __iter__(self) -> Iterator[RatingRecord]:
+        return map(self.__getitem__, range(len(self)))
+
+
 @dataclass
 class ParseResult:
-    """Parsed records plus the number of rows dropped under the skip policy."""
+    """Columns of the well-formed lines plus the number of lines dropped under the skip policy."""
 
-    records: list[RatingRecord]
+    records: RatingColumns
     skipped: int = 0
 
 
@@ -97,18 +139,203 @@ class SplitPair:
     test_ratio: float
 
 
-def _decoded_lines(source) -> Iterator[str]:
-    """Iterate text lines from a byte/text stream or an iterable of lines."""
-    if hasattr(source, "read"):
-        source = iter(source)
-    for raw in source:
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8-sig")
-        yield raw.rstrip("\r\n")
+# -- reading lines ---------------------------------------------------------------
+
+
+def _line_blocks(source) -> Iterator[tuple[int, list[str], dict[int, LineParseError]]]:
+    """The source's lines in blocks: (1-based number of the first line, lines, framing errors).
+
+    ``source`` is a byte or text stream or an iterable of byte or text lines.
+    Line ends are stripped, and a byte line loses one leading byte order mark.
+    A line that is not valid UTF-8, or an iterable's element with a line
+    break inside, is a framing error keyed by its index in the block; its
+    place in ``lines`` holds "".
+    """
+    if hasattr(source, "read") and isinstance(source.read(0), bytes):
+        blocks = _byte_blocks(source)
+    else:
+        blocks = _iterable_blocks(iter(source))
+    line_no = 1
+    for lines, framing in blocks:
+        yield line_no, lines, {n: LineParseError(line_no + n, text, reason)
+                               for n, (text, reason) in framing.items()}
+        line_no += len(lines)
+
+
+def _byte_blocks(fp) -> Iterator[tuple[list[str], dict[int, tuple[str, str]]]]:
+    rest = b""
+    while True:
+        chunk = fp.read(_BLOCK_BYTES)
+        data = rest + chunk
+        if not chunk:  # end of stream: what is left is the last line, with no line break
+            if data:
+                yield _split_lines(data)
+            return
+        cut = data.rfind(b"\n") + 1
+        rest = data[cut:]
+        if cut:
+            yield _split_lines(data[:cut])
+
+
+def _split_lines(data: bytes) -> tuple[list[str], dict[int, tuple[str, str]]]:
+    """Decode whole lines of bytes and split them, as each line's own utf-8-sig decoding would."""
+    framing = {}
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        # UTF-8 cannot span a line break, so the bad lines are the lines that fail alone
+        raws = data.split(b"\n")
+        for n, raw in enumerate(raws):
+            raw = raw.rstrip(b"\r")
+            try:
+                raws[n] = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                framing[n] = _undecodable(raw, exc)
+                raws[n] = ""
+        text = "\n".join(raws)
+    if "\ufeff" in text:
+        text = text.removeprefix("\ufeff").replace("\n\ufeff", "\n")
+    lines = text.split("\n")
+    if data.endswith(b"\n"):
+        lines.pop()
+    if "\r" in text:
+        lines = list(map(str.rstrip, lines, repeat("\r")))
+    return lines, framing
+
+
+def _iterable_blocks(it) -> Iterator[tuple[list[str], dict[int, tuple[str, str]]]]:
+    while block := list(islice(it, _BLOCK_LINES)):
+        framing = {}
+        for n, raw in enumerate(block):
+            if isinstance(raw, bytes):
+                raw = raw.rstrip(b"\r\n")
+                try:
+                    raw = raw.decode("utf-8").removeprefix("\ufeff")
+                except UnicodeDecodeError as exc:
+                    framing[n] = _undecodable(raw, exc)
+                    raw = ""
+            line = raw.rstrip("\r\n")
+            if "\n" in line:
+                framing[n] = (line, "line break inside the line")
+                line = ""
+            block[n] = line
+        yield block, framing
+
+
+def _undecodable(raw: bytes, exc: UnicodeDecodeError) -> tuple[str, str]:
+    """The framing error of a line's bytes, decoded without their line end."""
+    return raw.decode("utf-8", "backslashreplace"), f"not valid UTF-8 ({exc.reason} at byte {exc.start})"
+
+
+# -- lines to columns --------------------------------------------------------------
+
+
+def _separators(lines: list[str], sep: str) -> np.ndarray:
+    return np.fromiter(map(str.count, lines, repeat(sep)), np.intp, len(lines))
+
+
+def _take(lines: list[str], at: np.ndarray) -> list[str]:
+    return lines if len(at) == len(lines) else list(map(lines.__getitem__, at.tolist()))
+
+
+def _fields(lines: list[str], sep: str) -> list[str]:
+    """Every ``sep``-separated field of the lines, in order, as one flat list."""
+    return "\n".join(lines).replace(sep, "\n").split("\n") if lines else []
+
+
+def _convert(convert, strings: list[str], dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``convert`` applied to each string, as an array, and the mask of strings it accepted."""
+    ok = np.ones(len(strings), dtype=bool)
+    try:
+        return np.fromiter(map(convert, strings), dtype, len(strings)), ok
+    except (ValueError, OverflowError):
+        pass
+    values = np.zeros(len(strings), dtype=dtype)
+    for n, s in enumerate(strings):
+        try:
+            values[n] = convert(s)
+        except (ValueError, OverflowError):
+            ok[n] = False
+    return values, ok
+
+
+def _nonempty(strings: list[str]) -> np.ndarray:
+    if "" not in strings:
+        return np.ones(len(strings), dtype=bool)
+    return np.fromiter(map(bool, strings), bool, len(strings))
+
+
+def _check_policy(errors: str):
+    if errors not in ("raise", "skip"):
+        raise ConfigError(f"unknown error policy {errors!r}; use 'raise' or 'skip'")
+
+
+class _Columns:
+    """Columns gathered block by block; a block's rejected lines raise or are counted."""
+
+    def __init__(self, errors: str, check, timestamps: bool):
+        self.errors = errors
+        self.check = check
+        self.user_ids: list[str] = []
+        self.item_ids: list[str] = []
+        self.ratings: list[np.ndarray] = []
+        self.timestamps: Optional[list[np.ndarray]] = [] if timestamps else None
+        self.skipped = 0
+
+    def add(self, line_no, lines, framing, at, users, items, rating_s, stamp_s=None, ignored=None):
+        """Keep the lines ``at`` whose fields hold valid values; reject every other line.
+
+        ``at`` indexes the lines whose fields are given (their field layout
+        is well formed); lines in ``ignored`` are passed over silently.
+        """
+        ratings, ok = _convert(float, rating_s, np.float64)
+        ok &= np.isfinite(ratings) & _nonempty(users) & _nonempty(items)
+        if stamp_s is not None:
+            stamps, stamped = _convert(int, stamp_s, np.int64)
+            ok &= stamped
+        if not ok.all():
+            users, items = list(compress(users, ok)), list(compress(items, ok))
+            ratings, at = ratings[ok], at[ok]
+            if stamp_s is not None:
+                stamps = stamps[ok]
+        rejected = np.ones(len(lines), dtype=bool)
+        rejected[at] = False
+        if ignored is not None:
+            rejected &= ~ignored
+        self._reject(line_no, lines, framing, np.flatnonzero(rejected).tolist())
+        self.user_ids += users
+        self.item_ids += items
+        self.ratings.append(ratings)
+        if stamp_s is not None:
+            self.timestamps.append(stamps)
+
+    def _reject(self, line_no, lines, framing, bad):
+        for n in bad:
+            try:
+                if n in framing:
+                    raise framing[n]
+                self.check(line_no + n, lines[n])
+            except LineParseError:
+                if self.errors == "raise":
+                    raise
+                self.skipped += 1
+            else:
+                raise AssertionError(f"line {line_no + n} passes its line check but not the column checks")
+
+    def result(self) -> ParseResult:
+        ratings = np.concatenate([np.empty(0), *self.ratings])
+        timestamps = None
+        if self.timestamps is not None:
+            timestamps = np.concatenate([np.empty(0, dtype=np.int64), *self.timestamps])
+        return ParseResult(RatingColumns(self.user_ids, self.item_ids, ratings, timestamps),
+                           self.skipped)
+
+
+# -- the two formats ---------------------------------------------------------------
 
 
 def parse_movielens(source, errors: str = "raise") -> ParseResult:
-    """Parse ``UserID::MovieID::Rating::Timestamp`` lines into rating records.
+    """Parse ``UserID::MovieID::Rating::Timestamp`` lines into rating columns.
 
     Args:
         source: byte or text stream (or iterable of lines), no header.
@@ -116,20 +343,17 @@ def parse_movielens(source, errors: str = "raise") -> ParseResult:
             malformed lines and counts them in the result.
 
     Returns:
-        ParseResult with one record per well-formed line, in file order.
+        ParseResult whose columns hold one observation per well-formed line,
+        in file order.
     """
-    if errors not in ("raise", "skip"):
-        raise ConfigError(f"unknown error policy {errors!r}; use 'raise' or 'skip'")
-    records = []
-    skipped = 0
-    for line_no, line in enumerate(_decoded_lines(source), start=1):
-        try:
-            records.append(_parse_movielens_line(line_no, line))
-        except LineParseError:
-            if errors == "raise":
-                raise
-            skipped += 1
-    return ParseResult(records, skipped)
+    _check_policy(errors)
+    out = _Columns(errors, _parse_movielens_line, timestamps=True)
+    for line_no, lines, framing in _line_blocks(source):
+        at = np.flatnonzero(_separators(lines, "::") == 3)
+        flat = _fields(_take(lines, at), "::")
+        out.add(line_no, lines, framing, at, flat[0::4], flat[1::4], flat[2::4], flat[3::4])
+        del flat  # free the block's rating and timestamp strings before the next block is read
+    return out.result()
 
 
 def _parse_movielens_line(line_no: int, line: str) -> RatingRecord:
@@ -146,6 +370,8 @@ def _parse_movielens_line(line_no: int, line: str) -> RatingRecord:
         raise LineParseError(line_no, line, str(exc)) from None
     if not math.isfinite(rating):
         raise LineParseError(line_no, line, f"non-finite rating {rating_s!r}")
+    if not _INT64[0] <= timestamp < _INT64[1]:
+        raise LineParseError(line_no, line, f"timestamp {ts_s!r} outside the 64-bit range")
     return RatingRecord(user_id, item_id, rating, timestamp)
 
 
@@ -155,96 +381,132 @@ def parse_csv(
     delimiter: str = ",",
     errors: str = "raise",
 ) -> ParseResult:
-    """Parse delimited text with a header row into rating records.
+    """Parse delimited text with a header row into rating columns.
 
     Only the three mapped columns (user, item, rating) are consumed; any
-    extra columns are ignored. A column map naming an absent header is a
-    configuration error; a bad row is a data error subject to the same
-    raise/skip policy as :func:`parse_movielens`.
+    extra columns are ignored, and blank rows are passed over. A column map
+    naming an absent header, or a delimiter that is empty or holds a line
+    break, is a configuration error; a bad row is a data error subject to
+    the same raise/skip policy as :func:`parse_movielens`. The columns carry
+    no timestamps.
     """
-    if errors not in ("raise", "skip"):
-        raise ConfigError(f"unknown error policy {errors!r}; use 'raise' or 'skip'")
-    lines = _decoded_lines(source)
+    _check_policy(errors)
+    if not delimiter or "\n" in delimiter:
+        raise ConfigError(f"delimiter {delimiter!r} must be non-empty and hold no line break")
+    blocks = _line_blocks(source)
     try:
-        header_line = next(lines)
+        line_no, lines, framing = next(blocks)
     except StopIteration:
         raise DataError("empty input: no header row") from None
-    header = header_line.split(delimiter)
+    if 0 in framing:
+        raise framing[0]
+    header = lines[0].split(delimiter)
     try:
-        u_col, i_col, r_col = (header.index(name) for name in columns)
+        cols = tuple(header.index(name) for name in columns)
     except ValueError:
         missing = [name for name in columns if name not in header]
         raise ConfigError(f"column(s) {missing} not found in header {header}") from None
+    width = max(cols)
+    out = _Columns(errors, partial(_parse_csv_row, delimiter=delimiter, cols=cols), timestamps=False)
+    first = (line_no + 1, lines[1:], {n - 1: exc for n, exc in framing.items()})
+    for line_no, lines, framing in chain([first], blocks):
+        n_seps = _separators(lines, delimiter)
+        blank = np.fromiter(map(operator.not_, lines), bool, len(lines))
+        if framing:
+            blank[list(framing)] = False
+            n_seps[list(framing)] = -1
+        fits = np.flatnonzero((n_seps >= width) & ~blank)
+        # rows of each field count are split apart, then put back in file order
+        parts = [(fits[n_seps[fits] == c], c + 1) for c in np.unique(n_seps[fits]).tolist()]
+        at = np.concatenate([np.empty(0, dtype=np.intp), *(idx for idx, _ in parts)])
+        users, items, rating_s = [], [], []
+        for idx, step in parts:
+            flat = _fields(_take(lines, idx), delimiter)
+            users += flat[cols[0]::step]
+            items += flat[cols[1]::step]
+            rating_s += flat[cols[2]::step]
+        if len(parts) > 1:
+            order = np.argsort(at)
+            at = at[order]
+            users, items, rating_s = (list(map(col.__getitem__, order.tolist()))
+                                      for col in (users, items, rating_s))
+        out.add(line_no, lines, framing, at, users, items, rating_s, ignored=blank)
+    return out.result()
 
-    records = []
-    skipped = 0
-    width = max(u_col, i_col, r_col)
-    for line_no, line in enumerate(lines, start=2):
-        if not line:
-            continue
-        cells = line.split(delimiter)
-        try:
-            if len(cells) <= width:
-                raise LineParseError(line_no, line, f"expected at least {width + 1} fields, got {len(cells)}")
-            user_id, item_id, rating_s = cells[u_col], cells[i_col], cells[r_col]
-            if not user_id or not item_id:
-                raise LineParseError(line_no, line, "empty user or item id")
-            try:
-                rating = float(rating_s)
-            except ValueError:
-                raise LineParseError(line_no, line, f"non-numeric rating {rating_s!r}") from None
-            if not math.isfinite(rating):
-                raise LineParseError(line_no, line, f"non-finite rating {rating_s!r}")
-        except LineParseError:
-            if errors == "raise":
-                raise
-            skipped += 1
-            continue
-        records.append(RatingRecord(user_id, item_id, rating))
-    return ParseResult(records, skipped)
+
+def _parse_csv_row(line_no: int, line: str, delimiter: str, cols: tuple[int, int, int]) -> RatingRecord:
+    cells = line.split(delimiter)
+    width = max(cols)
+    if len(cells) <= width:
+        raise LineParseError(line_no, line, f"expected at least {width + 1} fields, got {len(cells)}")
+    user_id, item_id, rating_s = (cells[c] for c in cols)
+    if not user_id or not item_id:
+        raise LineParseError(line_no, line, "empty user or item id")
+    try:
+        rating = float(rating_s)
+    except ValueError:
+        raise LineParseError(line_no, line, f"non-numeric rating {rating_s!r}") from None
+    if not math.isfinite(rating):
+        raise LineParseError(line_no, line, f"non-finite rating {rating_s!r}")
+    return RatingRecord(user_id, item_id, rating)
+
+
+# -- columns to a matrix -----------------------------------------------------------
+
+
+def _first_appearance(ids: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct ids in first-appearance order, and the index of each id among them."""
+    distinct = list(dict.fromkeys(ids))
+    index = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
 
 
 def build_matrix(
-    records: Sequence[RatingRecord],
+    records: Union[RatingColumns, Sequence[RatingRecord]],
     scale: Optional[tuple[float, float]] = None,
 ) -> RatingMatrix:
-    """Build a RatingMatrix from records.
+    """Build a RatingMatrix from parsed columns or a sequence of records.
 
-    Indices are assigned in first-appearance order. A duplicate (user, item)
-    pair keeps the position of its first record and the rating of its last.
-    With no declared scale the observed (min, max) is used; with a declared
-    scale any rating outside it is an error naming the first such record.
+    A record sequence is converted to columns first; there is one build
+    path. Indices are assigned in first-appearance order. A duplicate
+    (user, item) pair keeps the position of its first record and the rating
+    of its last. With no declared scale the observed (min, max) is used;
+    with a declared scale any rating outside it is an error naming the first
+    such record.
     """
-    if not records:
+    if isinstance(records, RatingColumns):
+        columns = records
+    else:
+        columns = RatingColumns([rec.user_id for rec in records], [rec.item_id for rec in records],
+                                np.fromiter((rec.rating for rec in records), dtype=float,
+                                            count=len(records)))
+    n = len(columns)
+    if not n:
         raise DataError("cannot build a rating matrix from zero records")
-    n = len(records)
-    ratings = np.fromiter((rec.rating for rec in records), dtype=float, count=n)
+    ratings = np.asarray(columns.ratings, dtype=float)
     valid = np.isfinite(ratings)
     if scale is not None:
         valid &= (scale[0] <= ratings) & (ratings <= scale[1])
     if not valid.all():
-        rec = records[int(np.argmin(valid))]
-        if not math.isfinite(rec.rating):
-            raise DataError(f"non-finite rating for user {rec.user_id!r}, item {rec.item_id!r}")
+        bad = int(np.argmin(valid))
+        user, item, rating = columns.user_ids[bad], columns.item_ids[bad], float(ratings[bad])
+        if not math.isfinite(rating):
+            raise DataError(f"non-finite rating for user {user!r}, item {item!r}")
         raise DataError(
-            f"rating {rec.rating} outside declared scale [{scale[0]}, {scale[1]}] "
-            f"(user {rec.user_id!r}, item {rec.item_id!r})"
+            f"rating {rating} outside declared scale [{scale[0]}, {scale[1]}] "
+            f"(user {user!r}, item {item!r})"
         )
-    u_index: dict[str, int] = {}
-    i_index: dict[str, int] = {}
-    users = np.fromiter((u_index.setdefault(rec.user_id, len(u_index)) for rec in records),
-                        dtype=np.int64, count=n)
-    items = np.fromiter((i_index.setdefault(rec.item_id, len(i_index)) for rec in records),
-                        dtype=np.int64, count=n)
+    user_ids, users = _first_appearance(columns.user_ids)
+    item_ids, items = _first_appearance(columns.item_ids)
     # one entry per distinct (user, item): the first record fixes its position, the last its rating
-    key = users * len(i_index) + items
+    key = users * len(item_ids) + items
     first = np.unique(key, return_index=True)[1]
     last = n - 1 - np.unique(key[::-1], return_index=True)[1]
     entry_users = users[first]
     order = np.lexsort((first, entry_users))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(entry_users, minlength=len(u_index)))))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(entry_users, minlength=len(user_ids)))))
     r_min, r_max = scale if scale is not None else (ratings.min(), ratings.max())
-    return RatingMatrix(list(u_index), list(i_index), indptr, items[first][order],
+    return RatingMatrix(user_ids, item_ids, indptr, items[first][order],
                         ratings[last][order], r_min, r_max)
 
 

@@ -224,18 +224,24 @@ def evaluate_scorer(
     seed: int,
     test_ratio: float,
     config: dict | None = None,
+    recs: RecommendationSet | None = None,
 ) -> MetricsReport:
     """Full evaluation of one scorer: scaled-prediction MAE plus exposure slope.
 
     Raw test-entry scores are min-max scaled onto the rating scale as one
     batch (the same monotone map for every algorithm), then MAE is taken
     against the held-out ratings. Top-K lists are built from the training
-    matrix and summarized by the Matthew-effect slope.
+    matrix and summarized by the Matthew-effect slope; a caller that needs
+    the lists too builds them with ``top_k(scorer, train, k)`` and passes
+    them as ``recs``.
     """
+    if recs is not None and recs.k != k:
+        raise ValueError(f"recs hold top-{recs.k} lists, expected top-{k}")
     raw = score_entries(scorer, test)
     predictions = scale_scores(raw, (test.r_min, test.r_max))
     err = mae(predictions, test)
-    recs = top_k(scorer, train, k)
+    if recs is None:
+        recs = top_k(scorer, train, k)
     slope, fit_points = degree_of_matthew_effect(recs, train.n_items)
     return MetricsReport(
         algorithm=algorithm,

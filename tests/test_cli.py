@@ -1,9 +1,11 @@
+import collections
 import json
 
 import numpy as np
 import pytest
 
 import paretorank as pr
+from paretorank import store
 from paretorank.cli import main
 
 FAST_PPR = ["--max-iters", "3", "--user-sample-size", "30", "--item-sample-size", "8"]
@@ -156,6 +158,29 @@ class TestEvaluate:
         report = json.loads((tmp_path / "r.json").read_text())
         assert len(counts) == report["fit_points"]
 
+    def test_dme_points_score_each_user_once(self, tiny_path, tmp_path, monkeypatch):
+        # the report and the points CSV share one set of top-K lists
+        model = self._train(tiny_path, tmp_path, algo="random")
+        calls = collections.Counter()
+
+        class Counting:
+            def __init__(self, scorer):
+                self.scorer, self.n_users, self.n_items = scorer, scorer.n_users, scorer.n_items
+
+            def score_row(self, user):
+                calls[user] += 1
+                return self.scorer.score_row(user)
+
+        load_model = store.load_model
+        monkeypatch.setattr(store, "load_model",
+                            lambda path: (lambda s, h: (Counting(s), h))(*load_model(path)))
+        assert run("evaluate", "--data", tiny_path, "--model", model, "--report-out",
+                   tmp_path / "r.json", "--dme-points-out", tmp_path / "points.csv") == 0
+        with open(tiny_path, "rb") as fp:
+            test = pr.split(pr.build_matrix(pr.parse_movielens(fp).records), 0.2, seed=7).test
+        tested = np.diff(test.indptr) > 0  # score_entries scores each user with test entries once
+        assert calls == {u: 1 + int(tested[u]) for u in range(test.n_users)}
+
     @pytest.mark.parametrize("malform", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
     def test_malformed_artifact_is_data_error(self, tiny_path, tmp_path, capsys, malform):
         model = self._train(tiny_path, tmp_path)
@@ -237,6 +262,35 @@ class TestAnalyzePowerlaw:
         data = tmp_path / "flat.dat"
         data.write_text("\n".join(f"{u}::{i}::3::0" for u in range(1, 6) for i in range(1, 6)) + "\n")
         assert run("analyze-powerlaw", "--data", data, "--out", tmp_path / "h.csv") == 2
+
+
+NON_UTF8 = {
+    "movielens": b"1::1::1::10\n1::2::2::11\n2::\xff\xfe::3::12\n1::3::4::13\n",
+    "csv": b"userID,itemID,rating\n1,1,1\n1,2,2\n2,\xff\xfe,3\n1,3,4\n",
+}
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("fmt", NON_UTF8)
+    def test_raise_is_data_error_naming_the_line(self, tmp_path, capsys, fmt):
+        data = tmp_path / "ratings.txt"
+        data.write_bytes(NON_UTF8[fmt])
+        code = run("analyze-powerlaw", "--data", data, "--format", fmt, "--out", tmp_path / "h.csv")
+        assert code == 2
+        line_no = 3 if fmt == "movielens" else 4
+        assert capsys.readouterr().err.startswith(f"data error: line {line_no}: not valid UTF-8")
+
+    @pytest.mark.parametrize("fmt", NON_UTF8)
+    def test_skip_counts_the_line(self, tmp_path, capsys, fmt):
+        data = tmp_path / "ratings.txt"
+        data.write_bytes(NON_UTF8[fmt])
+        out = tmp_path / "h.csv"
+        code = run("analyze-powerlaw", "--data", data, "--format", fmt, "--parse-errors", "skip",
+                   "--out", out)
+        assert code == 0
+        assert "skipped 1 malformed line(s)" in capsys.readouterr().err
+        values = [line.split(",")[0] for line in out.read_text().splitlines()[2:]]
+        assert values == ["1.0", "2.0", "3.0"]  # user 1's ratings 1, 2, 4
 
 
 class TestConfigFile:

@@ -1,5 +1,7 @@
 import io
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 import paretorank as pr
 from conftest import entry_triples, items_of
+from paretorank import dataio
 from paretorank.errors import ConfigError, DataError, LineParseError
 
 
@@ -23,7 +26,7 @@ class TestParseMovielens:
         assert (rec.user_id, rec.item_id, rec.rating, rec.timestamp) == ("1", "1193", 5.0, 978300760)
 
     def test_empty_stream(self):
-        assert pr.parse_movielens(io.BytesIO(b"")).records == []
+        assert len(pr.parse_movielens(io.BytesIO(b"")).records) == 0
 
     def test_missing_field_errors_with_line_number(self):
         with pytest.raises(LineParseError) as exc:
@@ -96,6 +99,12 @@ class TestParseCsv:
     def test_empty_input(self):
         with pytest.raises(DataError):
             pr.parse_csv(io.BytesIO(b""))
+
+    def test_rows_of_different_widths_keep_file_order(self):
+        data = b"userID,itemID,rating\n1,2,3,x\n4,5,1\n6,7,2,y,z\n8,9,4\n"
+        res = pr.parse_csv(io.BytesIO(data))
+        assert [(r.user_id, r.item_id, r.rating) for r in res.records] == [
+            ("1", "2", 3.0), ("4", "5", 1.0), ("6", "7", 2.0), ("8", "9", 4.0)]
 
 
 class TestBuildMatrix:
@@ -220,3 +229,321 @@ class TestSplit:
         sp = pr.split(m, ratio, seed)
         assert entry_triples(sp.test) == [e for e, t in zip(reference, test_draws) if t]
         assert entry_triples(sp.train) == [e for e, t in zip(reference, test_draws) if not t]
+
+
+# -- reference parsers: the per-line parsers the columnar ones replaced ------------------
+#
+# They read one line at a time into one RatingRecord per line. Two rules came
+# with the columnar parsers and are applied here too (marked "new rule"): a
+# line that is not UTF-8, or an iterable's element with a line break inside,
+# is a malformed line, and a timestamp must fit in 64 bits.
+
+
+def _reference_lines(source):
+    """(line_no, text or framing LineParseError) per line of the source."""
+    if hasattr(source, "read"):
+        source = iter(source)
+    for line_no, raw in enumerate(source, start=1):
+        if isinstance(raw, bytes):
+            raw = raw.rstrip(b"\r\n")
+            try:
+                raw = raw.decode("utf-8").removeprefix("\ufeff")  # as decode("utf-8-sig")
+            except UnicodeDecodeError as exc:  # new rule
+                text = raw.decode("utf-8", "backslashreplace")
+                reason = f"not valid UTF-8 ({exc.reason} at byte {exc.start})"
+                yield line_no, LineParseError(line_no, text, reason)
+                continue
+        line = raw.rstrip("\r\n")
+        if "\n" in line:  # new rule
+            yield line_no, LineParseError(line_no, line, "line break inside the line")
+            continue
+        yield line_no, line
+
+
+def reference_parse_movielens(source, errors="raise"):
+    records = []
+    skipped = 0
+    for line_no, line in _reference_lines(source):
+        try:
+            if isinstance(line, LineParseError):
+                raise line
+            records.append(_reference_movielens_line(line_no, line))
+        except LineParseError:
+            if errors == "raise":
+                raise
+            skipped += 1
+    return records, skipped
+
+
+def _reference_movielens_line(line_no, line):
+    parts = line.split("::")
+    if len(parts) != 4:
+        raise LineParseError(line_no, line, f"expected 4 '::'-separated fields, got {len(parts)}")
+    user_id, item_id, rating_s, ts_s = parts
+    if not user_id or not item_id:
+        raise LineParseError(line_no, line, "empty user or item id")
+    try:
+        rating = float(rating_s)
+        timestamp = int(ts_s)
+    except ValueError as exc:
+        raise LineParseError(line_no, line, str(exc)) from None
+    if not math.isfinite(rating):
+        raise LineParseError(line_no, line, f"non-finite rating {rating_s!r}")
+    if not -(2**63) <= timestamp < 2**63:  # new rule
+        raise LineParseError(line_no, line, f"timestamp {ts_s!r} outside the 64-bit range")
+    return pr.RatingRecord(user_id, item_id, rating, timestamp)
+
+
+def reference_parse_csv(source, columns=("userID", "itemID", "rating"), delimiter=",", errors="raise"):
+    lines = _reference_lines(source)
+    try:
+        _, header_line = next(lines)
+    except StopIteration:
+        raise DataError("empty input: no header row") from None
+    if isinstance(header_line, LineParseError):
+        raise header_line
+    header = header_line.split(delimiter)
+    try:
+        u_col, i_col, r_col = (header.index(name) for name in columns)
+    except ValueError:
+        missing = [name for name in columns if name not in header]
+        raise ConfigError(f"column(s) {missing} not found in header {header}") from None
+    records = []
+    skipped = 0
+    width = max(u_col, i_col, r_col)
+    for line_no, line in lines:
+        try:
+            if isinstance(line, LineParseError):
+                raise line
+            if not line:
+                continue
+            cells = line.split(delimiter)
+            if len(cells) <= width:
+                raise LineParseError(line_no, line, f"expected at least {width + 1} fields, got {len(cells)}")
+            user_id, item_id, rating_s = cells[u_col], cells[i_col], cells[r_col]
+            if not user_id or not item_id:
+                raise LineParseError(line_no, line, "empty user or item id")
+            try:
+                rating = float(rating_s)
+            except ValueError:
+                raise LineParseError(line_no, line, f"non-numeric rating {rating_s!r}") from None
+            if not math.isfinite(rating):
+                raise LineParseError(line_no, line, f"non-finite rating {rating_s!r}")
+        except LineParseError:
+            if errors == "raise":
+                raise
+            skipped += 1
+            continue
+        records.append(pr.RatingRecord(user_id, item_id, rating))
+    return records, skipped
+
+
+# -- the columnar parsers against the references ---------------------------------------
+
+IDS = ["1", "42", "u7", "é", "x y", " 3", "", "\ufeff9", "a:b"]
+RATINGS = ["1", "4.5", "-2", "1e3", " 3 ", "1_0", "nan", "inf", "-Infinity", "abc", "", "1e999", "٣", "0x1"]
+STAMPS = ["978300760", "0", "-5", "+7", "1_000", " 12", "x", "", "1.5", "٣",
+          str(2**63 - 1), str(-(2**63)), str(2**63), str(-(2**63) - 1), "9" * 30]
+FIELD = st.sampled_from(IDS + RATINGS + STAMPS) | st.text(alphabet=":ab1 \t", max_size=4)
+
+MOVIELENS_LINES = st.one_of(
+    st.builds("{}::{}::{}::{}".format, st.sampled_from(IDS), st.sampled_from(IDS),
+              st.sampled_from(RATINGS), st.sampled_from(STAMPS)),
+    st.builds("{}::{}::5::{}".format, st.sampled_from(["1", "2", "3"]), st.sampled_from(["1", "2", "3"]),
+              st.integers(0, 10**10)),
+    st.lists(FIELD, max_size=6).map("::".join),  # any field count, ':::' runs included
+    st.text(alphabet=":1", max_size=10),
+    st.just(""),
+)
+CSV_HEADERS = ["userID,itemID,rating", "x,rating,itemID,userID", "userID,itemID,rating,mood",
+               "\ufeffuserID,itemID,rating", "user,item,rating"]
+CSV_ROWS = st.one_of(
+    st.lists(st.sampled_from(IDS + RATINGS + ["", "a,b"]), max_size=5).map(",".join),
+    st.builds(lambda *cells: ",".join(cells), st.sampled_from(IDS), st.sampled_from(IDS),
+              st.sampled_from(RATINGS)),
+    # well-formed rows of different widths, which the parser splits apart and puts back in order
+    st.builds(lambda extra, rating: ",".join(["7", "8", rating] + extra),
+              st.lists(st.sampled_from(["x", ""]), max_size=3), st.sampled_from(["1", "2"])),
+    st.just(""),
+)
+ENDINGS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r\r\n", "\r"])
+# bytes that make a line undecodable; only byte sources carry them
+BAD_BYTES = st.sampled_from([b"", b"", b"", b"", b"\xff", b"\xe2\x82", b"\xc3", b"\xed\xa0\x80"])
+
+
+@st.composite
+def documents(draw, line_strategy, header=False):
+    """Lines as (text, undecodable bytes, ending) pieces; the last may lack its line end."""
+    texts = draw(st.lists(line_strategy, max_size=16))
+    if header:
+        texts.insert(0, draw(st.sampled_from(CSV_HEADERS)))
+    lines = []
+    for text in texts:
+        bom = "\ufeff" if draw(st.integers(0, 9)) == 0 else ""
+        bad = draw(BAD_BYTES)
+        at = draw(st.integers(0, len(text)))
+        lines.append((bom + text[:at], bad, text[at:], draw(ENDINGS)))
+    if lines and draw(st.booleans()):
+        head, bad, tail, _ = lines[-1]
+        lines[-1] = (head, bad, tail, "")
+    return lines
+
+
+def sources(doc):
+    """The document as a byte stream and as a list of byte lines; without
+    undecodable bytes, also as a list of text lines and a text stream."""
+    byte_lines = [head.encode() + bad + tail.encode() + end.encode() for head, bad, tail, end in doc]
+    out = {"byte stream": lambda: io.BytesIO(b"".join(byte_lines)),
+           "byte lines": lambda: list(byte_lines)}
+    if not any(bad for _, bad, _, _ in doc):
+        text_lines = [head + tail + end for head, _, tail, end in doc]
+        out["text lines"] = lambda: list(text_lines)
+        out["text stream"] = lambda: io.StringIO("".join(text_lines))
+    return out
+
+
+def outcome(parse, source, **kwargs):
+    """What a parser did: its columns and skip count, or its error."""
+    try:
+        records, skipped = parse(source, **kwargs)
+    except (DataError, ConfigError) as exc:
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+    return records, skipped
+
+
+def columnar(parse):
+    def run(source, **kwargs):
+        res = parse(source, **kwargs)
+        cols = res.records
+        assert isinstance(cols, pr.RatingColumns)
+        assert cols.ratings.dtype == np.float64
+        assert cols.timestamps is None or cols.timestamps.dtype == np.int64
+        stamps = None if cols.timestamps is None else cols.timestamps.tolist()
+        return (cols.user_ids, cols.item_ids, cols.ratings.tobytes(), stamps), res.skipped
+    return run
+
+
+def per_line(parse, timestamps):
+    def run(source, **kwargs):
+        records, skipped = parse(source, **kwargs)
+        stamps = [r.timestamp for r in records] if timestamps else None
+        return ([r.user_id for r in records], [r.item_id for r in records],
+                np.array([r.rating for r in records], dtype=float).tobytes(), stamps), skipped
+    return run
+
+
+def matrix_arrays(records):
+    try:
+        m = pr.build_matrix(records)
+    except DataError as exc:
+        return str(exc)
+    return (m.user_ids, m.item_ids, m.indptr.tobytes(), m.indices.tobytes(), m.ratings.tobytes(),
+            m.r_min, m.r_max)
+
+
+def assert_parsers_agree(doc, parse, reference, timestamps, block_bytes, block_lines, **kwargs):
+    with mock.patch.object(dataio, "_BLOCK_BYTES", block_bytes), \
+            mock.patch.object(dataio, "_BLOCK_LINES", block_lines):
+        for form, source in sources(doc).items():
+            for errors in ("raise", "skip"):
+                got = outcome(columnar(parse), source(), errors=errors, **kwargs)
+                want = outcome(per_line(reference, timestamps), source(), errors=errors, **kwargs)
+                assert got == want, (form, errors)
+            if isinstance(got[0], tuple) and got[0][0]:
+                # one build path: columns and the same observations as records agree
+                cols = parse(source(), errors="skip", **kwargs).records
+                records, _ = reference(source(), errors="skip", **kwargs)
+                assert matrix_arrays(cols) == matrix_arrays(records) == matrix_arrays(list(cols)), form
+
+
+# (block bytes, block lines): blocks cut at every line, inside lines, and after many lines
+BLOCKS = st.sampled_from([(1, 1), (7, 2), (64, 3), (128, 6), (1 << 20, 1 << 14)])
+
+
+class TestColumnarParsersMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=documents(MOVIELENS_LINES), blocks=BLOCKS)
+    def test_movielens(self, doc, blocks):
+        assert_parsers_agree(doc, pr.parse_movielens, reference_parse_movielens, True, *blocks)
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=documents(CSV_ROWS, header=True), blocks=BLOCKS)
+    def test_csv(self, doc, blocks):
+        assert_parsers_agree(doc, pr.parse_csv, reference_parse_csv, False, *blocks)
+
+    def test_corpus_scale(self, ml_like_path):
+        # the tier-1 corpus in blocks of the default size: as it is, with CRLF ends, and
+        # with a bad line in the last block
+        data = ml_like_path.read_bytes()
+        cut = data.rfind(b"\n", 0, len(data) - 100) + 1
+        for raw in (data, data.replace(b"\n", b"\r\n"), data[:cut] + b"1::2::x::3\n" + data[cut:]):
+            got = outcome(columnar(pr.parse_movielens), io.BytesIO(raw))
+            want = outcome(per_line(reference_parse_movielens, True), io.BytesIO(raw))
+            assert got == want
+        cols = pr.parse_movielens(io.BytesIO(data)).records
+        records, _ = reference_parse_movielens(io.BytesIO(data))
+        assert matrix_arrays(cols) == matrix_arrays(records)
+
+
+FUZZ_BYTES = st.binary(max_size=200) | st.lists(st.sampled_from(
+    [b"1", b"2", b"::", b":", b",", b"\n", b"\r", b"\xff", b"\xe2\x82", b"\xef\xbb\xbf", b"nan",
+     b"userID,itemID,rating\n", b"5", b" ", b"\x00", b"-", b"e9", b"\xc3\xa9"]), max_size=60).map(b"".join)
+
+
+class TestParserFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(data=FUZZ_BYTES, errors=st.sampled_from(["raise", "skip"]), blocks=BLOCKS)
+    def test_only_data_or_config_errors_escape(self, data, errors, blocks):
+        with mock.patch.object(dataio, "_BLOCK_BYTES", blocks[0]):
+            for parse in (pr.parse_movielens, pr.parse_csv):
+                try:
+                    cols = parse(io.BytesIO(data), errors=errors).records
+                    if len(cols):
+                        pr.build_matrix(cols)
+                except (DataError, ConfigError):
+                    pass
+
+
+class TestRatingColumns:
+    def test_records_are_views(self):
+        data = b"1::10::5::7\n2::20::3.5::8\n"
+        cols = pr.parse_movielens(io.BytesIO(data)).records
+        assert len(cols) == 2
+        assert cols[1] == pr.RatingRecord("2", "20", 3.5, 8)
+        assert list(cols) == [pr.RatingRecord("1", "10", 5.0, 7), pr.RatingRecord("2", "20", 3.5, 8)]
+        assert cols.timestamps.tolist() == [7, 8]
+
+    def test_csv_columns_have_no_timestamps(self):
+        cols = pr.parse_csv(io.BytesIO(b"userID,itemID,rating\n1,2,3\n")).records
+        assert cols.timestamps is None
+        assert list(cols) == [pr.RatingRecord("1", "2", 3.0)]
+
+
+class TestFramingErrors:
+    def test_undecodable_line_names_its_line(self):
+        data = b"1::1::5::10\n2::\xff\xfe::3::11\n3::3::4::12\n"
+        with pytest.raises(LineParseError) as exc:
+            pr.parse_movielens(io.BytesIO(data))
+        assert exc.value.line_no == 2
+        assert "not valid UTF-8" in str(exc.value)
+        res = pr.parse_movielens(io.BytesIO(data), errors="skip")
+        assert res.records.user_ids == ["1", "3"] and res.skipped == 1
+
+    def test_undecodable_csv_header_raises_under_skip(self):
+        with pytest.raises(LineParseError) as exc:
+            pr.parse_csv(io.BytesIO(b"userID,itemID,\xffrating\n1,2,3\n"), errors="skip")
+        assert exc.value.line_no == 1
+
+    def test_timestamp_beyond_64_bits(self):
+        with pytest.raises(LineParseError) as exc:
+            pr.parse_movielens([f"1::2::3::{2**63}\n"])
+        assert "64-bit" in str(exc.value)
+
+    def test_line_break_inside_an_iterable_element(self):
+        res = pr.parse_movielens(["1::2::3::4\n", "5::6\n::7::8\n", "9::1::2::3"], errors="skip")
+        assert res.records.user_ids == ["1", "9"] and res.skipped == 1
+
+    @pytest.mark.parametrize("delimiter", ["", "\n", ";\n"])
+    def test_delimiter_with_line_break_is_config_error(self, delimiter):
+        with pytest.raises(ConfigError):
+            pr.parse_csv(io.BytesIO(b"userID,itemID,rating\n"), delimiter=delimiter)
