@@ -33,14 +33,11 @@ class PopularityTable:
     def from_matrix(cls, train: RatingMatrix) -> "PopularityTable":
         return cls(np.bincount(train.indices, minlength=train.n_items))
 
-    def rank(self, item: int) -> int:
-        return int(self.ranks[item])
-
 
 class RandomScorer:
     """Seeded uniform-random scores, reproducible without an n x m matrix.
 
-    score(user, item) is the item-th draw of a generator keyed by
+    score_row(user) is the first n_items draws of a generator keyed by
     (seed, user), so every (seed, user, item) triple pins down one value.
     """
 
@@ -51,9 +48,6 @@ class RandomScorer:
 
     def score_row(self, user: int) -> np.ndarray:
         return np.random.default_rng((self.seed, user)).random(self.n_items)
-
-    def score(self, user: int, item: int) -> float:
-        return float(self.score_row(user)[item])
 
 
 class ZipfScorer:
@@ -67,9 +61,6 @@ class ZipfScorer:
 
     def score_row(self, user: int) -> np.ndarray:
         return self._row
-
-    def score(self, user: int, item: int) -> float:
-        return float(self._row[item])
 
 
 def train_classic_mf(
@@ -87,14 +78,22 @@ def train_classic_mf(
     epoch. Returns the model and the per-epoch objective trace.
 
     Raises:
+        ValueError: if epochs < 1, or learning_rate or reg is negative or
+            not finite. A zero learning rate leaves the model at its init.
         DivergenceError: if factors or the objective go non-finite.
     """
+    if epochs < 1:
+        raise ValueError(f"MF epochs must be >= 1, got {epochs}")
+    if not (math.isfinite(learning_rate) and learning_rate >= 0):
+        raise ValueError(f"MF learning_rate must be finite and >= 0, got {learning_rate}")
+    if not (math.isfinite(reg) and reg >= 0):
+        raise ValueError(f"MF reg must be finite and >= 0, got {reg}")
     if train.n_entries == 0:
         raise DataError("cannot train on an empty rating matrix")
     model = init_model(train.n_users, train.n_items, n_factors, seed)
     U, V = model.U, model.V
     users, items, ratings = train.entry_users(), train.indices, train.ratings
-    epoch_seeds = np.random.SeedSequence(seed).spawn(epochs) if epochs else []
+    epoch_seeds = np.random.SeedSequence(seed).spawn(epochs)
     losses = []
     # overflow to inf is tolerated mid-epoch; the epoch-end check converts it
     # into a DivergenceError instead of a warning storm

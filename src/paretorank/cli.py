@@ -175,6 +175,11 @@ def _check_ratio(test_ratio: float):
         raise ConfigError(f"test-ratio must be in [0, 1], got {test_ratio}")
 
 
+def _check_seed(seed: int):
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
 def _train_one(algo: str, train: dataio.RatingMatrix, args):
     """Train one algorithm tag; returns (scorer, stats_rows or None)."""
     if algo == "ppr":
@@ -207,8 +212,6 @@ def _train_one(algo: str, train: dataio.RatingMatrix, args):
 
 
 def _write_stats(path, algo: str, stats, echo_json: str):
-    if stats is None:
-        raise ConfigError(f"algorithm {algo!r} produces no training stats")
     with open(path, "w", encoding="utf-8", newline="") as fp:
         if algo == "ppr":
             stats.write_csv(fp, config_echo=echo_json)
@@ -220,10 +223,9 @@ def _write_stats(path, algo: str, stats, echo_json: str):
 
 
 def cmd_train(args) -> None:
-    try:
-        ppr.TrainConfig(seed=args.seed)  # shared seed validation
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if args.stats_out and args.algo not in ("ppr", "mf"):
+        raise ConfigError(f"algorithm {args.algo!r} produces no training stats")
+    _check_seed(args.seed)
     _check_ratio(args.test_ratio)
     matrix = _load_matrix(args)
     sp = dataio.split(matrix, args.test_ratio, args.seed)
@@ -234,10 +236,7 @@ def cmd_train(args) -> None:
         "seed": args.seed,
         "test_ratio": args.test_ratio,
     }
-    try:
-        scorer, stats = _train_one(args.algo, sp.train, args)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    scorer, stats = _train_one(args.algo, sp.train, args)
     store.save_model(scorer, args.model_out, seed=args.seed, config=echo)
     if args.stats_out:
         _write_stats(args.stats_out, args.algo, stats, _echo_json(echo))
@@ -253,8 +252,8 @@ def cmd_evaluate(args) -> None:
         seed = trained.get("seed", DEFAULT_SEED)
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise DataError(f"{args.model}: echoed seed {seed!r} is not a non-negative integer")
-    elif seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    else:
+        _check_seed(seed)
     test_ratio = args.test_ratio
     if test_ratio is None:
         test_ratio = trained.get("test_ratio", DEFAULT_TEST_RATIO)
@@ -306,6 +305,7 @@ def cmd_compare(args) -> None:
             raise ConfigError(f"unknown algorithm {a!r}; choose from {', '.join(ALGOS)}")
     if args.k < 1:
         raise ConfigError(f"k must be >= 1, got {args.k}")
+    _check_seed(args.seed)
     _check_ratio(args.test_ratio)
     matrix = _load_matrix(args)
     sp = dataio.split(matrix, args.test_ratio, args.seed)
@@ -319,10 +319,7 @@ def cmd_compare(args) -> None:
     }
     reports = []
     for algo in sorted(algos):
-        try:
-            scorer, _ = _train_one(algo, sp.train, args)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        scorer, _ = _train_one(algo, sp.train, args)
         reports.append(metrics.evaluate_scorer(
             scorer, sp.train, sp.test, args.k,
             algorithm=algo,

@@ -6,13 +6,14 @@ names the user/item/rating columns. All text is treated as UTF-8; both LF and
 CRLF line endings are accepted, and a line that is not valid UTF-8 is a
 malformed line like any other.
 
-Parsers return :class:`RatingColumns`, the ids, ratings and timestamps of the
-well-formed lines as parallel columns, without one object per line. A byte
-stream is read in blocks of whole lines; a block is split into fields by a
-few whole-block string operations and its numbers are converted a column at
-a time. Only the lines those column checks reject are passed one by one to
-the line validator, which alone defines a well-formed line and names the
-line and the reason in its error.
+Parsers read a binary stream (a file opened with ``"rb"``) and return
+:class:`RatingColumns`, the ids, ratings and timestamps of the well-formed
+lines as parallel columns, without one object per line. The stream is read
+in blocks of whole lines; a block is split into fields by a few whole-block
+string operations and its numbers are converted a column at a time. Only the
+lines those column checks reject are passed one by one to the line
+validator, which alone defines a well-formed line and names the line and the
+reason in its error.
 
 :func:`build_matrix` takes columns (or a sequence of :class:`RatingRecord`)
 and returns a :class:`RatingMatrix`, whose CSR arrays fix the entry order
@@ -23,7 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, repeat
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -31,7 +32,6 @@ import numpy as np
 from .errors import ConfigError, DataError, LineParseError
 
 _BLOCK_BYTES = 1 << 20  # a byte stream is parsed in blocks of whole lines of about this size
-_BLOCK_LINES = 1 << 14  # an iterable of lines, in blocks of this many lines
 _INT64 = (-(2**63), 2**63)
 
 
@@ -142,42 +142,34 @@ class SplitPair:
 # -- reading lines ---------------------------------------------------------------
 
 
-def _line_blocks(source) -> Iterator[tuple[int, list[str], dict[int, LineParseError]]]:
-    """The source's lines in blocks: (1-based number of the first line, lines, framing errors).
+def _line_blocks(fp) -> Iterator[tuple[int, list[str], dict[int, LineParseError]]]:
+    """The stream's lines in blocks: (1-based number of the first line, lines, framing errors).
 
-    ``source`` is a byte or text stream or an iterable of byte or text lines.
-    Line ends are stripped, and a byte line loses one leading byte order mark.
-    A line that is not valid UTF-8, or an iterable's element with a line
-    break inside, is a framing error keyed by its index in the block; its
-    place in ``lines`` holds "".
+    ``fp`` is a binary stream, read in blocks of whole lines of about
+    ``_BLOCK_BYTES``. Line ends are stripped, and each line loses one leading
+    byte order mark. A line that is not valid UTF-8 is a framing error keyed
+    by its index in the block; its place in ``lines`` holds "".
     """
-    if hasattr(source, "read") and isinstance(source.read(0), bytes):
-        blocks = _byte_blocks(source)
-    else:
-        blocks = _iterable_blocks(iter(source))
-    line_no = 1
-    for lines, framing in blocks:
-        yield line_no, lines, {n: LineParseError(line_no + n, text, reason)
-                               for n, (text, reason) in framing.items()}
-        line_no += len(lines)
-
-
-def _byte_blocks(fp) -> Iterator[tuple[list[str], dict[int, tuple[str, str]]]]:
-    rest = b""
+    read = getattr(fp, "read", None)
+    if read is None or not isinstance(read(0), bytes):
+        raise TypeError(f'parsers read a binary stream, got {type(fp).__name__}; '
+                        'open the file with "rb"')
+    line_no, rest = 1, b""
     while True:
         chunk = fp.read(_BLOCK_BYTES)
         data = rest + chunk
-        if not chunk:  # end of stream: what is left is the last line, with no line break
-            if data:
-                yield _split_lines(data)
+        # at the end of the stream what is left is the last line, with no line break
+        cut = data.rfind(b"\n") + 1 if chunk else len(data)
+        data, rest = data[:cut], data[cut:]
+        if data:
+            lines, framing = _split_lines(data, line_no)
+            yield line_no, lines, framing
+            line_no += len(lines)
+        if not chunk:
             return
-        cut = data.rfind(b"\n") + 1
-        rest = data[cut:]
-        if cut:
-            yield _split_lines(data[:cut])
 
 
-def _split_lines(data: bytes) -> tuple[list[str], dict[int, tuple[str, str]]]:
+def _split_lines(data: bytes, line_no: int) -> tuple[list[str], dict[int, LineParseError]]:
     """Decode whole lines of bytes and split them, as each line's own utf-8-sig decoding would."""
     framing = {}
     try:
@@ -190,7 +182,8 @@ def _split_lines(data: bytes) -> tuple[list[str], dict[int, tuple[str, str]]]:
             try:
                 raws[n] = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                framing[n] = _undecodable(raw, exc)
+                framing[n] = LineParseError(line_no + n, raw.decode("utf-8", "backslashreplace"),
+                                            f"not valid UTF-8 ({exc.reason} at byte {exc.start})")
                 raws[n] = ""
         text = "\n".join(raws)
     if "\ufeff" in text:
@@ -201,30 +194,6 @@ def _split_lines(data: bytes) -> tuple[list[str], dict[int, tuple[str, str]]]:
     if "\r" in text:
         lines = list(map(str.rstrip, lines, repeat("\r")))
     return lines, framing
-
-
-def _iterable_blocks(it) -> Iterator[tuple[list[str], dict[int, tuple[str, str]]]]:
-    while block := list(islice(it, _BLOCK_LINES)):
-        framing = {}
-        for n, raw in enumerate(block):
-            if isinstance(raw, bytes):
-                raw = raw.rstrip(b"\r\n")
-                try:
-                    raw = raw.decode("utf-8").removeprefix("\ufeff")
-                except UnicodeDecodeError as exc:
-                    framing[n] = _undecodable(raw, exc)
-                    raw = ""
-            line = raw.rstrip("\r\n")
-            if "\n" in line:
-                framing[n] = (line, "line break inside the line")
-                line = ""
-            block[n] = line
-        yield block, framing
-
-
-def _undecodable(raw: bytes, exc: UnicodeDecodeError) -> tuple[str, str]:
-    """The framing error of a line's bytes, decoded without their line end."""
-    return raw.decode("utf-8", "backslashreplace"), f"not valid UTF-8 ({exc.reason} at byte {exc.start})"
 
 
 # -- lines to columns --------------------------------------------------------------
@@ -338,7 +307,7 @@ def parse_movielens(source, errors: str = "raise") -> ParseResult:
     """Parse ``UserID::MovieID::Rating::Timestamp`` lines into rating columns.
 
     Args:
-        source: byte or text stream (or iterable of lines), no header.
+        source: binary stream (a file opened with "rb"), no header.
         errors: "raise" fails on the first malformed line; "skip" drops
             malformed lines and counts them in the result.
 
@@ -381,7 +350,7 @@ def parse_csv(
     delimiter: str = ",",
     errors: str = "raise",
 ) -> ParseResult:
-    """Parse delimited text with a header row into rating columns.
+    """Parse delimited text with a header row, from a binary stream, into rating columns.
 
     Only the three mapped columns (user, item, rating) are consumed; any
     extra columns are ignored, and blank rows are passed over. A column map

@@ -1,8 +1,8 @@
 """Latent factor model: scoring, rating-scale mapping, top-K recommendation.
 
 Every algorithm in the package exposes the same scorer surface — ``n_users``,
-``n_items``, ``score(user, item)`` and ``score_row(user)`` — so evaluation
-flows through one path regardless of how scores are produced.
+``n_items`` and ``score_row(user)`` — so evaluation flows through one path
+regardless of how scores are produced.
 """
 
 from dataclasses import dataclass
@@ -31,20 +31,10 @@ class FactorModel:
     def n_factors(self) -> int:
         return self.U.shape[1]
 
-    def _check(self, user: int, item: int):
+    def score_row(self, user: int) -> np.ndarray:
+        """Raw affinities of one user for every item: the user's factor row dotted with each item's."""
         if not 0 <= user < self.n_users:
             raise IndexError(f"user index {user} out of range [0, {self.n_users})")
-        if not 0 <= item < self.n_items:
-            raise IndexError(f"item index {item} out of range [0, {self.n_items})")
-
-    def score(self, user: int, item: int) -> float:
-        """Raw affinity: the dot product of the user and item factor rows."""
-        self._check(user, item)
-        return float(self.U[user] @ self.V[item])
-
-    def score_row(self, user: int) -> np.ndarray:
-        """Raw scores for one user against every item."""
-        self._check(user, 0)
         return self.U[user] @ self.V.T
 
 

@@ -51,12 +51,10 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.min_margin <= 0:
-            raise ValueError(f"min_margin must be > 0, got {self.min_margin}")
+        for name in ("alpha", "learning_rate", "min_margin"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.n_factors < 1:
             raise ValueError(f"n_factors must be >= 1, got {self.n_factors}")
         if self.max_iters < 1:
@@ -96,10 +94,6 @@ class TrainStats:
     updates: list[int] = field(default_factory=list)
     skips: list[int] = field(default_factory=list)
     clips: list[int] = field(default_factory=list)
-
-    @property
-    def total_updates(self) -> int:
-        return sum(self.updates)
 
     def write_csv(self, fp, config_echo: str | None = None):
         """One row per iteration: iter, mean_pair_loss, updates, skips, clips."""

@@ -12,7 +12,7 @@ def matrix_from(*triples):
 class TestRandomScorer:
     def test_deterministic(self):
         s = pr.RandomScorer(5, 7, seed=3)
-        assert s.score(2, 4) == s.score(2, 4)
+        assert s.score_row(2)[4] == s.score_row(2)[4]
         assert s.score_row(1).tolist() == s.score_row(1).tolist()
 
     def test_range(self):
@@ -28,18 +28,13 @@ class TestRandomScorer:
         grid_b = np.array([b.score_row(u) for u in range(10)])
         assert (grid_a != grid_b).any()
 
-    def test_row_matches_pointwise(self):
-        s = pr.RandomScorer(3, 6, seed=5)
-        row = s.score_row(2)
-        assert [s.score(2, j) for j in range(6)] == row.tolist()
-
 
 class TestPopularityTable:
     def test_ranks_are_permutation(self):
         m = matrix_from(("a", "x", 5), ("b", "x", 4), ("a", "y", 3), ("b", "z", 1))
         table = pr.PopularityTable.from_matrix(m)
         assert sorted(table.ranks.tolist()) == [1, 2, 3]
-        assert table.rank(m.item_to_index["x"]) == 1
+        assert table.ranks[m.item_to_index["x"]] == 1
 
     def test_counts_non_increasing_along_order(self):
         rng = np.random.default_rng(2)
@@ -57,8 +52,8 @@ class TestPopularityTable:
         m = matrix_from(("a", "x", 5), ("a", "y", 3), ("b", "x", 4), ("b", "y", 1))
         table = pr.PopularityTable.from_matrix(m)
         # equal counts: lower index gets the better rank
-        assert table.rank(0) == 1
-        assert table.rank(1) == 2
+        assert table.ranks[0] == 1
+        assert table.ranks[1] == 2
 
 
 class TestZipfScorer:
@@ -71,9 +66,9 @@ class TestZipfScorer:
         table = pr.PopularityTable.from_matrix(m)
         scorer = pr.ZipfScorer(table, m.n_users)
         a, b, c = (m.item_to_index[x] for x in "ABC")
-        assert scorer.score(0, a) == 1.0
-        assert scorer.score(3, b) == 0.5
-        assert scorer.score(7, c) == pytest.approx(0.3333333333333333)
+        assert scorer.score_row(0)[a] == 1.0
+        assert scorer.score_row(3)[b] == 0.5
+        assert scorer.score_row(7)[c] == pytest.approx(0.3333333333333333)
 
     def test_user_independent(self):
         m = matrix_from(("a", "x", 5), ("b", "y", 3))
@@ -116,7 +111,7 @@ class TestClassicMf:
         model, losses = pr.train_classic_mf(
             m, n_factors=1, learning_rate=0.1, reg=0.0, epochs=200, seed=1
         )
-        assert model.score(0, 0) == pytest.approx(4.0, abs=1e-3)
+        assert model.score_row(0)[0] == pytest.approx(4.0, abs=1e-3)
         assert losses[-1] < 1e-5
 
     def test_zero_learning_rate_keeps_init(self):
@@ -137,7 +132,7 @@ class TestClassicMf:
         model, _ = pr.train_classic_mf(
             m, n_factors=1, learning_rate=0.05, reg=0.0, epochs=500, seed=3
         )
-        recon = np.array([[model.score(u, i) for i in range(2)] for u in range(2)])
+        recon = np.array([model.score_row(u) for u in range(2)])
         rmse = np.sqrt(np.mean((recon - R[np.ix_([m.user_to_index["a"], m.user_to_index["b"]],
                                                   [m.item_to_index["x"], m.item_to_index["y"]])]) ** 2))
         assert rmse < 0.01

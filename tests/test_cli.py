@@ -45,9 +45,29 @@ class TestTrain:
         assert code == 1
 
     def test_stats_for_statless_algo_is_usage_error(self, tiny_path, tmp_path):
-        code = run("train", "--data", tiny_path, "--algo", "random",
-                   "--model-out", tmp_path / "m.bin", "--stats-out", tmp_path / "s.csv")
+        for algo in ("random", "zipf"):
+            model_out = tmp_path / f"{algo}.bin"
+            code = run("train", "--data", tiny_path, "--algo", algo,
+                       "--model-out", model_out, "--stats-out", tmp_path / "s.csv")
+            assert code == 1
+            assert not model_out.exists()
+
+    @pytest.mark.parametrize("algo,flag,value", [
+        ("ppr", "--alpha", "nan"), ("ppr", "--alpha", "inf"), ("ppr", "--alpha", "-1"),
+        ("ppr", "--learning-rate", "nan"), ("ppr", "--learning-rate", "inf"),
+        ("ppr", "--min-margin", "nan"), ("ppr", "--min-margin", "inf"),
+        ("mf", "--mf-epochs", "-1"), ("mf", "--mf-epochs", "0"),
+        ("mf", "--mf-learning-rate", "-1"), ("mf", "--mf-learning-rate", "nan"),
+        ("mf", "--mf-learning-rate", "inf"), ("mf", "--mf-reg", "nan"),
+        ("mf", "--mf-reg", "-1"), ("mf", "--mf-reg", "inf"),
+    ])
+    def test_bad_hyperparameter_is_config_error(self, tiny_path, tmp_path, capsys, algo, flag, value):
+        model_out = tmp_path / "m.bin"
+        code = run("train", "--data", tiny_path, "--algo", algo, flag, value,
+                   "--model-out", model_out, *FAST_PPR)
         assert code == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not model_out.exists()
 
     def test_mf_divergence_exit_code(self, tiny_path, tmp_path):
         code = run("train", "--data", tiny_path, "--algo", "mf",
@@ -232,6 +252,13 @@ class TestCompare:
     def test_single_algorithm_is_error(self, tiny_path, tmp_path):
         assert run("compare", "--data", tiny_path, "--algos", "ppr",
                    "--out", tmp_path / "c.csv") == 1
+
+    def test_negative_seed_is_config_error(self, tiny_path, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert run("compare", "--data", tiny_path, "--algos", "random,zipf", "--seed", "-1",
+                   "--out", out) == 1
+        assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_rerun_byte_identical(self, tiny_path, tmp_path):
         blobs = []

@@ -47,7 +47,7 @@ class TestParseMovielens:
         assert res.skipped == 2
 
     def test_crlf_and_text_lines(self):
-        res = pr.parse_movielens(["1::2::4::9\r\n", "3::4::2::8\n"])
+        res = pr.parse_movielens(io.BytesIO(b"1::2::4::9\r\n3::4::2::8\n"))
         assert [r.user_id for r in res.records] == ["1", "3"]
 
     def test_file_order_preserved(self):
@@ -235,29 +235,19 @@ class TestSplit:
 #
 # They read one line at a time into one RatingRecord per line. Two rules came
 # with the columnar parsers and are applied here too (marked "new rule"): a
-# line that is not UTF-8, or an iterable's element with a line break inside,
-# is a malformed line, and a timestamp must fit in 64 bits.
+# line that is not UTF-8 is a malformed line, and a timestamp must fit in 64 bits.
 
 
-def _reference_lines(source):
-    """(line_no, text or framing LineParseError) per line of the source."""
-    if hasattr(source, "read"):
-        source = iter(source)
-    for line_no, raw in enumerate(source, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.rstrip(b"\r\n")
-            try:
-                raw = raw.decode("utf-8").removeprefix("\ufeff")  # as decode("utf-8-sig")
-            except UnicodeDecodeError as exc:  # new rule
-                text = raw.decode("utf-8", "backslashreplace")
-                reason = f"not valid UTF-8 ({exc.reason} at byte {exc.start})"
-                yield line_no, LineParseError(line_no, text, reason)
-                continue
-        line = raw.rstrip("\r\n")
-        if "\n" in line:  # new rule
-            yield line_no, LineParseError(line_no, line, "line break inside the line")
-            continue
-        yield line_no, line
+def _reference_lines(fp):
+    """(line_no, text or framing LineParseError) per line of a binary stream."""
+    for line_no, raw in enumerate(fp, start=1):
+        raw = raw.rstrip(b"\r\n")
+        try:
+            yield line_no, raw.decode("utf-8").removeprefix("\ufeff")  # as decode("utf-8-sig")
+        except UnicodeDecodeError as exc:  # new rule
+            text = raw.decode("utf-8", "backslashreplace")
+            reason = f"not valid UTF-8 ({exc.reason} at byte {exc.start})"
+            yield line_no, LineParseError(line_no, text, reason)
 
 
 def reference_parse_movielens(source, errors="raise"):
@@ -367,7 +357,7 @@ CSV_ROWS = st.one_of(
     st.just(""),
 )
 ENDINGS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r\r\n", "\r"])
-# bytes that make a line undecodable; only byte sources carry them
+# bytes that make a line undecodable
 BAD_BYTES = st.sampled_from([b"", b"", b"", b"", b"\xff", b"\xe2\x82", b"\xc3", b"\xed\xa0\x80"])
 
 
@@ -389,17 +379,9 @@ def documents(draw, line_strategy, header=False):
     return lines
 
 
-def sources(doc):
-    """The document as a byte stream and as a list of byte lines; without
-    undecodable bytes, also as a list of text lines and a text stream."""
-    byte_lines = [head.encode() + bad + tail.encode() + end.encode() for head, bad, tail, end in doc]
-    out = {"byte stream": lambda: io.BytesIO(b"".join(byte_lines)),
-           "byte lines": lambda: list(byte_lines)}
-    if not any(bad for _, bad, _, _ in doc):
-        text_lines = [head + tail + end for head, _, tail, end in doc]
-        out["text lines"] = lambda: list(text_lines)
-        out["text stream"] = lambda: io.StringIO("".join(text_lines))
-    return out
+def document_bytes(doc):
+    """The document's bytes, as a file opened with "rb" reads them."""
+    return b"".join(head.encode() + bad + tail.encode() + end.encode() for head, bad, tail, end in doc)
 
 
 def outcome(parse, source, **kwargs):
@@ -441,35 +423,34 @@ def matrix_arrays(records):
             m.r_min, m.r_max)
 
 
-def assert_parsers_agree(doc, parse, reference, timestamps, block_bytes, block_lines, **kwargs):
-    with mock.patch.object(dataio, "_BLOCK_BYTES", block_bytes), \
-            mock.patch.object(dataio, "_BLOCK_LINES", block_lines):
-        for form, source in sources(doc).items():
-            for errors in ("raise", "skip"):
-                got = outcome(columnar(parse), source(), errors=errors, **kwargs)
-                want = outcome(per_line(reference, timestamps), source(), errors=errors, **kwargs)
-                assert got == want, (form, errors)
-            if isinstance(got[0], tuple) and got[0][0]:
-                # one build path: columns and the same observations as records agree
-                cols = parse(source(), errors="skip", **kwargs).records
-                records, _ = reference(source(), errors="skip", **kwargs)
-                assert matrix_arrays(cols) == matrix_arrays(records) == matrix_arrays(list(cols)), form
+def assert_parsers_agree(doc, parse, reference, timestamps, block_bytes, **kwargs):
+    data = document_bytes(doc)
+    with mock.patch.object(dataio, "_BLOCK_BYTES", block_bytes):
+        for errors in ("raise", "skip"):
+            got = outcome(columnar(parse), io.BytesIO(data), errors=errors, **kwargs)
+            want = outcome(per_line(reference, timestamps), io.BytesIO(data), errors=errors, **kwargs)
+            assert got == want, errors
+        if isinstance(got[0], tuple) and got[0][0]:
+            # one build path: columns and the same observations as records agree
+            cols = parse(io.BytesIO(data), errors="skip", **kwargs).records
+            records, _ = reference(io.BytesIO(data), errors="skip", **kwargs)
+            assert matrix_arrays(cols) == matrix_arrays(records) == matrix_arrays(list(cols))
 
 
-# (block bytes, block lines): blocks cut at every line, inside lines, and after many lines
-BLOCKS = st.sampled_from([(1, 1), (7, 2), (64, 3), (128, 6), (1 << 20, 1 << 14)])
+# block bytes: blocks cut at every line, inside lines, and after many lines
+BLOCKS = st.sampled_from([1, 7, 64, 128, 1 << 20])
 
 
 class TestColumnarParsersMatchReference:
     @settings(max_examples=300, deadline=None)
     @given(doc=documents(MOVIELENS_LINES), blocks=BLOCKS)
     def test_movielens(self, doc, blocks):
-        assert_parsers_agree(doc, pr.parse_movielens, reference_parse_movielens, True, *blocks)
+        assert_parsers_agree(doc, pr.parse_movielens, reference_parse_movielens, True, blocks)
 
     @settings(max_examples=300, deadline=None)
     @given(doc=documents(CSV_ROWS, header=True), blocks=BLOCKS)
     def test_csv(self, doc, blocks):
-        assert_parsers_agree(doc, pr.parse_csv, reference_parse_csv, False, *blocks)
+        assert_parsers_agree(doc, pr.parse_csv, reference_parse_csv, False, blocks)
 
     def test_corpus_scale(self, ml_like_path):
         # the tier-1 corpus in blocks of the default size: as it is, with CRLF ends, and
@@ -494,7 +475,7 @@ class TestParserFuzz:
     @settings(max_examples=400, deadline=None)
     @given(data=FUZZ_BYTES, errors=st.sampled_from(["raise", "skip"]), blocks=BLOCKS)
     def test_only_data_or_config_errors_escape(self, data, errors, blocks):
-        with mock.patch.object(dataio, "_BLOCK_BYTES", blocks[0]):
+        with mock.patch.object(dataio, "_BLOCK_BYTES", blocks):
             for parse in (pr.parse_movielens, pr.parse_csv):
                 try:
                     cols = parse(io.BytesIO(data), errors=errors).records
@@ -536,14 +517,19 @@ class TestFramingErrors:
 
     def test_timestamp_beyond_64_bits(self):
         with pytest.raises(LineParseError) as exc:
-            pr.parse_movielens([f"1::2::3::{2**63}\n"])
+            pr.parse_movielens(io.BytesIO(f"1::2::3::{2**63}\n".encode()))
         assert "64-bit" in str(exc.value)
-
-    def test_line_break_inside_an_iterable_element(self):
-        res = pr.parse_movielens(["1::2::3::4\n", "5::6\n::7::8\n", "9::1::2::3"], errors="skip")
-        assert res.records.user_ids == ["1", "9"] and res.skipped == 1
 
     @pytest.mark.parametrize("delimiter", ["", "\n", ";\n"])
     def test_delimiter_with_line_break_is_config_error(self, delimiter):
         with pytest.raises(ConfigError):
             pr.parse_csv(io.BytesIO(b"userID,itemID,rating\n"), delimiter=delimiter)
+
+    @pytest.mark.parametrize("parse", [pr.parse_movielens, pr.parse_csv], ids=["movielens", "csv"])
+    def test_text_stream_or_list_is_type_error(self, parse):
+        text = "userID,itemID,rating\n1::2::3::4\n"
+        stream = io.StringIO(text)
+        for source in (stream, [text], [text.encode()]):
+            with pytest.raises(TypeError, match='open the file with "rb"'):
+                parse(source)
+        assert stream.read() == text  # the check consumed nothing

@@ -38,36 +38,36 @@ class TestInitModel:
 class TestScore:
     def test_dot_product(self):
         m = pr.FactorModel(U=np.array([[2.0, 0.0]]), V=np.array([[3.0, 5.0]]))
-        assert m.score(0, 0) == 6.0
+        assert m.score_row(0)[0] == 6.0
 
     def test_zero_item(self):
         m = pr.FactorModel(U=np.array([[1.0, 2.0]]), V=np.array([[0.0, 0.0]]))
-        assert m.score(0, 0) == 0.0
+        assert m.score_row(0)[0] == 0.0
 
     def test_half_half(self):
         m = pr.FactorModel(U=np.array([[1.0, 1.0]]), V=np.array([[0.5, 0.5]]))
-        assert m.score(0, 0) == 1.0
+        assert m.score_row(0)[0] == 1.0
 
     def test_out_of_range(self):
         m = pr.init_model(2, 2, 2, seed=0)
         with pytest.raises(IndexError):
-            m.score(2, 0)
+            m.score_row(2)
         with pytest.raises(IndexError):
-            m.score(0, -1)
+            m.score_row(-1)
 
     def test_bilinear_in_user_row(self):
         rng = np.random.default_rng(3)
         m = pr.FactorModel(U=rng.random((1, 6)), V=rng.random((1, 6)))
-        base = m.score(0, 0)
+        base = m.score_row(0)[0]
         scaled = pr.FactorModel(U=2.5 * m.U, V=m.V)
-        assert scaled.score(0, 0) == pytest.approx(2.5 * base)
+        assert scaled.score_row(0)[0] == pytest.approx(2.5 * base)
 
     def test_score_row_matches_score(self):
         m = pr.init_model(3, 5, 2, seed=4)
         row = m.score_row(1)
         assert row.shape == (5,)
         for j in range(5):
-            assert row[j] == pytest.approx(m.score(1, j))
+            assert row[j] == pytest.approx(m.U[1] @ m.V[j])
 
 
 class TestScaleScores:
@@ -237,5 +237,5 @@ def test_score_entries_alignment():
     m = pr.build_matrix(recs)
     model = pr.init_model(2, 2, 3, seed=0)
     out = pr.score_entries(model, m)
-    expected = [model.score(u, i) for u, i, _ in entry_triples(m)]
+    expected = [model.U[u] @ model.V[i] for u, i, _ in entry_triples(m)]
     assert out.tolist() == pytest.approx(expected)

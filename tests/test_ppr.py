@@ -173,7 +173,7 @@ class TestTrainPpr:
         init = pr.init_model(m.n_users, m.n_items, 3, seed=0)
         assert model.U.tobytes() == init.U.tobytes()
         assert model.V.tobytes() == init.V.tobytes()
-        assert stats.total_updates == 0
+        assert sum(stats.updates) == 0
         assert stats.updates == [0, 0]
 
     def test_single_admissible_pair_orientation(self):
