@@ -63,6 +63,66 @@ class ZipfScorer:
         return self._row
 
 
+_LEVEL_CHUNK = 8192
+
+
+def check_mf_hyperparameters(learning_rate: float, reg: float, epochs: int) -> None:
+    """Raise ValueError unless the MF hyperparameters can be trained with.
+
+    epochs must be >= 1; learning_rate and reg must be finite and >= 0. A
+    zero learning rate is allowed and leaves the model at its init.
+    """
+    if epochs < 1:
+        raise ValueError(f"MF epochs must be >= 1, got {epochs}")
+    if not (math.isfinite(learning_rate) and learning_rate >= 0):
+        raise ValueError(f"MF learning_rate must be finite and >= 0, got {learning_rate}")
+    if not (math.isfinite(reg) and reg >= 0):
+        raise ValueError(f"MF reg must be finite and >= 0, got {reg}")
+
+
+def _conflict_free_levels(users: np.ndarray, items: np.ndarray, perm: np.ndarray,
+                          n_users: int, n_items: int) -> np.ndarray:
+    """Level of each visit in perm's order: 1 + the latest level on its user row or item row.
+
+    Visits on one level share no user and no item, and each row's visits
+    sit on strictly increasing levels in visiting order. The pass gathers
+    and converts ids to Python ints one chunk at a time to bound the
+    memory it holds.
+    """
+    levels = np.empty(perm.shape[0], dtype=np.int64)
+    user_level = [0] * n_users
+    item_level = [0] * n_items
+    for start in range(0, perm.shape[0], _LEVEL_CHUNK):
+        stop = start + _LEVEL_CHUNK
+        visits = perm[start:stop]
+        chunk = []
+        for u, i in zip(users[visits].tolist(), items[visits].tolist()):
+            lu = user_level[u]
+            li = item_level[i]
+            level = (lu if lu > li else li) + 1
+            user_level[u] = item_level[i] = level
+            chunk.append(level)
+        levels[start:stop] = chunk
+    return levels
+
+
+def _sgd_epoch(model: FactorModel, users: np.ndarray, items: np.ndarray, ratings: np.ndarray,
+               perm: np.ndarray, learning_rate: float, reg: float) -> None:
+    """One SGD step per entry in perm's order, applied one conflict-free level at a time."""
+    U, V = model.U, model.V
+    levels = _conflict_free_levels(users, items, perm, model.n_users, model.n_items)
+    bounds = np.cumsum(np.bincount(levels)).tolist()
+    # visits grouped by level; each slice [a, b) of pos is one level
+    pos = perm[np.argsort(levels, kind="stable")]
+    for a, b in zip(bounds, bounds[1:]):
+        p = pos[a:b]
+        u, i = users[p], items[p]
+        Ub, Vb = U[u], V[i]
+        e = (ratings[p] - np.vecdot(Ub, Vb))[:, None]
+        U[u] = Ub + learning_rate * (e * Vb - reg * Ub)
+        V[i] = Vb + learning_rate * (e * Ub - reg * Vb)
+
+
 def train_classic_mf(
     train: RatingMatrix,
     n_factors: int = 8,
@@ -77,17 +137,33 @@ def train_classic_mf(
     per-entry updates, visiting entries in a seeded shuffled order each
     epoch. Returns the model and the per-epoch objective trace.
 
+    Each epoch applies the per-entry steps of that shuffled order in
+    conflict-free batches (the observation behind DSGD, Gemulla et al.,
+    KDD 2011). An entry's level is 1 + the highest level among the
+    earlier visits to its user row or its item row; all entries of one
+    level are then updated at once, level by level. The result is
+    bit-identical to visiting the entries one at a time, because
+    - no two entries of a level share a user row or an item row, so
+      their steps touch disjoint memory and commute;
+    - every row still receives its steps in the shuffled order;
+    - ``np.vecdot`` runs the same inner dot loop as ``u_row @ v_row``
+      (``einsum`` and ``(U * V).sum(1)`` sum in another order and differ
+      in the last bit), and the step itself is the same elementwise
+      float64 arithmetic.
+    Cost per epoch: one Python pass over the entries to assign levels,
+    plus about 20 small numpy operations per level. On the 84K-entry test
+    corpus an epoch has about 860 levels of about 100 entries each. The
+    worst case is a single user or a single item: every entry is its own
+    level and the epoch runs 1.5-1.9x slower than one numpy step per
+    entry (2,000 entries x 5 epochs, best of 45 runs on a 2-vCPU host:
+    0.070-0.085 s -> 0.13-0.14 s).
+
     Raises:
         ValueError: if epochs < 1, or learning_rate or reg is negative or
             not finite. A zero learning rate leaves the model at its init.
         DivergenceError: if factors or the objective go non-finite.
     """
-    if epochs < 1:
-        raise ValueError(f"MF epochs must be >= 1, got {epochs}")
-    if not (math.isfinite(learning_rate) and learning_rate >= 0):
-        raise ValueError(f"MF learning_rate must be finite and >= 0, got {learning_rate}")
-    if not (math.isfinite(reg) and reg >= 0):
-        raise ValueError(f"MF reg must be finite and >= 0, got {reg}")
+    check_mf_hyperparameters(learning_rate, reg, epochs)
     if train.n_entries == 0:
         raise DataError("cannot train on an empty rating matrix")
     model = init_model(train.n_users, train.n_items, n_factors, seed)
@@ -100,15 +176,8 @@ def train_classic_mf(
     with np.errstate(over="ignore", invalid="ignore"):
         for ep in range(epochs):
             rng = np.random.default_rng(epoch_seeds[ep])
-            for pos in rng.permutation(train.n_entries):
-                u = users[pos]
-                i = items[pos]
-                u_row = U[u]
-                v_row = V[i]
-                err = ratings[pos] - float(u_row @ v_row)
-                u_old = u_row.copy()
-                u_row += learning_rate * (err * v_row - reg * u_row)
-                v_row += learning_rate * (err * u_old - reg * v_row)
+            _sgd_epoch(model, users, items, ratings, rng.permutation(train.n_entries),
+                       learning_rate, reg)
             sq = ratings - np.einsum("ij,ij->i", U[users], V[items])
             loss = float(sq @ sq) + reg * (float(np.sum(U * U)) + float(np.sum(V * V)))
             if not math.isfinite(loss):

@@ -6,6 +6,7 @@ invocations produce byte-identical artifacts. Exit codes: 0 success,
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -180,8 +181,12 @@ def _check_seed(seed: int):
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
-def _train_one(algo: str, train: dataio.RatingMatrix, args):
-    """Train one algorithm tag; returns (scorer, stats_rows or None)."""
+def _trainer(algo: str, args):
+    """Check one algorithm tag's hyperparameters before any data is read.
+
+    Returns a function of the training matrix that gives (scorer, stats
+    rows or None).
+    """
     if algo == "ppr":
         config = ppr.TrainConfig(
             alpha=args.alpha,
@@ -193,9 +198,10 @@ def _train_one(algo: str, train: dataio.RatingMatrix, args):
             min_margin=args.min_margin,
             seed=args.seed,
         )
-        return ppr.train_ppr(train, config)
+        return lambda train: ppr.train_ppr(train, config)
     if algo == "mf":
-        return baselines.train_classic_mf(
+        baselines.check_mf_hyperparameters(args.mf_learning_rate, args.mf_reg, args.mf_epochs)
+        return lambda train: baselines.train_classic_mf(
             train,
             n_factors=args.n_factors,
             learning_rate=args.mf_learning_rate,
@@ -204,22 +210,23 @@ def _train_one(algo: str, train: dataio.RatingMatrix, args):
             seed=args.seed,
         )
     if algo == "random":
-        return baselines.RandomScorer(train.n_users, train.n_items, args.seed), None
+        return lambda train: (baselines.RandomScorer(train.n_users, train.n_items, args.seed), None)
     if algo == "zipf":
-        table = baselines.PopularityTable.from_matrix(train)
-        return baselines.ZipfScorer(table, train.n_users), None
+        def zipf(train):
+            table = baselines.PopularityTable.from_matrix(train)
+            return baselines.ZipfScorer(table, train.n_users), None
+        return zipf
     raise ConfigError(f"unknown algorithm {algo!r}")
 
 
-def _write_stats(path, algo: str, stats, echo_json: str):
-    with open(path, "w", encoding="utf-8", newline="") as fp:
-        if algo == "ppr":
-            stats.write_csv(fp, config_echo=echo_json)
-        else:
-            fp.write(f"# config: {echo_json}\n")
-            fp.write("epoch,loss\n")
-            for ep, loss in enumerate(stats, start=1):
-                fp.write(f"{ep},{loss!r}\n")
+def _write_stats(fp, algo: str, stats, echo_json: str):
+    if algo == "ppr":
+        stats.write_csv(fp, config_echo=echo_json)
+    else:
+        fp.write(f"# config: {echo_json}\n")
+        fp.write("epoch,loss\n")
+        for ep, loss in enumerate(stats, start=1):
+            fp.write(f"{ep},{loss!r}\n")
 
 
 def cmd_train(args) -> None:
@@ -227,6 +234,7 @@ def cmd_train(args) -> None:
         raise ConfigError(f"algorithm {args.algo!r} produces no training stats")
     _check_seed(args.seed)
     _check_ratio(args.test_ratio)
+    trainer = _trainer(args.algo, args)
     matrix = _load_matrix(args)
     sp = dataio.split(matrix, args.test_ratio, args.seed)
     echo = {
@@ -236,10 +244,14 @@ def cmd_train(args) -> None:
         "seed": args.seed,
         "test_ratio": args.test_ratio,
     }
-    scorer, stats = _train_one(args.algo, sp.train, args)
-    store.save_model(scorer, args.model_out, seed=args.seed, config=echo)
-    if args.stats_out:
-        _write_stats(args.stats_out, args.algo, stats, _echo_json(echo))
+    scorer, stats = trainer(sp.train)
+    # the stats file is opened before the model is written, so a stats path
+    # that cannot be opened leaves no model behind
+    with (open(args.stats_out, "w", encoding="utf-8", newline="") if args.stats_out
+          else contextlib.nullcontext()) as stats_fp:
+        store.save_model(scorer, args.model_out, seed=args.seed, config=echo)
+        if stats_fp:
+            _write_stats(stats_fp, args.algo, stats, _echo_json(echo))
     print(f"wrote {args.model_out}")
 
 
@@ -307,6 +319,7 @@ def cmd_compare(args) -> None:
         raise ConfigError(f"k must be >= 1, got {args.k}")
     _check_seed(args.seed)
     _check_ratio(args.test_ratio)
+    trainers = {algo: _trainer(algo, args) for algo in sorted(algos)}
     matrix = _load_matrix(args)
     sp = dataio.split(matrix, args.test_ratio, args.seed)
     echo = {
@@ -318,8 +331,8 @@ def cmd_compare(args) -> None:
         "test_ratio": args.test_ratio,
     }
     reports = []
-    for algo in sorted(algos):
-        scorer, _ = _train_one(algo, sp.train, args)
+    for algo, trainer in trainers.items():
+        scorer, _ = trainer(sp.train)
         reports.append(metrics.evaluate_scorer(
             scorer, sp.train, sp.test, args.k,
             algorithm=algo,

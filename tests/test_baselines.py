@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import paretorank as pr
 from paretorank.errors import DivergenceError
@@ -159,3 +163,74 @@ class TestClassicMf:
         b, lb = pr.train_classic_mf(m, n_factors=2, epochs=4, seed=2)
         assert a.U.tobytes() == b.U.tobytes() and a.V.tobytes() == b.V.tobytes()
         assert la == lb
+
+
+def reference_train_classic_mf(train, n_factors, learning_rate, reg, epochs, seed):
+    """Classic MF by one SGD step per entry, in each epoch's shuffled order."""
+    model = pr.init_model(train.n_users, train.n_items, n_factors, seed)
+    U, V = model.U, model.V
+    users, items, ratings = train.entry_users(), train.indices, train.ratings
+    epoch_seeds = np.random.SeedSequence(seed).spawn(epochs)
+    losses = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ep in range(epochs):
+            rng = np.random.default_rng(epoch_seeds[ep])
+            for pos in rng.permutation(train.n_entries):
+                u_row = U[users[pos]]
+                v_row = V[items[pos]]
+                err = ratings[pos] - float(u_row @ v_row)
+                u_old = u_row.copy()
+                u_row += learning_rate * (err * v_row - reg * u_row)
+                v_row += learning_rate * (err * u_old - reg * v_row)
+            sq = ratings - np.einsum("ij,ij->i", U[users], V[items])
+            loss = float(sq @ sq) + reg * (float(np.sum(U * U)) + float(np.sum(V * V)))
+            if not math.isfinite(loss):
+                raise DivergenceError(
+                    f"objective went non-finite at epoch {ep + 1}; try a smaller learning rate"
+                )
+            losses.append(loss)
+    return model, losses
+
+
+def outcome(trainer, *args):
+    """U and V bytes plus the loss list, or the DivergenceError message."""
+    try:
+        model, losses = trainer(*args)
+    except DivergenceError as exc:
+        return ("diverged", str(exc))
+    return (model.U.tobytes(), model.V.tobytes(), losses)
+
+
+@st.composite
+def mf_matrices(draw):
+    """Small rating matrices, including one-user, one-item and duplicate-heavy ones."""
+    shape = draw(st.sampled_from(["single-user", "single-item", "duplicate-heavy", "general"]))
+    small = 3 if shape == "duplicate-heavy" else 12
+    n_users = 1 if shape == "single-user" else draw(st.integers(1, small))
+    n_items = 1 if shape == "single-item" else draw(st.integers(1, small))
+    triples = draw(st.lists(
+        st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1),
+                  st.sampled_from([1.0, 2.0, 3.0, 4.0, 5.0, 0.5, 3.7])),
+        min_size=1, max_size=60,
+    ))
+    return matrix_from(*((f"u{u}", f"i{i}", r) for u, i, r in triples))
+
+
+class TestClassicMfMatchesPerEntrySgd:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=mf_matrices(),
+        n_factors=st.integers(1, 16),
+        learning_rate=st.sampled_from([0.0, 0.005, 5.0]),
+        reg=st.sampled_from([0.0, 0.01, 1.0]),
+        epochs=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_matrices(self, m, n_factors, learning_rate, reg, epochs, seed):
+        args = (m, n_factors, learning_rate, reg, epochs, seed)
+        assert outcome(pr.train_classic_mf, *args) == outcome(reference_train_classic_mf, *args)
+
+    def test_test_corpus_two_epochs(self, ml_like_split):
+        args = (ml_like_split.train, 8, 0.005, 0.01, 2, ml_like_split.seed)
+        assert ml_like_split.seed == 12
+        assert outcome(pr.train_classic_mf, *args) == outcome(reference_train_classic_mf, *args)

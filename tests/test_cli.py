@@ -61,12 +61,22 @@ class TestTrain:
         ("mf", "--mf-learning-rate", "inf"), ("mf", "--mf-reg", "nan"),
         ("mf", "--mf-reg", "-1"), ("mf", "--mf-reg", "inf"),
     ])
-    def test_bad_hyperparameter_is_config_error(self, tiny_path, tmp_path, capsys, algo, flag, value):
+    def test_bad_hyperparameter_is_config_error(self, tmp_path, capsys, algo, flag, value):
+        # the data file is missing: the flags must be rejected before it is read
         model_out = tmp_path / "m.bin"
-        code = run("train", "--data", tiny_path, "--algo", algo, flag, value,
+        code = run("train", "--data", tmp_path / "nope.dat", "--algo", algo, flag, value,
                    "--model-out", model_out, *FAST_PPR)
         assert code == 1
         assert capsys.readouterr().err.startswith("config error:")
+        assert not model_out.exists()
+
+    @pytest.mark.parametrize("algo", ["ppr", "mf"])
+    def test_unopenable_stats_path_leaves_no_model(self, tiny_path, tmp_path, capsys, algo):
+        model_out = tmp_path / "m.bin"
+        code = run("train", "--data", tiny_path, "--algo", algo, "--model-out", model_out,
+                   "--stats-out", tmp_path / "missing" / "s.csv", *FAST_PPR, *FAST_MF)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error:")
         assert not model_out.exists()
 
     def test_mf_divergence_exit_code(self, tiny_path, tmp_path):
@@ -258,6 +268,17 @@ class TestCompare:
         assert run("compare", "--data", tiny_path, "--algos", "random,zipf", "--seed", "-1",
                    "--out", out) == 1
         assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--alpha", "nan"), ("--mf-reg", "-1"),
+    ])
+    def test_every_trainer_checked_before_data(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "c.csv"
+        code = run("compare", "--data", tmp_path / "nope.dat", "--algos", "mf,ppr",
+                   flag, value, "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
     def test_rerun_byte_identical(self, tiny_path, tmp_path):
