@@ -5,7 +5,6 @@ from .dataio import (
     ParseResult,
     RatingColumns,
     RatingMatrix,
-    RatingRecord,
     SplitPair,
     build_matrix,
     parse_csv,

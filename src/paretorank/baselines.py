@@ -66,12 +66,16 @@ class ZipfScorer:
 _LEVEL_CHUNK = 8192
 
 
-def check_mf_hyperparameters(learning_rate: float, reg: float, epochs: int) -> None:
+def check_mf_hyperparameters(n_factors: int, learning_rate: float, reg: float,
+                             epochs: int) -> None:
     """Raise ValueError unless the MF hyperparameters can be trained with.
 
-    epochs must be >= 1; learning_rate and reg must be finite and >= 0. A
-    zero learning rate is allowed and leaves the model at its init.
+    n_factors and epochs must be >= 1; learning_rate and reg must be finite
+    and >= 0. A zero learning rate is allowed and leaves the model at its
+    init.
     """
+    if n_factors < 1:
+        raise ValueError(f"MF n_factors must be >= 1, got {n_factors}")
     if epochs < 1:
         raise ValueError(f"MF epochs must be >= 1, got {epochs}")
     if not (math.isfinite(learning_rate) and learning_rate >= 0):
@@ -159,11 +163,11 @@ def train_classic_mf(
     0.070-0.085 s -> 0.13-0.14 s).
 
     Raises:
-        ValueError: if epochs < 1, or learning_rate or reg is negative or
-            not finite. A zero learning rate leaves the model at its init.
+        ValueError: if n_factors or epochs < 1, or learning_rate or reg is
+            negative or not finite. A zero learning rate leaves the model at its init.
         DivergenceError: if factors or the objective go non-finite.
     """
-    check_mf_hyperparameters(learning_rate, reg, epochs)
+    check_mf_hyperparameters(n_factors, learning_rate, reg, epochs)
     if train.n_entries == 0:
         raise DataError("cannot train on an empty rating matrix")
     model = init_model(train.n_users, train.n_items, n_factors, seed)

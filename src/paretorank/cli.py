@@ -105,7 +105,11 @@ def build_parser() -> _Parser:
 
 def _read_config_file(path) -> list[str]:
     flags = []
-    with open(path, "r", encoding="utf-8") as fp:
+    try:
+        fp = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot open config file: {exc}") from None
+    with fp:
         for line_no, line in enumerate(fp, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -200,7 +204,8 @@ def _trainer(algo: str, args):
         )
         return lambda train: ppr.train_ppr(train, config)
     if algo == "mf":
-        baselines.check_mf_hyperparameters(args.mf_learning_rate, args.mf_reg, args.mf_epochs)
+        baselines.check_mf_hyperparameters(args.n_factors, args.mf_learning_rate, args.mf_reg,
+                                           args.mf_epochs)
         return lambda train: baselines.train_classic_mf(
             train,
             n_factors=args.n_factors,
@@ -229,6 +234,24 @@ def _write_stats(fp, algo: str, stats, echo_json: str):
             fp.write(f"{ep},{loss!r}\n")
 
 
+@contextlib.contextmanager
+def _replaced_together(paths: list[str]):
+    """Yield one temporary path beside each target; rename them all onto the targets on success.
+
+    If the block raises, every temporary file is removed and every target
+    is left as it was. The renames stay within each target's directory.
+    """
+    temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
+    try:
+        yield temps
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+
+
 def cmd_train(args) -> None:
     if args.stats_out and args.algo not in ("ppr", "mf"):
         raise ConfigError(f"algorithm {args.algo!r} produces no training stats")
@@ -245,13 +268,13 @@ def cmd_train(args) -> None:
         "test_ratio": args.test_ratio,
     }
     scorer, stats = trainer(sp.train)
-    # the stats file is opened before the model is written, so a stats path
-    # that cannot be opened leaves no model behind
-    with (open(args.stats_out, "w", encoding="utf-8", newline="") if args.stats_out
-          else contextlib.nullcontext()) as stats_fp:
-        store.save_model(scorer, args.model_out, seed=args.seed, config=echo)
-        if stats_fp:
-            _write_stats(stats_fp, args.algo, stats, _echo_json(echo))
+    # both outputs replace their targets only once both are written
+    outputs = [args.model_out] + ([args.stats_out] if args.stats_out else [])
+    with _replaced_together(outputs) as temps:
+        if args.stats_out:
+            with open(temps[1], "w", encoding="utf-8", newline="") as fp:
+                _write_stats(fp, args.algo, stats, _echo_json(echo))
+        store.save_model(scorer, temps[0], seed=args.seed, config=echo)
     print(f"wrote {args.model_out}")
 
 
@@ -356,6 +379,8 @@ def cmd_compare(args) -> None:
 def cmd_analyze_powerlaw(args) -> None:
     matrix = _load_matrix(args)
     hist = metrics.rating_diff_histogram(matrix)
+    if len(hist.counts) < 2:
+        raise DataError("need >= 2 distinct positive rating differences for a slope")
     echo = _data_echo(args)
     with open(args.out, "w", encoding="utf-8", newline="") as fp:
         hist.write_csv(fp, config_echo=_echo_json(echo))

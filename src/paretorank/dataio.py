@@ -7,17 +7,18 @@ CRLF line endings are accepted, and a line that is not valid UTF-8 is a
 malformed line like any other.
 
 Parsers read a binary stream (a file opened with ``"rb"``) and return
-:class:`RatingColumns`, the ids, ratings and timestamps of the well-formed
-lines as parallel columns, without one object per line. The stream is read
-in blocks of whole lines; a block is split into fields by a few whole-block
-string operations and its numbers are converted a column at a time. Only the
-lines those column checks reject are passed one by one to the line
-validator, which alone defines a well-formed line and names the line and the
-reason in its error.
+:class:`RatingColumns`, the ids and ratings of the well-formed lines as
+parallel columns; :class:`RatingColumns` is the only form a rating takes
+between a file and a matrix. The stream is read in blocks of whole lines; a
+block is split into fields by a few whole-block string operations and its
+numbers are converted a column at a time. Only the lines those column checks
+reject are passed one by one to the line validator, which alone defines a
+well-formed line and names the line and the reason in its error. A MovieLens
+timestamp is checked (an integer that fits in 64 bits) but not kept.
 
-:func:`build_matrix` takes columns (or a sequence of :class:`RatingRecord`)
-and returns a :class:`RatingMatrix`, whose CSR arrays fix the entry order
-that splits, and so every downstream result, depend on.
+:func:`build_matrix` takes columns and returns a :class:`RatingMatrix`,
+whose CSR arrays fix the entry order that splits, and so every downstream
+result, depend on.
 """
 
 import math
@@ -25,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, repeat
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -35,39 +36,21 @@ _BLOCK_BYTES = 1 << 20  # a byte stream is parsed in blocks of whole lines of ab
 _INT64 = (-(2**63), 2**63)
 
 
-@dataclass
-class RatingRecord:
-    """One (user, item, rating) observation; ids are opaque strings."""
-
-    user_id: str
-    item_id: str
-    rating: float
-    timestamp: Optional[int] = None
-
-
 @dataclass(eq=False)
 class RatingColumns:
     """Rating observations as parallel columns, in file order.
 
-    ``ratings`` is a float64 array and ``timestamps`` an int64 array, or None
-    for a source without timestamps. Indexing or iterating yields one
-    :class:`RatingRecord` view per observation, built on demand.
+    Observation ``n`` is user ``user_ids[n]`` rating item ``item_ids[n]``
+    with ``ratings[n]``; ids are opaque strings and ``ratings`` is a float64
+    array.
     """
 
     user_ids: list[str]
     item_ids: list[str]
     ratings: np.ndarray
-    timestamps: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.user_ids)
-
-    def __getitem__(self, n: int) -> RatingRecord:
-        timestamp = None if self.timestamps is None else int(self.timestamps[n])
-        return RatingRecord(self.user_ids[n], self.item_ids[n], float(self.ratings[n]), timestamp)
-
-    def __iter__(self) -> Iterator[RatingRecord]:
-        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass
@@ -93,8 +76,6 @@ class RatingMatrix:
     def __init__(self, user_ids, item_ids, indptr, indices, ratings, r_min, r_max):
         self.user_ids = user_ids
         self.item_ids = item_ids
-        self.user_to_index = {u: idx for idx, u in enumerate(user_ids)}
-        self.item_to_index = {i: idx for idx, i in enumerate(item_ids)}
         self.indptr = indptr
         self.indices = indices
         self.ratings = ratings
@@ -242,13 +223,12 @@ def _check_policy(errors: str):
 class _Columns:
     """Columns gathered block by block; a block's rejected lines raise or are counted."""
 
-    def __init__(self, errors: str, check, timestamps: bool):
+    def __init__(self, errors: str, check):
         self.errors = errors
         self.check = check
         self.user_ids: list[str] = []
         self.item_ids: list[str] = []
         self.ratings: list[np.ndarray] = []
-        self.timestamps: Optional[list[np.ndarray]] = [] if timestamps else None
         self.skipped = 0
 
     def add(self, line_no, lines, framing, at, users, items, rating_s, stamp_s=None, ignored=None):
@@ -256,17 +236,16 @@ class _Columns:
 
         ``at`` indexes the lines whose fields are given (their field layout
         is well formed); lines in ``ignored`` are passed over silently.
+        Each ``stamp_s`` string, when given, must convert to int64; it is
+        checked, not kept.
         """
         ratings, ok = _convert(float, rating_s, np.float64)
         ok &= np.isfinite(ratings) & _nonempty(users) & _nonempty(items)
         if stamp_s is not None:
-            stamps, stamped = _convert(int, stamp_s, np.int64)
-            ok &= stamped
+            ok &= _convert(int, stamp_s, np.int64)[1]
         if not ok.all():
             users, items = list(compress(users, ok)), list(compress(items, ok))
             ratings, at = ratings[ok], at[ok]
-            if stamp_s is not None:
-                stamps = stamps[ok]
         rejected = np.ones(len(lines), dtype=bool)
         rejected[at] = False
         if ignored is not None:
@@ -275,8 +254,6 @@ class _Columns:
         self.user_ids += users
         self.item_ids += items
         self.ratings.append(ratings)
-        if stamp_s is not None:
-            self.timestamps.append(stamps)
 
     def _reject(self, line_no, lines, framing, bad):
         for n in bad:
@@ -293,11 +270,7 @@ class _Columns:
 
     def result(self) -> ParseResult:
         ratings = np.concatenate([np.empty(0), *self.ratings])
-        timestamps = None
-        if self.timestamps is not None:
-            timestamps = np.concatenate([np.empty(0, dtype=np.int64), *self.timestamps])
-        return ParseResult(RatingColumns(self.user_ids, self.item_ids, ratings, timestamps),
-                           self.skipped)
+        return ParseResult(RatingColumns(self.user_ids, self.item_ids, ratings), self.skipped)
 
 
 # -- the two formats ---------------------------------------------------------------
@@ -316,7 +289,7 @@ def parse_movielens(source, errors: str = "raise") -> ParseResult:
         in file order.
     """
     _check_policy(errors)
-    out = _Columns(errors, _parse_movielens_line, timestamps=True)
+    out = _Columns(errors, _parse_movielens_line)
     for line_no, lines, framing in _line_blocks(source):
         at = np.flatnonzero(_separators(lines, "::") == 3)
         flat = _fields(_take(lines, at), "::")
@@ -325,7 +298,7 @@ def parse_movielens(source, errors: str = "raise") -> ParseResult:
     return out.result()
 
 
-def _parse_movielens_line(line_no: int, line: str) -> RatingRecord:
+def _parse_movielens_line(line_no: int, line: str) -> None:
     parts = line.split("::")
     if len(parts) != 4:
         raise LineParseError(line_no, line, f"expected 4 '::'-separated fields, got {len(parts)}")
@@ -341,7 +314,6 @@ def _parse_movielens_line(line_no: int, line: str) -> RatingRecord:
         raise LineParseError(line_no, line, f"non-finite rating {rating_s!r}")
     if not _INT64[0] <= timestamp < _INT64[1]:
         raise LineParseError(line_no, line, f"timestamp {ts_s!r} outside the 64-bit range")
-    return RatingRecord(user_id, item_id, rating, timestamp)
 
 
 def parse_csv(
@@ -356,8 +328,7 @@ def parse_csv(
     extra columns are ignored, and blank rows are passed over. A column map
     naming an absent header, or a delimiter that is empty or holds a line
     break, is a configuration error; a bad row is a data error subject to
-    the same raise/skip policy as :func:`parse_movielens`. The columns carry
-    no timestamps.
+    the same raise/skip policy as :func:`parse_movielens`.
     """
     _check_policy(errors)
     if not delimiter or "\n" in delimiter:
@@ -376,7 +347,7 @@ def parse_csv(
         missing = [name for name in columns if name not in header]
         raise ConfigError(f"column(s) {missing} not found in header {header}") from None
     width = max(cols)
-    out = _Columns(errors, partial(_parse_csv_row, delimiter=delimiter, cols=cols), timestamps=False)
+    out = _Columns(errors, partial(_parse_csv_row, delimiter=delimiter, cols=cols))
     first = (line_no + 1, lines[1:], {n - 1: exc for n, exc in framing.items()})
     for line_no, lines, framing in chain([first], blocks):
         n_seps = _separators(lines, delimiter)
@@ -403,7 +374,7 @@ def parse_csv(
     return out.result()
 
 
-def _parse_csv_row(line_no: int, line: str, delimiter: str, cols: tuple[int, int, int]) -> RatingRecord:
+def _parse_csv_row(line_no: int, line: str, delimiter: str, cols: tuple[int, int, int]) -> None:
     cells = line.split(delimiter)
     width = max(cols)
     if len(cells) <= width:
@@ -417,7 +388,6 @@ def _parse_csv_row(line_no: int, line: str, delimiter: str, cols: tuple[int, int
         raise LineParseError(line_no, line, f"non-numeric rating {rating_s!r}") from None
     if not math.isfinite(rating):
         raise LineParseError(line_no, line, f"non-finite rating {rating_s!r}")
-    return RatingRecord(user_id, item_id, rating)
 
 
 # -- columns to a matrix -----------------------------------------------------------
@@ -430,25 +400,16 @@ def _first_appearance(ids: list[str]) -> tuple[list[str], np.ndarray]:
     return distinct, np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
 
 
-def build_matrix(
-    records: Union[RatingColumns, Sequence[RatingRecord]],
-    scale: Optional[tuple[float, float]] = None,
-) -> RatingMatrix:
-    """Build a RatingMatrix from parsed columns or a sequence of records.
+def build_matrix(columns: RatingColumns,
+                 scale: Optional[tuple[float, float]] = None) -> RatingMatrix:
+    """Build a RatingMatrix from rating columns.
 
-    A record sequence is converted to columns first; there is one build
-    path. Indices are assigned in first-appearance order. A duplicate
-    (user, item) pair keeps the position of its first record and the rating
-    of its last. With no declared scale the observed (min, max) is used;
-    with a declared scale any rating outside it is an error naming the first
-    such record.
+    Indices are assigned in first-appearance order. A duplicate (user, item)
+    pair keeps the position of its first observation and the rating of its
+    last. With no declared scale the observed (min, max) is used; with a
+    declared scale any rating outside it is an error naming the first such
+    observation.
     """
-    if isinstance(records, RatingColumns):
-        columns = records
-    else:
-        columns = RatingColumns([rec.user_id for rec in records], [rec.item_id for rec in records],
-                                np.fromiter((rec.rating for rec in records), dtype=float,
-                                            count=len(records)))
     n = len(columns)
     if not n:
         raise DataError("cannot build a rating matrix from zero records")

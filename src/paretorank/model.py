@@ -40,11 +40,13 @@ class FactorModel:
 
 @dataclass
 class RecommendationSet:
-    """Per-user top-K lists: item indices in descending score order."""
+    """Per-user top-K lists: ``items[u]`` holds user u's item indices in descending score order.
+
+    The lists keep no scores; ``scorer.score_row(u)[items[u]]`` gives them.
+    """
 
     k: int
     items: list[np.ndarray]
-    scores: list[np.ndarray]
 
 
 def init_model(n_users: int, n_items: int, n_factors: int, seed: int) -> FactorModel:
@@ -92,14 +94,12 @@ def top_k(scorer, train: RatingMatrix, k: int) -> RecommendationSet:
         raise ValueError(f"k must be >= 1, got {k}")
     n_items = scorer.n_items
     items = []
-    scores = []
     for u in range(scorer.n_users):
         row = scorer.score_row(u)
         rated = train.row(u)[0]
         kk = min(k, n_items - rated.size)
         if kk == 0:
             items.append(np.empty(0, dtype=np.intp))
-            scores.append(row[:0])
             continue
         # a new array: score_row may return a shared row that must stay unwritten
         neg = -row
@@ -107,10 +107,8 @@ def top_k(scorer, train: RatingMatrix, k: int) -> RecommendationSet:
         keep = neg <= np.partition(neg, kk - 1)[kk - 1]
         keep[rated] = False
         cand = np.flatnonzero(keep)
-        top = cand[np.lexsort((cand, neg[cand]))[:kk]]
-        items.append(top)
-        scores.append(row[top])
-    return RecommendationSet(k=k, items=items, scores=scores)
+        items.append(cand[np.lexsort((cand, neg[cand]))[:kk]])
+    return RecommendationSet(k=k, items=items)
 
 
 def score_entries(scorer, matrix: RatingMatrix) -> np.ndarray:

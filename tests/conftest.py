@@ -47,6 +47,14 @@ def movielens_like_lines(n_users=900, n_items=1200, mean_ratings=130, seed=2024,
     return lines
 
 
+def matrix_from(triples, scale=None):
+    """A matrix of (user id, item id, rating) triples, in the order given."""
+    triples = list(triples)
+    columns = pr.RatingColumns([u for u, _, _ in triples], [i for _, i, _ in triples],
+                               np.array([r for _, _, r in triples], dtype=float))
+    return pr.build_matrix(columns, scale=scale)
+
+
 def items_of(matrix, user):
     """User's {item: rating} map, read from the matrix's CSR row."""
     items, ratings = matrix.row(user)
@@ -65,12 +73,12 @@ def planted_matrix(n_users=200, n_items=100, d=8, per_user=40, seed=11):
     V = rng.random((n_items, d))
     dots = U @ V.T
     lo, hi = dots.min(), dots.max()
-    records = []
+    triples = []
     for u in range(n_users):
         for i in rng.choice(n_items, size=per_user, replace=False):
             r = 1.0 + float(np.floor((dots[u, i] - lo) / (hi - lo) * 4.999))
-            records.append(pr.RatingRecord(f"u{u}", f"i{i}", r))
-    return pr.build_matrix(records, scale=(1, 5))
+            triples.append((f"u{u}", f"i{i}", r))
+    return matrix_from(triples, scale=(1, 5))
 
 
 def tiny_movielens_lines(n_users=60, n_items=40, per_user=12, seed=5):

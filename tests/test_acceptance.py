@@ -14,7 +14,7 @@ import pytest
 from scipy import stats as sps
 
 import paretorank as pr
-from conftest import items_of, planted_matrix, tiny_movielens_lines
+from conftest import items_of, matrix_from, planted_matrix, tiny_movielens_lines
 from paretorank.cli import main
 
 PAIR = pr.PairSample(user=0, preferred=0, other=1)
@@ -118,7 +118,7 @@ def test_criterion_4_dme_oracle_fixtures():
         lists = []
         for item, count in enumerate(counts):
             lists += [np.array([item])] * count
-        return pr.RecommendationSet(k=1, items=lists, scores=[np.array([1.0])] * len(lists))
+        return pr.RecommendationSet(k=1, items=lists)
 
     slope, _ = pr.degree_of_matthew_effect(recs_with_counts([7] * 6), 6)
     assert abs(slope) <= 1e-9
@@ -203,12 +203,12 @@ def test_criterion_8_compare_determinism(tmp_path):
 
 def test_criterion_9_brute_force_pair_enumeration():
     rng = np.random.default_rng(99)
-    records = []
+    triples = []
     for u in range(5):
         n_rated = int(rng.integers(2, 7))
         for i in rng.choice(6, size=n_rated, replace=False):
-            records.append(pr.RatingRecord(f"u{u}", f"i{i}", float(rng.integers(1, 6))))
-    matrix = pr.build_matrix(records)
+            triples.append((f"u{u}", f"i{i}", float(rng.integers(1, 6))))
+    matrix = matrix_from(triples)
 
     expected = set()
     for u in range(matrix.n_users):

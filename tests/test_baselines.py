@@ -6,11 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paretorank as pr
+from conftest import matrix_from
 from paretorank.errors import DivergenceError
-
-
-def matrix_from(*triples):
-    return pr.build_matrix([pr.RatingRecord(u, i, float(r)) for u, i, r in triples])
 
 
 class TestRandomScorer:
@@ -35,25 +32,25 @@ class TestRandomScorer:
 
 class TestPopularityTable:
     def test_ranks_are_permutation(self):
-        m = matrix_from(("a", "x", 5), ("b", "x", 4), ("a", "y", 3), ("b", "z", 1))
+        m = matrix_from([("a", "x", 5), ("b", "x", 4), ("a", "y", 3), ("b", "z", 1)])
         table = pr.PopularityTable.from_matrix(m)
         assert sorted(table.ranks.tolist()) == [1, 2, 3]
-        assert table.ranks[m.item_to_index["x"]] == 1
+        assert table.ranks[m.item_ids.index("x")] == 1
 
     def test_counts_non_increasing_along_order(self):
         rng = np.random.default_rng(2)
-        recs = [
-            pr.RatingRecord(f"u{u}", f"i{j}", 3.0)
+        triples = [
+            (f"u{u}", f"i{j}", 3.0)
             for u in range(20)
             for j in rng.choice(15, size=rng.integers(1, 10), replace=False)
         ]
-        m = pr.build_matrix(recs)
+        m = matrix_from(triples)
         table = pr.PopularityTable.from_matrix(m)
         ordered = table.counts[table.order]
         assert (np.diff(ordered) <= 0).all()
 
     def test_tie_break_by_index(self):
-        m = matrix_from(("a", "x", 5), ("a", "y", 3), ("b", "x", 4), ("b", "y", 1))
+        m = matrix_from([("a", "x", 5), ("a", "y", 3), ("b", "x", 4), ("b", "y", 1)])
         table = pr.PopularityTable.from_matrix(m)
         # equal counts: lower index gets the better rank
         assert table.ranks[0] == 1
@@ -62,56 +59,56 @@ class TestPopularityTable:
 
 class TestZipfScorer:
     def test_inverse_rank_scores(self):
-        m = matrix_from(
+        m = matrix_from([
             *[(f"u{n}", "A", 4) for n in range(10)],
             *[(f"u{n}", "B", 4) for n in range(5)],
             ("u0", "C", 4),
-        )
+        ])
         table = pr.PopularityTable.from_matrix(m)
         scorer = pr.ZipfScorer(table, m.n_users)
-        a, b, c = (m.item_to_index[x] for x in "ABC")
+        a, b, c = (m.item_ids.index(x) for x in "ABC")
         assert scorer.score_row(0)[a] == 1.0
         assert scorer.score_row(3)[b] == 0.5
         assert scorer.score_row(7)[c] == pytest.approx(0.3333333333333333)
 
     def test_user_independent(self):
-        m = matrix_from(("a", "x", 5), ("b", "y", 3))
+        m = matrix_from([("a", "x", 5), ("b", "y", 3)])
         scorer = pr.ZipfScorer(pr.PopularityTable.from_matrix(m), m.n_users)
         assert scorer.score_row(0).tolist() == scorer.score_row(1).tolist()
 
     def test_ordering_matches_popularity(self):
         rng = np.random.default_rng(4)
-        recs = [
-            pr.RatingRecord(f"u{u}", f"i{j}", 3.0)
+        triples = [
+            (f"u{u}", f"i{j}", 3.0)
             for u in range(25)
             for j in rng.choice(12, size=rng.integers(2, 9), replace=False)
         ]
-        m = pr.build_matrix(recs)
+        m = matrix_from(triples)
         table = pr.PopularityTable.from_matrix(m)
         scorer = pr.ZipfScorer(table, m.n_users)
         by_score = np.lexsort((np.arange(m.n_items), -scorer.score_row(0)))
         assert by_score.tolist() == table.order.tolist()
 
     def test_top_k_returns_most_popular_unrated(self):
-        m = matrix_from(
+        m = matrix_from([
             *[(f"u{n}", "A", 4) for n in range(6)],
             *[(f"u{n}", "B", 4) for n in range(4)],
             *[(f"u{n}", "C", 4) for n in range(2)],
             ("u9", "D", 4),
-        )
+        ])
         table = pr.PopularityTable.from_matrix(m)
         scorer = pr.ZipfScorer(table, m.n_users)
         recs = pr.top_k(scorer, m, k=2)
-        u0 = m.user_to_index["u0"]
+        u0 = m.user_ids.index("u0")
         # u0 rated A, B and C; best remaining by popularity is D
-        assert recs.items[u0].tolist() == [m.item_to_index["D"]]
-        u9 = m.user_to_index["u9"]
-        assert recs.items[u9].tolist() == [m.item_to_index["A"], m.item_to_index["B"]]
+        assert recs.items[u0].tolist() == [m.item_ids.index("D")]
+        u9 = m.user_ids.index("u9")
+        assert recs.items[u9].tolist() == [m.item_ids.index("A"), m.item_ids.index("B")]
 
 
 class TestClassicMf:
     def test_single_entry_converges(self):
-        m = matrix_from(("a", "x", 4))
+        m = matrix_from([("a", "x", 4)])
         model, losses = pr.train_classic_mf(
             m, n_factors=1, learning_rate=0.1, reg=0.0, epochs=200, seed=1
         )
@@ -119,7 +116,7 @@ class TestClassicMf:
         assert losses[-1] < 1e-5
 
     def test_zero_learning_rate_keeps_init(self):
-        m = matrix_from(("a", "x", 4), ("a", "y", 2), ("b", "x", 5))
+        m = matrix_from([("a", "x", 4), ("a", "y", 2), ("b", "x", 5)])
         model, _ = pr.train_classic_mf(m, n_factors=3, learning_rate=0.0, epochs=5, seed=8)
         init = pr.init_model(m.n_users, m.n_items, 3, seed=8)
         assert model.U.tobytes() == init.U.tobytes()
@@ -132,33 +129,34 @@ class TestClassicMf:
         svd_recon = s_[0] * np.outer(u_[:, 0], vt_[0])
         assert np.allclose(svd_recon, R, atol=1e-12)
 
-        m = matrix_from(("a", "x", 1), ("a", "y", 2), ("b", "x", 2), ("b", "y", 4))
+        m = matrix_from([("a", "x", 1), ("a", "y", 2), ("b", "x", 2), ("b", "y", 4)])
         model, _ = pr.train_classic_mf(
             m, n_factors=1, learning_rate=0.05, reg=0.0, epochs=500, seed=3
         )
         recon = np.array([model.score_row(u) for u in range(2)])
-        rmse = np.sqrt(np.mean((recon - R[np.ix_([m.user_to_index["a"], m.user_to_index["b"]],
-                                                  [m.item_to_index["x"], m.item_to_index["y"]])]) ** 2))
+        users = [m.user_ids.index(u) for u in "ab"]
+        items = [m.item_ids.index(i) for i in "xy"]
+        rmse = np.sqrt(np.mean((recon - R[np.ix_(users, items)]) ** 2))
         assert rmse < 0.01
 
     def test_loss_non_increasing_for_small_rate(self):
         rng = np.random.default_rng(12)
-        recs = [
-            pr.RatingRecord(f"u{u}", f"i{j}", float(rng.integers(1, 6)))
+        triples = [
+            (f"u{u}", f"i{j}", float(rng.integers(1, 6)))
             for u in range(50)
             for j in rng.choice(50, size=12, replace=False)
         ]
-        m = pr.build_matrix(recs)
+        m = matrix_from(triples)
         _, losses = pr.train_classic_mf(m, n_factors=4, learning_rate=1e-4, epochs=12, seed=5)
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
     def test_divergence_raises(self):
-        m = matrix_from(("a", "x", 5), ("a", "y", 1), ("b", "x", 3), ("b", "y", 4))
+        m = matrix_from([("a", "x", 5), ("a", "y", 1), ("b", "x", 3), ("b", "y", 4)])
         with pytest.raises(DivergenceError):
             pr.train_classic_mf(m, n_factors=2, learning_rate=50.0, epochs=200, seed=1)
 
     def test_deterministic(self):
-        m = matrix_from(("a", "x", 4), ("a", "y", 2), ("b", "x", 5), ("b", "y", 3))
+        m = matrix_from([("a", "x", 4), ("a", "y", 2), ("b", "x", 5), ("b", "y", 3)])
         a, la = pr.train_classic_mf(m, n_factors=2, epochs=4, seed=2)
         b, lb = pr.train_classic_mf(m, n_factors=2, epochs=4, seed=2)
         assert a.U.tobytes() == b.U.tobytes() and a.V.tobytes() == b.V.tobytes()
@@ -213,7 +211,7 @@ def mf_matrices(draw):
                   st.sampled_from([1.0, 2.0, 3.0, 4.0, 5.0, 0.5, 3.7])),
         min_size=1, max_size=60,
     ))
-    return matrix_from(*((f"u{u}", f"i{i}", r) for u, i, r in triples))
+    return matrix_from((f"u{u}", f"i{i}", r) for u, i, r in triples)
 
 
 class TestClassicMfMatchesPerEntrySgd:

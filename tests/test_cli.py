@@ -59,7 +59,7 @@ class TestTrain:
         ("mf", "--mf-epochs", "-1"), ("mf", "--mf-epochs", "0"),
         ("mf", "--mf-learning-rate", "-1"), ("mf", "--mf-learning-rate", "nan"),
         ("mf", "--mf-learning-rate", "inf"), ("mf", "--mf-reg", "nan"),
-        ("mf", "--mf-reg", "-1"), ("mf", "--mf-reg", "inf"),
+        ("mf", "--mf-reg", "-1"), ("mf", "--mf-reg", "inf"), ("mf", "--n-factors", "0"),
     ])
     def test_bad_hyperparameter_is_config_error(self, tmp_path, capsys, algo, flag, value):
         # the data file is missing: the flags must be rejected before it is read
@@ -78,6 +78,23 @@ class TestTrain:
         assert code == 2
         assert capsys.readouterr().err.startswith("data error:")
         assert not model_out.exists()
+
+    def test_unopenable_model_path_leaves_no_stats(self, tiny_path, tmp_path, capsys):
+        stats_out = tmp_path / "s.csv"
+        code = run("train", "--data", tiny_path, "--algo", "mf", "--stats-out", stats_out,
+                   "--model-out", tmp_path / "missing" / "m.bin", *FAST_MF)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.dat"]
+
+    def test_unopenable_stats_path_keeps_existing_model(self, tiny_path, tmp_path):
+        model_out = tmp_path / "m.bin"
+        model_out.write_bytes(b"an earlier model")
+        code = run("train", "--data", tiny_path, "--algo", "mf", "--model-out", model_out,
+                   "--stats-out", tmp_path / "missing" / "s.csv", *FAST_MF)
+        assert code == 2
+        assert model_out.read_bytes() == b"an earlier model"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.bin", "tiny.dat"]
 
     def test_mf_divergence_exit_code(self, tiny_path, tmp_path):
         code = run("train", "--data", tiny_path, "--algo", "mf",
@@ -270,12 +287,13 @@ class TestCompare:
         assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--alpha", "nan"), ("--mf-reg", "-1"),
-    ])
-    def test_every_trainer_checked_before_data(self, tmp_path, capsys, flag, value):
+    @pytest.mark.parametrize("algos,flag,value", [
+        ("mf,ppr", "--alpha", "nan"), ("mf,ppr", "--mf-reg", "-1"),
+        ("mf,random", "--n-factors", "0"),
+    ], ids=["--alpha-nan", "--mf-reg--1", "mf,random---n-factors-0"])
+    def test_every_trainer_checked_before_data(self, tmp_path, capsys, algos, flag, value):
         out = tmp_path / "c.csv"
-        code = run("compare", "--data", tmp_path / "nope.dat", "--algos", "mf,ppr",
+        code = run("compare", "--data", tmp_path / "nope.dat", "--algos", algos,
                    flag, value, "--out", out)
         assert code == 1
         assert capsys.readouterr().err.startswith("config error:")
@@ -310,6 +328,19 @@ class TestAnalyzePowerlaw:
         data = tmp_path / "flat.dat"
         data.write_text("\n".join(f"{u}::{i}::3::0" for u in range(1, 6) for i in range(1, 6)) + "\n")
         assert run("analyze-powerlaw", "--data", data, "--out", tmp_path / "h.csv") == 2
+
+    def test_one_distinct_difference_is_data_error(self, tmp_path, capsys):
+        # ratings 1 and 2 only: every positive difference is 1, so there is no slope to fit
+        data = tmp_path / "two_values.dat"
+        data.write_text("\n".join(f"{u}::{i}::{1 + (u + i) % 2}::0"
+                                  for u in range(1, 6) for i in range(1, 6)) + "\n")
+        out = tmp_path / "h.csv"
+        assert run("analyze-powerlaw", "--data", data, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("data error: need >= 2 distinct positive rating differences"
+                                " for a slope\n")
+        assert captured.out == ""
+        assert not out.exists()
 
 
 NON_UTF8 = {
@@ -363,3 +394,10 @@ class TestConfigFile:
         cfg.write_text("this is not a pair\n")
         assert run("train", "--data", tiny_path, "--algo", "ppr", "--config", cfg,
                    "--model-out", tmp_path / "m.bin") == 1
+
+    def test_unopenable_config_file_is_config_error(self, tiny_path, tmp_path, capsys):
+        code = run("train", "--data", tiny_path, "--config", tmp_path / "missing.cfg",
+                   "--model-out", tmp_path / "m.bin")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: cannot open config file:")
+        assert not (tmp_path / "m.bin").exists()

@@ -9,21 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paretorank as pr
-from conftest import entry_triples, items_of
+from conftest import entry_triples, items_of, matrix_from
 from paretorank import dataio
 from paretorank.errors import ConfigError, DataError, LineParseError
-
-
-def records(*triples):
-    return [pr.RatingRecord(u, i, float(r)) for u, i, r in triples]
 
 
 class TestParseMovielens:
     def test_wellformed_line(self):
         res = pr.parse_movielens(io.BytesIO(b"1::1193::5::978300760\n"))
         assert res.skipped == 0
-        (rec,) = res.records
-        assert (rec.user_id, rec.item_id, rec.rating, rec.timestamp) == ("1", "1193", 5.0, 978300760)
+        cols = res.records
+        assert (cols.user_ids, cols.item_ids, cols.ratings.tolist()) == (["1"], ["1193"], [5.0])
 
     def test_empty_stream(self):
         assert len(pr.parse_movielens(io.BytesIO(b"")).records) == 0
@@ -48,12 +44,12 @@ class TestParseMovielens:
 
     def test_crlf_and_text_lines(self):
         res = pr.parse_movielens(io.BytesIO(b"1::2::4::9\r\n3::4::2::8\n"))
-        assert [r.user_id for r in res.records] == ["1", "3"]
+        assert res.records.user_ids == ["1", "3"]
 
     def test_file_order_preserved(self):
         data = b"9::1::5::1\n2::7::1::2\n"
         res = pr.parse_movielens(io.BytesIO(data))
-        assert [(r.user_id, r.item_id) for r in res.records] == [("9", "1"), ("2", "7")]
+        assert list(zip(res.records.user_ids, res.records.item_ids)) == [("9", "1"), ("2", "7")]
 
     def test_non_finite_rating_rejected(self):
         with pytest.raises(LineParseError):
@@ -67,10 +63,8 @@ class TestParseMovielens:
 class TestParseCsv:
     def test_row_with_extra_columns(self):
         data = b"userID,itemID,rating,mood\n15,22,4,happy\n"
-        res = pr.parse_csv(io.BytesIO(data))
-        (rec,) = res.records
-        assert (rec.user_id, rec.item_id, rec.rating) == ("15", "22", 4.0)
-        assert rec.timestamp is None
+        cols = pr.parse_csv(io.BytesIO(data)).records
+        assert (cols.user_ids, cols.item_ids, cols.ratings.tolist()) == (["15"], ["22"], [4.0])
 
     def test_absent_header_is_config_error(self):
         data = b"user,item,score\n1,2,3\n"
@@ -86,9 +80,8 @@ class TestParseCsv:
 
     def test_custom_columns_and_delimiter(self):
         data = b"u;r;i\n7;3.5;9\n"
-        res = pr.parse_csv(io.BytesIO(data), columns=("u", "i", "r"), delimiter=";")
-        (rec,) = res.records
-        assert (rec.user_id, rec.item_id, rec.rating) == ("7", "9", 3.5)
+        cols = pr.parse_csv(io.BytesIO(data), columns=("u", "i", "r"), delimiter=";").records
+        assert (cols.user_ids, cols.item_ids, cols.ratings.tolist()) == (["7"], ["9"], [3.5])
 
     def test_skip_policy(self):
         data = b"userID,itemID,rating\n1,2,5\n3,4\n5,6,bad\n7,8,2\n"
@@ -102,38 +95,37 @@ class TestParseCsv:
 
     def test_rows_of_different_widths_keep_file_order(self):
         data = b"userID,itemID,rating\n1,2,3,x\n4,5,1\n6,7,2,y,z\n8,9,4\n"
-        res = pr.parse_csv(io.BytesIO(data))
-        assert [(r.user_id, r.item_id, r.rating) for r in res.records] == [
+        cols = pr.parse_csv(io.BytesIO(data)).records
+        assert list(zip(cols.user_ids, cols.item_ids, cols.ratings.tolist())) == [
             ("1", "2", 3.0), ("4", "5", 1.0), ("6", "7", 2.0), ("8", "9", 4.0)]
 
 
 class TestBuildMatrix:
     def test_counts(self):
-        m = pr.build_matrix(records(("a", "x", 3), ("a", "y", 4), ("b", "x", 5)))
+        m = matrix_from([("a", "x", 3), ("a", "y", 4), ("b", "x", 5)])
         assert (m.n_users, m.n_items, m.n_entries) == (2, 2, 3)
 
     def test_duplicate_keeps_last(self):
-        m = pr.build_matrix(records(("a", "x", 3), ("a", "x", 5)))
+        m = matrix_from([("a", "x", 3), ("a", "x", 5)])
         assert m.n_entries == 1
         assert items_of(m, 0)[0] == 5.0
 
     def test_observed_scale(self):
-        m = pr.build_matrix(records(("a", "x", 1), ("a", "y", 5), ("b", "x", 3)))
+        m = matrix_from([("a", "x", 1), ("a", "y", 5), ("b", "x", 3)])
         assert (m.r_min, m.r_max) == (1.0, 5.0)
 
     def test_declared_scale_violation(self):
         with pytest.raises(DataError):
-            pr.build_matrix(records(("a", "x", 7)), scale=(1, 5))
+            matrix_from([("a", "x", 7)], scale=(1, 5))
 
     def test_empty_input(self):
         with pytest.raises(DataError):
-            pr.build_matrix([])
+            matrix_from([])
 
     def test_first_appearance_index_order(self):
-        m = pr.build_matrix(records(("b", "y", 2), ("a", "x", 3), ("b", "x", 4)))
+        m = matrix_from([("b", "y", 2), ("a", "x", 3), ("b", "x", 4)])
         assert m.user_ids == ["b", "a"]
         assert m.item_ids == ["y", "x"]
-        assert m.user_to_index == {"b": 0, "a": 1}
 
     def test_roundtrip_entry_count(self):
         data = b"1::1::5::0\n1::2::4::0\n1::1::3::0\n2::1::2::0\n"
@@ -143,7 +135,7 @@ class TestBuildMatrix:
         assert items_of(m, 0)[0] == 3.0  # last wins
 
     def test_row_is_array_view(self):
-        m = pr.build_matrix(records(("a", "x", 3), ("a", "y", 4), ("b", "x", 5)))
+        m = matrix_from([("a", "x", 3), ("a", "y", 4), ("b", "x", 5)])
         assert items_of(m, 0) == {0: 3.0, 1: 4.0}
         assert items_of(m, 1) == {0: 5.0}
         items, ratings = m.row(0)
@@ -152,20 +144,20 @@ class TestBuildMatrix:
 
 class TestSplit:
     def test_ratio_zero(self):
-        m = pr.build_matrix(records(("a", "x", 3), ("b", "y", 4)))
+        m = matrix_from([("a", "x", 3), ("b", "y", 4)])
         sp = pr.split(m, 0.0, seed=1)
         assert sp.test.n_entries == 0
         assert sorted(entry_triples(sp.train)) == sorted(entry_triples(m))
 
     def test_ratio_one(self):
-        m = pr.build_matrix(records(("a", "x", 3), ("b", "y", 4)))
+        m = matrix_from([("a", "x", 3), ("b", "y", 4)])
         sp = pr.split(m, 1.0, seed=1)
         assert sp.train.n_entries == 0
         assert sp.test.n_entries == 2
 
     def test_binomial_bound_and_reproducibility(self):
         # 1000 entries, ratio 0.2: P(|test| outside [150, 250]) < 1e-3 (binomial tail)
-        m = pr.build_matrix(records(*((f"u{i % 50}", f"i{i // 50}", 1 + i % 5) for i in range(1000))))
+        m = matrix_from((f"u{i % 50}", f"i{i // 50}", 1 + i % 5) for i in range(1000))
         sp1 = pr.split(m, 0.2, seed=123)
         sp2 = pr.split(m, 0.2, seed=123)
         assert 150 <= sp1.test.n_entries <= 250
@@ -174,14 +166,14 @@ class TestSplit:
 
     def test_index_space_shared(self):
         # user "b" has a single entry; with it in test, b must keep a train row
-        m = pr.build_matrix(records(("a", "x", 3), ("a", "y", 4), ("b", "x", 5)))
+        m = matrix_from([("a", "x", 3), ("a", "y", 4), ("b", "x", 5)])
         for seed in range(20):
             sp = pr.split(m, 0.5, seed=seed)
             assert sp.train.n_users == sp.test.n_users == m.n_users
             assert sp.train.n_items == sp.test.n_items == m.n_items
 
     def test_bad_ratio(self):
-        m = pr.build_matrix(records(("a", "x", 3)))
+        m = matrix_from([("a", "x", 3)])
         with pytest.raises(ValueError):
             pr.split(m, 1.5, seed=0)
 
@@ -194,8 +186,7 @@ class TestSplit:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_disjoint_and_complete(self, entries, ratio, seed):
-        recs = [pr.RatingRecord(f"u{u}", f"i{i}", float(1 + (u + i) % 5)) for u, i in entries]
-        m = pr.build_matrix(recs)
+        m = matrix_from((f"u{u}", f"i{i}", float(1 + (u + i) % 5)) for u, i in entries)
         sp = pr.split(m, ratio, seed)
         train = set(entry_triples(sp.train))
         test = set(entry_triples(sp.test))
@@ -213,15 +204,15 @@ class TestSplit:
     def test_layout_matches_dict_reference(self, triples, ratio, seed):
         # duplicates and out-of-order ids included: the dict-of-dicts reference
         # keeps a duplicate's first position and its last rating
-        recs = [pr.RatingRecord(f"u{u}", f"i{i}", float(r)) for u, i, r in triples]
+        named = [(f"u{u}", f"i{i}", float(r)) for u, i, r in triples]
         u_index, i_index, rows = {}, {}, []
-        for rec in recs:
-            u = u_index.setdefault(rec.user_id, len(u_index))
+        for user_id, item_id, rating in named:
+            u = u_index.setdefault(user_id, len(u_index))
             if u == len(rows):
                 rows.append({})
-            rows[u][i_index.setdefault(rec.item_id, len(i_index))] = rec.rating
+            rows[u][i_index.setdefault(item_id, len(i_index))] = rating
         reference = [(u, i, r) for u, row in enumerate(rows) for i, r in row.items()]
-        m = pr.build_matrix(recs)
+        m = matrix_from(named)
         assert m.indptr.tolist() == [0, *itertools.accumulate(len(row) for row in rows)]
         assert (m.user_ids, m.item_ids) == (list(u_index), list(i_index))
         assert entry_triples(m) == reference
@@ -233,9 +224,10 @@ class TestSplit:
 
 # -- reference parsers: the per-line parsers the columnar ones replaced ------------------
 #
-# They read one line at a time into one RatingRecord per line. Two rules came
-# with the columnar parsers and are applied here too (marked "new rule"): a
-# line that is not UTF-8 is a malformed line, and a timestamp must fit in 64 bits.
+# They read one line at a time into one (user id, item id, rating) tuple per
+# line. Two rules came with the columnar parsers and are applied here too
+# (marked "new rule"): a line that is not UTF-8 is a malformed line, and a
+# timestamp must fit in 64 bits.
 
 
 def _reference_lines(fp):
@@ -281,7 +273,7 @@ def _reference_movielens_line(line_no, line):
         raise LineParseError(line_no, line, f"non-finite rating {rating_s!r}")
     if not -(2**63) <= timestamp < 2**63:  # new rule
         raise LineParseError(line_no, line, f"timestamp {ts_s!r} outside the 64-bit range")
-    return pr.RatingRecord(user_id, item_id, rating, timestamp)
+    return user_id, item_id, rating
 
 
 def reference_parse_csv(source, columns=("userID", "itemID", "rating"), delimiter=",", errors="raise"):
@@ -324,7 +316,7 @@ def reference_parse_csv(source, columns=("userID", "itemID", "rating"), delimite
                 raise
             skipped += 1
             continue
-        records.append(pr.RatingRecord(user_id, item_id, rating))
+        records.append((user_id, item_id, rating))
     return records, skipped
 
 
@@ -399,42 +391,39 @@ def columnar(parse):
         cols = res.records
         assert isinstance(cols, pr.RatingColumns)
         assert cols.ratings.dtype == np.float64
-        assert cols.timestamps is None or cols.timestamps.dtype == np.int64
-        stamps = None if cols.timestamps is None else cols.timestamps.tolist()
-        return (cols.user_ids, cols.item_ids, cols.ratings.tobytes(), stamps), res.skipped
+        return (cols.user_ids, cols.item_ids, cols.ratings.tobytes()), res.skipped
     return run
 
 
-def per_line(parse, timestamps):
+def per_line(parse):
     def run(source, **kwargs):
         records, skipped = parse(source, **kwargs)
-        stamps = [r.timestamp for r in records] if timestamps else None
-        return ([r.user_id for r in records], [r.item_id for r in records],
-                np.array([r.rating for r in records], dtype=float).tobytes(), stamps), skipped
+        return ([u for u, _, _ in records], [i for _, i, _ in records],
+                np.array([r for _, _, r in records], dtype=float).tobytes()), skipped
     return run
 
 
-def matrix_arrays(records):
+def matrix_arrays(build, rows):
     try:
-        m = pr.build_matrix(records)
+        m = build(rows)
     except DataError as exc:
         return str(exc)
     return (m.user_ids, m.item_ids, m.indptr.tobytes(), m.indices.tobytes(), m.ratings.tobytes(),
             m.r_min, m.r_max)
 
 
-def assert_parsers_agree(doc, parse, reference, timestamps, block_bytes, **kwargs):
+def assert_parsers_agree(doc, parse, reference, block_bytes, **kwargs):
     data = document_bytes(doc)
     with mock.patch.object(dataio, "_BLOCK_BYTES", block_bytes):
         for errors in ("raise", "skip"):
             got = outcome(columnar(parse), io.BytesIO(data), errors=errors, **kwargs)
-            want = outcome(per_line(reference, timestamps), io.BytesIO(data), errors=errors, **kwargs)
+            want = outcome(per_line(reference), io.BytesIO(data), errors=errors, **kwargs)
             assert got == want, errors
         if isinstance(got[0], tuple) and got[0][0]:
-            # one build path: columns and the same observations as records agree
+            # the parsed columns build the matrix the reference's tuples build
             cols = parse(io.BytesIO(data), errors="skip", **kwargs).records
             records, _ = reference(io.BytesIO(data), errors="skip", **kwargs)
-            assert matrix_arrays(cols) == matrix_arrays(records) == matrix_arrays(list(cols))
+            assert matrix_arrays(pr.build_matrix, cols) == matrix_arrays(matrix_from, records)
 
 
 # block bytes: blocks cut at every line, inside lines, and after many lines
@@ -445,12 +434,12 @@ class TestColumnarParsersMatchReference:
     @settings(max_examples=300, deadline=None)
     @given(doc=documents(MOVIELENS_LINES), blocks=BLOCKS)
     def test_movielens(self, doc, blocks):
-        assert_parsers_agree(doc, pr.parse_movielens, reference_parse_movielens, True, blocks)
+        assert_parsers_agree(doc, pr.parse_movielens, reference_parse_movielens, blocks)
 
     @settings(max_examples=300, deadline=None)
     @given(doc=documents(CSV_ROWS, header=True), blocks=BLOCKS)
     def test_csv(self, doc, blocks):
-        assert_parsers_agree(doc, pr.parse_csv, reference_parse_csv, False, blocks)
+        assert_parsers_agree(doc, pr.parse_csv, reference_parse_csv, blocks)
 
     def test_corpus_scale(self, ml_like_path):
         # the tier-1 corpus in blocks of the default size: as it is, with CRLF ends, and
@@ -459,11 +448,11 @@ class TestColumnarParsersMatchReference:
         cut = data.rfind(b"\n", 0, len(data) - 100) + 1
         for raw in (data, data.replace(b"\n", b"\r\n"), data[:cut] + b"1::2::x::3\n" + data[cut:]):
             got = outcome(columnar(pr.parse_movielens), io.BytesIO(raw))
-            want = outcome(per_line(reference_parse_movielens, True), io.BytesIO(raw))
+            want = outcome(per_line(reference_parse_movielens), io.BytesIO(raw))
             assert got == want
         cols = pr.parse_movielens(io.BytesIO(data)).records
         records, _ = reference_parse_movielens(io.BytesIO(data))
-        assert matrix_arrays(cols) == matrix_arrays(records)
+        assert matrix_arrays(pr.build_matrix, cols) == matrix_arrays(matrix_from, records)
 
 
 FUZZ_BYTES = st.binary(max_size=200) | st.lists(st.sampled_from(
@@ -483,21 +472,6 @@ class TestParserFuzz:
                         pr.build_matrix(cols)
                 except (DataError, ConfigError):
                     pass
-
-
-class TestRatingColumns:
-    def test_records_are_views(self):
-        data = b"1::10::5::7\n2::20::3.5::8\n"
-        cols = pr.parse_movielens(io.BytesIO(data)).records
-        assert len(cols) == 2
-        assert cols[1] == pr.RatingRecord("2", "20", 3.5, 8)
-        assert list(cols) == [pr.RatingRecord("1", "10", 5.0, 7), pr.RatingRecord("2", "20", 3.5, 8)]
-        assert cols.timestamps.tolist() == [7, 8]
-
-    def test_csv_columns_have_no_timestamps(self):
-        cols = pr.parse_csv(io.BytesIO(b"userID,itemID,rating\n1,2,3\n")).records
-        assert cols.timestamps is None
-        assert list(cols) == [pr.RatingRecord("1", "2", 3.0)]
 
 
 class TestFramingErrors:

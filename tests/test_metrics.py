@@ -11,13 +11,9 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 import paretorank as pr
-from conftest import items_of
+from conftest import items_of, matrix_from
 from paretorank.errors import ConfigError, DataError
 from test_model import assert_same_recs, reference_top_k
-
-
-def matrix_from(*triples):
-    return pr.build_matrix([pr.RatingRecord(u, i, float(r)) for u, i, r in triples])
 
 
 def recs_with_counts(counts, n_items=None):
@@ -25,7 +21,7 @@ def recs_with_counts(counts, n_items=None):
     lists = []
     for item, count in enumerate(counts):
         lists += [np.array([item])] * count
-    return pr.RecommendationSet(k=1, items=lists, scores=[np.array([1.0])] * len(lists))
+    return pr.RecommendationSet(k=1, items=lists)
 
 
 def oracle_slope(ranks, counts):
@@ -35,30 +31,30 @@ def oracle_slope(ranks, counts):
 
 class TestMae:
     def test_perfect_predictions(self):
-        m = matrix_from(("a", "x", 4), ("b", "y", 2))
+        m = matrix_from([("a", "x", 4), ("b", "y", 2)])
         assert pr.mae([4.0, 2.0], m) == 0.0
 
     def test_unit_error(self):
-        m = matrix_from(("a", "x", 5), ("b", "y", 1))
+        m = matrix_from([("a", "x", 5), ("b", "y", 1)])
         assert pr.mae([4.0, 2.0], m) == 1.0
 
     def test_single_entry(self):
-        m = matrix_from(("a", "x", 5))
+        m = matrix_from([("a", "x", 5)])
         assert pr.mae([3.0], m) == 2.0
 
     def test_empty_test_set(self):
-        m = matrix_from(("a", "x", 5))
+        m = matrix_from([("a", "x", 5)])
         empty = m.subset(np.zeros(m.n_entries, dtype=bool))
         with pytest.raises(DataError):
             pr.mae([], empty)
 
     def test_length_mismatch(self):
-        m = matrix_from(("a", "x", 5), ("a", "y", 3))
+        m = matrix_from([("a", "x", 5), ("a", "y", 3)])
         with pytest.raises(ValueError):
             pr.mae([1.0], m)
 
     def test_translation_detecting(self):
-        m = matrix_from(("a", "x", 2), ("a", "y", 3), ("b", "x", 1))
+        m = matrix_from([("a", "x", 2), ("a", "y", 3), ("b", "x", 1)])
         preds = np.array([3.0, 4.0, 2.0])  # all above truth
         base = pr.mae(preds, m)
         assert pr.mae(preds + 0.7, m) == pytest.approx(base + 0.7)
@@ -104,8 +100,7 @@ class TestDegreeOfMatthewEffect:
 
     @pytest.mark.parametrize("n_lists", [0, 3])
     def test_frequencies_without_recommendations(self, n_lists):
-        recs = pr.RecommendationSet(k=10, items=[np.empty(0, dtype=np.intp)] * n_lists,
-                                    scores=[np.empty(0)] * n_lists)
+        recs = pr.RecommendationSet(k=10, items=[np.empty(0, dtype=np.intp)] * n_lists)
         freqs = pr.recommendation_frequencies(recs, 4)
         assert freqs.tolist() == []
         assert freqs.dtype == np.int64
@@ -208,29 +203,29 @@ class TestCorpusScale:
 
 class TestRatingDiffHistogram:
     def test_four_rating_user(self):
-        m = matrix_from(("a", "w", 5), ("a", "x", 4), ("a", "y", 3), ("a", "z", 1))
+        m = matrix_from([("a", "w", 5), ("a", "x", 4), ("a", "y", 3), ("a", "z", 1)])
         hist = pr.rating_diff_histogram(m)
         assert hist.counts == {1.0: 2, 2.0: 2, 3.0: 1, 4.0: 1}
         assert hist.counts == brute_force_diffs(m)
 
     def test_constant_user_is_error(self):
-        m = matrix_from(("a", "x", 3), ("a", "y", 3), ("a", "z", 3))
+        m = matrix_from([("a", "x", 3), ("a", "y", 3), ("a", "z", 3)])
         with pytest.raises(DataError):
             pr.rating_diff_histogram(m)
 
     def test_two_users(self):
-        m = matrix_from(("a", "x", 2), ("a", "y", 1), ("b", "x", 2), ("b", "y", 1))
+        m = matrix_from([("a", "x", 2), ("a", "y", 1), ("b", "x", 2), ("b", "y", 1)])
         assert pr.rating_diff_histogram(m).counts == {1.0: 2}
 
     def test_pair_count_identity_random_matrices(self):
         rng = np.random.default_rng(0)
         for trial in range(10):
-            recs = [
-                pr.RatingRecord(f"u{u}", f"i{j}", float(rng.integers(1, 6)))
+            triples = [
+                (f"u{u}", f"i{j}", float(rng.integers(1, 6)))
                 for u in range(rng.integers(2, 10))
                 for j in rng.choice(10, size=rng.integers(2, 8), replace=False)
             ]
-            m = pr.build_matrix(recs)
+            m = matrix_from(triples)
             try:
                 hist = pr.rating_diff_histogram(m)
             except DataError:
@@ -245,11 +240,11 @@ class TestRatingDiffHistogram:
             assert tied >= 0
 
     def test_slope_against_oracle(self):
-        m = matrix_from(
+        m = matrix_from([
             *[("a", f"x{n}", 5) for n in range(8)],
             *[("a", f"y{n}", 4) for n in range(4)],
             ("a", "z", 3),
-        )
+        ])
         hist = pr.rating_diff_histogram(m)
         values = sorted(hist.counts)
         expected = sps.linregress(
@@ -258,7 +253,7 @@ class TestRatingDiffHistogram:
         assert hist.slope == pytest.approx(expected, abs=1e-12)
 
     def test_csv_export(self):
-        m = matrix_from(("a", "w", 5), ("a", "x", 4), ("a", "y", 3), ("a", "z", 1))
+        m = matrix_from([("a", "w", 5), ("a", "x", 4), ("a", "y", 3), ("a", "z", 1)])
         hist = pr.rating_diff_histogram(m)
         buf = io.StringIO()
         hist.write_csv(buf, config_echo='{"dataset":"t"}')

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paretorank as pr
-from conftest import entry_triples
+from conftest import entry_triples, matrix_from
 
 
 class TestInitModel:
@@ -112,37 +112,33 @@ class _FixedScorer:
 
 
 def one_user_matrix(rated_items, n_items):
-    recs = [pr.RatingRecord("u", f"i{j}", 3.0) for j in rated_items]
-    recs += [pr.RatingRecord("u", f"i{j}", 1.0) for j in range(n_items) if j not in rated_items]
-    m = pr.build_matrix(recs)
+    triples = [("u", f"i{j}", 3.0) for j in rated_items]
+    triples += [("u", f"i{j}", 1.0) for j in range(n_items) if j not in rated_items]
+    m = matrix_from(triples)
     # keep only the rated subset as entries, with the full item space
-    return m.subset(np.isin(m.indices, [m.item_to_index[f"i{j}"] for j in rated_items]))
+    return m.subset(np.isin(m.indices, [m.item_ids.index(f"i{j}") for j in rated_items]))
 
 
 def reference_top_k(scorer, train, k):
     """Full-sort oracle for top_k: lexsort every unrated item, keep the first k."""
     n_items = scorer.n_items
     items = []
-    scores = []
     for u in range(scorer.n_users):
         unrated = np.ones(n_items, dtype=bool)
         unrated[train.row(u)[0]] = False
         cand = np.flatnonzero(unrated)
         s = scorer.score_row(u)[cand]
-        order = np.lexsort((cand, -s))[:k]
-        items.append(cand[order])
-        scores.append(s[order])
-    return pr.RecommendationSet(k=k, items=items, scores=scores)
+        items.append(cand[np.lexsort((cand, -s))[:k]])
+    return pr.RecommendationSet(k=k, items=items)
 
 
 def assert_same_recs(got, want):
-    """List for list: same items, same score bits, same dtypes."""
+    """List for list: same items, same dtypes."""
     assert got.k == want.k
-    assert len(got.items) == len(want.items) == len(got.scores) == len(want.scores)
-    for gi, gs, wi, ws in zip(got.items, got.scores, want.items, want.scores):
-        assert (gi.dtype, gs.dtype) == (wi.dtype, ws.dtype)
+    assert len(got.items) == len(want.items)
+    for gi, wi in zip(got.items, want.items):
+        assert gi.dtype == wi.dtype
         assert gi.tolist() == wi.tolist()
-        assert gs.tobytes() == ws.tobytes()
 
 
 def matrix_with_rated(rated_sets, n_items):
@@ -195,7 +191,7 @@ class TestTopK:
         scorer = _FixedScorer([[0.9, 0.5, 0.1]])
         recs = pr.top_k(scorer, train, k=2)
         assert recs.items[0].tolist() == [0, 1]
-        assert recs.scores[0].tolist() == [0.9, 0.5]
+        assert scorer.score_row(0)[recs.items[0]].tolist() == [0.9, 0.5]
 
     def test_k_larger_than_candidates(self):
         train = one_user_matrix(rated_items=[0], n_items=3)
@@ -211,12 +207,11 @@ class TestTopK:
 
     def test_excludes_training_items(self):
         rng = np.random.default_rng(8)
-        recs_in = [
-            pr.RatingRecord(f"u{u}", f"i{j}", float(1 + rng.integers(5)))
+        train = matrix_from(
+            (f"u{u}", f"i{j}", float(1 + rng.integers(5)))
             for u in range(12)
             for j in rng.choice(30, size=10, replace=False)
-        ]
-        train = pr.build_matrix(recs_in)
+        )
         model = pr.init_model(train.n_users, train.n_items, 4, seed=2)
         out = pr.top_k(model, train, k=5)
         for u in range(train.n_users):
@@ -229,12 +224,7 @@ class TestTopK:
 
 
 def test_score_entries_alignment():
-    recs = [
-        pr.RatingRecord("a", "x", 3.0),
-        pr.RatingRecord("a", "y", 4.0),
-        pr.RatingRecord("b", "y", 2.0),
-    ]
-    m = pr.build_matrix(recs)
+    m = matrix_from([("a", "x", 3.0), ("a", "y", 4.0), ("b", "y", 2.0)])
     model = pr.init_model(2, 2, 3, seed=0)
     out = pr.score_entries(model, m)
     expected = [model.U[u] @ model.V[i] for u, i, _ in entry_triples(m)]

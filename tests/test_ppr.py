@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import paretorank as pr
-from conftest import items_of
+from conftest import items_of, matrix_from
 from paretorank.errors import DataError, DivergenceError
-
-
-def matrix_from(*triples):
-    return pr.build_matrix([pr.RatingRecord(u, i, float(r)) for u, i, r in triples])
 
 
 def model_1d(u, vj, vk):
@@ -167,7 +163,7 @@ def enumerate_admissible(matrix, allowed_items=None):
 
 class TestTrainPpr:
     def test_no_pairs_leaves_model_at_init(self):
-        m = matrix_from(("a", "x", 5), ("b", "y", 3), ("c", "z", 1))
+        m = matrix_from([("a", "x", 5), ("b", "y", 3), ("c", "z", 1)])
         cfg = pr.TrainConfig(n_factors=3, max_iters=2, seed=0)
         model, stats = pr.train_ppr(m, cfg)
         init = pr.init_model(m.n_users, m.n_items, 3, seed=0)
@@ -177,16 +173,16 @@ class TestTrainPpr:
         assert stats.updates == [0, 0]
 
     def test_single_admissible_pair_orientation(self):
-        m = matrix_from(("a", "A", 5), ("a", "B", 3))
+        m = matrix_from([("a", "A", 5), ("a", "B", 3)])
         visited = []
         cfg = pr.TrainConfig(n_factors=2, max_iters=1, seed=3)
         pr.train_ppr(m, cfg, on_pair=lambda it, pair, res: visited.append(pair))
         assert len(visited) == 1
-        assert visited[0].preferred == m.item_to_index["A"]
-        assert visited[0].other == m.item_to_index["B"]
+        assert visited[0].preferred == m.item_ids.index("A")
+        assert visited[0].other == m.item_ids.index("B")
 
     def test_four_item_user_visits_all_six_pairs(self):
-        m = matrix_from(("a", "w", 5), ("a", "x", 4), ("a", "y", 3), ("a", "z", 1))
+        m = matrix_from([("a", "w", 5), ("a", "x", 4), ("a", "y", 3), ("a", "z", 1)])
         visited = set()
         cfg = pr.TrainConfig(n_factors=2, max_iters=1, seed=1)
         pr.train_ppr(m, cfg, on_pair=lambda it, pair, res: visited.add((pair.user, pair.preferred, pair.other)))
@@ -194,7 +190,7 @@ class TestTrainPpr:
         assert visited == enumerate_admissible(m)
 
     def test_ties_never_visited(self):
-        m = matrix_from(("a", "w", 5), ("a", "x", 5), ("a", "y", 2), ("b", "w", 3), ("b", "x", 3))
+        m = matrix_from([("a", "w", 5), ("a", "x", 5), ("a", "y", 2), ("b", "w", 3), ("b", "x", 3)])
         visited = []
         cfg = pr.TrainConfig(n_factors=2, max_iters=3, seed=2)
         pr.train_ppr(m, cfg, on_pair=lambda it, pair, res: visited.append(pair))
@@ -204,12 +200,12 @@ class TestTrainPpr:
 
     def test_skip_accounting(self):
         rng = np.random.default_rng(4)
-        recs = [
-            pr.RatingRecord(f"u{u}", f"i{j}", float(rng.integers(1, 6)))
+        triples = [
+            (f"u{u}", f"i{j}", float(rng.integers(1, 6)))
             for u in range(10)
             for j in rng.choice(12, size=6, replace=False)
         ]
-        m = pr.build_matrix(recs)
+        m = matrix_from(triples)
         counts = [0]
         cfg = pr.TrainConfig(n_factors=2, max_iters=4, seed=9)
         _, stats = pr.train_ppr(m, cfg, on_pair=lambda it, pair, res: counts.__setitem__(0, counts[0] + 1))
@@ -217,12 +213,12 @@ class TestTrainPpr:
 
     def test_determinism(self):
         rng = np.random.default_rng(6)
-        recs = [
-            pr.RatingRecord(f"u{u}", f"i{j}", float(rng.integers(1, 6)))
+        triples = [
+            (f"u{u}", f"i{j}", float(rng.integers(1, 6)))
             for u in range(15)
             for j in rng.choice(20, size=8, replace=False)
         ]
-        m = pr.build_matrix(recs)
+        m = matrix_from(triples)
         cfg = pr.TrainConfig(n_factors=4, max_iters=3, seed=11)
         model_a, stats_a = pr.train_ppr(m, cfg)
         model_b, stats_b = pr.train_ppr(m, cfg)
@@ -231,27 +227,27 @@ class TestTrainPpr:
         assert stats_a == stats_b
 
     def test_item_sampling_respects_cap(self):
-        m = matrix_from(*[("a", f"i{j}", 1 + j % 5) for j in range(10)])
+        m = matrix_from([("a", f"i{j}", 1 + j % 5) for j in range(10)])
         seen_items = set()
         cfg = pr.TrainConfig(n_factors=2, max_iters=1, item_sample_size=3, seed=0)
         pr.train_ppr(m, cfg, on_pair=lambda it, p, r: seen_items.update((p.preferred, p.other)))
         assert len(seen_items) <= 3
 
     def test_empty_matrix_rejected(self):
-        m = matrix_from(("a", "x", 3))
+        m = matrix_from([("a", "x", 3)])
         empty = m.subset(np.zeros(m.n_entries, dtype=bool))
         with pytest.raises(DataError):
             pr.train_ppr(empty, pr.TrainConfig())
 
     def test_divergence_raises(self):
         # a step so large that the clip computes inf * 0 and the factors go NaN
-        m = matrix_from(("a", "x", 5), ("a", "y", 3), ("a", "z", 1))
+        m = matrix_from([("a", "x", 5), ("a", "y", 3), ("a", "z", 1)])
         cfg = pr.TrainConfig(learning_rate=1e308, alpha=10, n_factors=2, max_iters=3, seed=0)
         with pytest.raises(DivergenceError):
             pr.train_ppr(m, cfg)
 
     def test_stats_csv_layout(self, tmp_path):
-        m = matrix_from(("a", "A", 5), ("a", "B", 3))
+        m = matrix_from([("a", "A", 5), ("a", "B", 3)])
         cfg = pr.TrainConfig(n_factors=2, max_iters=2, seed=3)
         _, stats = pr.train_ppr(m, cfg)
         out = tmp_path / "stats.csv"
@@ -268,7 +264,7 @@ class TestTrainPpr:
 
 class TestPairwiseConcordance:
     def test_perfect_model(self):
-        test = matrix_from(("a", "x", 5), ("a", "y", 3), ("a", "z", 1))
+        test = matrix_from([("a", "x", 5), ("a", "y", 3), ("a", "z", 1)])
         scorer_table = np.array([[0.9, 0.5, 0.1]])
         scorer = type("S", (), {
             "n_users": 1, "n_items": 3,
@@ -278,12 +274,12 @@ class TestPairwiseConcordance:
         assert pr.pairwise_concordance(scorer, test) == 1.0
 
     def test_constant_scores_give_half(self):
-        test = matrix_from(("a", "x", 5), ("a", "y", 3))
+        test = matrix_from([("a", "x", 5), ("a", "y", 3)])
         model = pr.FactorModel(U=np.zeros((1, 2)), V=np.ones((2, 2)))
         assert pr.pairwise_concordance(model, test) == 0.5
 
     def test_one_right_one_wrong(self):
-        test = matrix_from(("a", "x", 5), ("a", "y", 3), ("b", "x", 1), ("b", "y", 4))
+        test = matrix_from([("a", "x", 5), ("a", "y", 3), ("b", "x", 1), ("b", "y", 4)])
         table = np.array([[0.9, 0.1], [0.9, 0.1]])  # right for a, wrong for b
         scorer = type("S", (), {
             "n_users": 2, "n_items": 2,
@@ -293,7 +289,7 @@ class TestPairwiseConcordance:
         assert pr.pairwise_concordance(scorer, test) == 0.5
 
     def test_no_pairs_is_error(self):
-        test = matrix_from(("a", "x", 5), ("b", "y", 3))
+        test = matrix_from([("a", "x", 5), ("b", "y", 3)])
         model = pr.init_model(2, 2, 2, seed=0)
         with pytest.raises(DataError):
             pr.pairwise_concordance(model, test)
