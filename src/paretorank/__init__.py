@@ -22,7 +22,6 @@ from .metrics import (
     mae,
     rating_diff_histogram,
     recommendation_frequencies,
-    write_dme_points_csv,
 )
 from .model import (
     FactorModel,

@@ -8,6 +8,7 @@ invocations produce byte-identical artifacts. Exit codes: 0 success,
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 
@@ -171,10 +172,6 @@ def _hyper_echo(args) -> dict:
     }
 
 
-def _echo_json(echo: dict) -> str:
-    return json.dumps(echo, sort_keys=True, separators=(",", ":"))
-
-
 def _check_ratio(test_ratio: float):
     if not 0.0 <= test_ratio <= 1.0:
         raise ConfigError(f"test-ratio must be in [0, 1], got {test_ratio}")
@@ -224,37 +221,61 @@ def _trainer(algo: str, args):
     raise ConfigError(f"unknown algorithm {algo!r}")
 
 
-def _write_stats(fp, algo: str, stats, echo_json: str):
-    if algo == "ppr":
-        stats.write_csv(fp, config_echo=echo_json)
-    else:
-        fp.write(f"# config: {echo_json}\n")
-        fp.write("epoch,loss\n")
-        for ep, loss in enumerate(stats, start=1):
-            fp.write(f"{ep},{loss!r}\n")
+# header and rows of each algorithm's training stats CSV; an algorithm without
+# an entry produces no stats
+STATS_LAYOUTS = {
+    "ppr": ("iter,mean_pair_loss,updates,skips,clips",
+            lambda s: zip(range(1, len(s.updates) + 1), s.mean_loss, s.updates, s.skips, s.clips)),
+    "mf": ("epoch,loss", lambda losses: enumerate(losses, start=1)),
+}
 
 
-@contextlib.contextmanager
-def _replaced_together(paths: list[str]):
-    """Yield one temporary path beside each target; rename them all onto the targets on success.
+def _csv(echo: dict, header: str, rows) -> str:
+    """An artifact CSV: a `# config:` line echoing the run, the header, one line per row.
 
-    If the block raises, every temporary file is removed and every target
-    is left as it was. The renames stay within each target's directory.
+    Values are written with str, which gives a float's shortest round-trip
+    digits and an integer's digits.
     """
-    temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
+    lines = [f"# config: {json.dumps(echo, sort_keys=True, separators=(',', ':'))}", header]
+    lines += [",".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _distinct_outputs(*paths: str | None) -> None:
+    """Refuse two outputs of one command that name the same file; None is no output."""
+    seen = {}
+    for path in filter(None, paths):
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"outputs {seen[real]} and {path} name the same file")
+        seen[real] = path
+
+
+def _write_outputs(outputs: dict) -> None:
+    """Write every {path: str or bytes} output to `<path>.<pid>.tmp`, then rename all into place.
+
+    A failure removes the temporary files, leaves every path as it was and
+    raises DataError naming the path, not its temporary file.
+    """
+    temps = {path: f"{path}.{os.getpid()}.tmp" for path in outputs}
     try:
-        yield temps
-        for temp, path in zip(temps, paths):
+        for path, data in outputs.items():
+            with open(temps[path], "wb") as fp:
+                fp.write(data.encode("utf-8") if isinstance(data, str) else data)
+        for path, temp in temps.items():
             os.replace(temp, path)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
     finally:
-        for temp in temps:
+        for temp in temps.values():
             with contextlib.suppress(OSError):
                 os.remove(temp)
 
 
 def cmd_train(args) -> None:
-    if args.stats_out and args.algo not in ("ppr", "mf"):
+    if args.stats_out and args.algo not in STATS_LAYOUTS:
         raise ConfigError(f"algorithm {args.algo!r} produces no training stats")
+    _distinct_outputs(args.model_out, args.stats_out)
     _check_seed(args.seed)
     _check_ratio(args.test_ratio)
     trainer = _trainer(args.algo, args)
@@ -268,17 +289,16 @@ def cmd_train(args) -> None:
         "test_ratio": args.test_ratio,
     }
     scorer, stats = trainer(sp.train)
-    # both outputs replace their targets only once both are written
-    outputs = [args.model_out] + ([args.stats_out] if args.stats_out else [])
-    with _replaced_together(outputs) as temps:
-        if args.stats_out:
-            with open(temps[1], "w", encoding="utf-8", newline="") as fp:
-                _write_stats(fp, args.algo, stats, _echo_json(echo))
-        store.save_model(scorer, temps[0], seed=args.seed, config=echo)
+    outputs = {args.model_out: store.model_bytes(scorer, args.seed, echo)}
+    if args.stats_out:
+        header, rows = STATS_LAYOUTS[args.algo]
+        outputs[args.stats_out] = _csv(echo, header, rows(stats))
+    _write_outputs(outputs)
     print(f"wrote {args.model_out}")
 
 
 def cmd_evaluate(args) -> None:
+    _distinct_outputs(args.report_out, args.dme_points_out)
     scorer, header = store.load_model(args.model)
     trained = header["config"]
     # a bad value echoed from the artifact is a data error; as a flag, a config error
@@ -320,12 +340,14 @@ def cmd_evaluate(args) -> None:
         config=echo,
         recs=recs,
     )
-    with open(args.report_out, "w", encoding="utf-8", newline="") as fp:
-        fp.write(report.to_json())
+    outputs = {args.report_out: report.to_json()}
     if args.dme_points_out:
-        with open(args.dme_points_out, "w", encoding="utf-8", newline="") as fp:
-            metrics.write_dme_points_csv(recs, sp.train.n_items, fp,
-                                         config_echo=_echo_json(echo))
+        counts = metrics.recommendation_frequencies(recs, sp.train.n_items)
+        outputs[args.dme_points_out] = _csv(
+            echo, "rank,count,ln_rank,ln_count",
+            ((rank, count, math.log(rank), math.log(count))
+             for rank, count in enumerate(counts, start=1)))
+    _write_outputs(outputs)
     print(f"wrote {args.report_out}")
 
 
@@ -342,6 +364,8 @@ def cmd_compare(args) -> None:
         raise ConfigError(f"k must be >= 1, got {args.k}")
     _check_seed(args.seed)
     _check_ratio(args.test_ratio)
+    report_paths = {a: os.path.join(args.report_dir, f"{a}.json") for a in algos if args.report_dir}
+    _distinct_outputs(args.out, *report_paths.values())
     trainers = {algo: _trainer(algo, args) for algo in sorted(algos)}
     matrix = _load_matrix(args)
     sp = dataio.split(matrix, args.test_ratio, args.seed)
@@ -365,25 +389,21 @@ def cmd_compare(args) -> None:
             config=echo,
         ))
     rows = metrics.compare_reports(reports)
-    with open(args.out, "w", encoding="utf-8", newline="") as fp:
-        metrics.write_comparison_csv(rows, fp, config_echo=_echo_json(echo))
+    outputs = {args.out: _csv(
+        echo, "algorithm,mae,mae_rank,dme_slope,dme_abs,fairness_rank",
+        ((r.algorithm, r.mae, r.mae_rank, r.dme_slope, r.dme_abs, r.fairness_rank) for r in rows))}
     if args.report_dir:
         os.makedirs(args.report_dir, exist_ok=True)
-        for report in reports:
-            path = os.path.join(args.report_dir, f"{report.algorithm}.json")
-            with open(path, "w", encoding="utf-8", newline="") as fp:
-                fp.write(report.to_json())
+        outputs.update((report_paths[r.algorithm], r.to_json()) for r in reports)
+    _write_outputs(outputs)
     print(f"wrote {args.out}")
 
 
 def cmd_analyze_powerlaw(args) -> None:
     matrix = _load_matrix(args)
     hist = metrics.rating_diff_histogram(matrix)
-    if len(hist.counts) < 2:
-        raise DataError("need >= 2 distinct positive rating differences for a slope")
-    echo = _data_echo(args)
-    with open(args.out, "w", encoding="utf-8", newline="") as fp:
-        hist.write_csv(fp, config_echo=_echo_json(echo))
+    rows = ((v, c, math.log(v), math.log(c)) for v, c in sorted(hist.counts.items()))
+    _write_outputs({args.out: _csv(_data_echo(args), "value,count,ln_value,ln_count", rows)})
     print(json.dumps({"distinct_values": len(hist.counts), "slope": hist.slope},
                      sort_keys=True))
 

@@ -60,15 +60,6 @@ class DiffHistogram:
     counts: dict[float, int]
     slope: float
 
-    def write_csv(self, fp, config_echo: str | None = None):
-        """Plot-ready rows: value, count, ln_value, ln_count (value ascending)."""
-        if config_echo is not None:
-            fp.write(f"# config: {config_echo}\n")
-        fp.write("value,count,ln_value,ln_count\n")
-        for value in sorted(self.counts):
-            count = self.counts[value]
-            fp.write(f"{value!r},{count},{math.log(value)!r},{math.log(count)!r}\n")
-
 
 def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
     xc = x - x.mean()
@@ -120,21 +111,13 @@ def degree_of_matthew_effect(recs: RecommendationSet, n_items: int) -> tuple[flo
     return slope, int(sorted_counts.size)
 
 
-def write_dme_points_csv(recs: RecommendationSet, n_items: int, fp, config_echo: str | None = None):
-    """Plot-ready DME fit points: rank, count, ln_rank, ln_count."""
-    if config_echo is not None:
-        fp.write(f"# config: {config_echo}\n")
-    fp.write("rank,count,ln_rank,ln_count\n")
-    for rank, count in enumerate(recommendation_frequencies(recs, n_items), start=1):
-        fp.write(f"{rank},{count},{math.log(rank)!r},{math.log(count)!r}\n")
-
-
 def rating_diff_histogram(matrix: RatingMatrix) -> DiffHistogram:
     """Histogram of positive rating differences over within-user item pairs.
 
     For every user and every unordered pair of their rated items, the
     absolute rating difference is recorded when strictly positive. The fit
-    is an OLS of ln(count) on ln(difference) over the distinct values.
+    is an OLS of ln(count) on ln(difference) over the distinct values, so
+    fewer than two distinct differences raise DataError.
     Pairs are counted per pair of distinct rating values from a users x
     values count table, so memory and time grow with users times the
     number of distinct values squared (5 values on a 1-5 star scale).
@@ -145,7 +128,7 @@ def rating_diff_histogram(matrix: RatingMatrix) -> DiffHistogram:
     per_user = np.bincount(matrix.entry_users() * nv + value_of,
                            minlength=matrix.n_users * nv).reshape(matrix.n_users, nv)
     pairs = per_user.T @ per_user
-    # Python floats, so the CSV's {value!r} reads 1.0 rather than np.float64(1.0)
+    # Python floats, so the histogram's keys are plain numbers, not np.float64
     vals = vals.tolist()
     hist: dict[float, int] = {}
     for a in range(nv):
@@ -153,14 +136,11 @@ def rating_diff_histogram(matrix: RatingMatrix) -> DiffHistogram:
             if pairs[a, b] > 0:
                 diff = vals[b] - vals[a]
                 hist[diff] = hist.get(diff, 0) + int(pairs[a, b])
-    if not hist:
-        raise DataError("no positive rating differences anywhere in the matrix")
+    if len(hist) < 2:
+        raise DataError("need >= 2 distinct positive rating differences for a slope")
     values = sorted(hist)
-    if len(values) >= 2:
-        counts = np.array([hist[v] for v in values], dtype=float)
-        slope = _ols_slope(np.log(np.array(values)), np.log(counts))
-    else:
-        slope = math.nan
+    counts = np.array([hist[v] for v in values], dtype=float)
+    slope = _ols_slope(np.log(np.array(values)), np.log(counts))
     return DiffHistogram(counts={v: hist[v] for v in values}, slope=slope)
 
 
@@ -202,16 +182,6 @@ def compare_reports(reports: list[MetricsReport]) -> list[ComparisonRow]:
         )
         for r in sorted(reports, key=lambda r: r.algorithm)
     ]
-
-
-def write_comparison_csv(rows: list[ComparisonRow], fp, config_echo: str | None = None):
-    if config_echo is not None:
-        fp.write(f"# config: {config_echo}\n")
-    fp.write("algorithm,mae,mae_rank,dme_slope,dme_abs,fairness_rank\n")
-    for r in rows:
-        fp.write(
-            f"{r.algorithm},{r.mae!r},{r.mae_rank},{r.dme_slope!r},{r.dme_abs!r},{r.fairness_rank}\n"
-        )
 
 
 def evaluate_scorer(

@@ -95,17 +95,6 @@ class TrainStats:
     skips: list[int] = field(default_factory=list)
     clips: list[int] = field(default_factory=list)
 
-    def write_csv(self, fp, config_echo: str | None = None):
-        """One row per iteration: iter, mean_pair_loss, updates, skips, clips."""
-        if config_echo is not None:
-            fp.write(f"# config: {config_echo}\n")
-        fp.write("iter,mean_pair_loss,updates,skips,clips\n")
-        for it in range(len(self.updates)):
-            fp.write(
-                f"{it + 1},{self.mean_loss[it]!r},{self.updates[it]},"
-                f"{self.skips[it]},{self.clips[it]}\n"
-            )
-
 
 def pair_loss(model: FactorModel, pair: PairSample, alpha: float) -> float:
     """Log-margin loss -alpha * ln(margin) for one preference pair."""

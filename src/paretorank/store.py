@@ -36,8 +36,8 @@ def _array_specs(header: dict) -> list:
     return []
 
 
-def save_model(scorer, path, seed: int, config: dict | None = None):
-    """Persist any supported scorer with its seed and config echoed."""
+def model_bytes(scorer, seed: int, config: dict | None = None) -> bytes:
+    """The artifact of any supported scorer, with its seed and config echoed."""
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -59,10 +59,14 @@ def save_model(scorer, path, seed: int, config: dict | None = None):
     else:
         raise TypeError(f"cannot serialize scorer of type {type(scorer).__name__}")
     header["arrays"] = _array_specs(header)
+    return _header_bytes(header) + b"".join(
+        np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes() for arr in arrays)
+
+
+def save_model(scorer, path, seed: int, config: dict | None = None):
+    """Persist any supported scorer with its seed and config echoed."""
     with open(path, "wb") as fp:
-        fp.write(_header_bytes(header))
-        for arr in arrays:
-            fp.write(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
+        fp.write(model_bytes(scorer, seed, config))
 
 
 def _check_header(header, path):

@@ -10,6 +10,7 @@ from paretorank.cli import main
 
 FAST_PPR = ["--max-iters", "3", "--user-sample-size", "30", "--item-sample-size", "8"]
 FAST_MF = ["--mf-epochs", "5"]
+NO_DIR = "No such file or directory"
 
 
 def run(*argv):
@@ -72,19 +73,19 @@ class TestTrain:
 
     @pytest.mark.parametrize("algo", ["ppr", "mf"])
     def test_unopenable_stats_path_leaves_no_model(self, tiny_path, tmp_path, capsys, algo):
-        model_out = tmp_path / "m.bin"
+        model_out, stats_out = tmp_path / "m.bin", tmp_path / "missing" / "s.csv"
         code = run("train", "--data", tiny_path, "--algo", algo, "--model-out", model_out,
-                   "--stats-out", tmp_path / "missing" / "s.csv", *FAST_PPR, *FAST_MF)
+                   "--stats-out", stats_out, *FAST_PPR, *FAST_MF)
         assert code == 2
-        assert capsys.readouterr().err.startswith("data error:")
-        assert not model_out.exists()
+        assert capsys.readouterr().err == f"data error: cannot write {stats_out}: {NO_DIR}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.dat"]
 
     def test_unopenable_model_path_leaves_no_stats(self, tiny_path, tmp_path, capsys):
-        stats_out = tmp_path / "s.csv"
-        code = run("train", "--data", tiny_path, "--algo", "mf", "--stats-out", stats_out,
-                   "--model-out", tmp_path / "missing" / "m.bin", *FAST_MF)
+        model_out = tmp_path / "missing" / "m.bin"
+        code = run("train", "--data", tiny_path, "--algo", "mf", "--stats-out", tmp_path / "s.csv",
+                   "--model-out", model_out, *FAST_MF)
         assert code == 2
-        assert capsys.readouterr().err.startswith("data error:")
+        assert capsys.readouterr().err == f"data error: cannot write {model_out}: {NO_DIR}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.dat"]
 
     def test_unopenable_stats_path_keeps_existing_model(self, tiny_path, tmp_path):
@@ -205,6 +206,20 @@ class TestEvaluate:
         report = json.loads((tmp_path / "r.json").read_text())
         assert len(counts) == report["fit_points"]
 
+    @pytest.mark.parametrize("earlier", [None, b"an earlier report"], ids=["new", "existing"])
+    def test_unopenable_points_path_leaves_report_as_it_was(self, tiny_path, tmp_path, capsys,
+                                                            earlier):
+        model = self._train(tiny_path, tmp_path, algo="random")
+        report_out, points = tmp_path / "r.json", tmp_path / "missing" / "d.csv"
+        if earlier is not None:
+            report_out.write_bytes(earlier)
+        code = run("evaluate", "--data", tiny_path, "--model", model,
+                   "--report-out", report_out, "--dme-points-out", points)
+        assert code == 2
+        assert capsys.readouterr().err == f"data error: cannot write {points}: {NO_DIR}\n"
+        assert (report_out.read_bytes() if report_out.exists() else None) == earlier
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_dme_points_score_each_user_once(self, tiny_path, tmp_path, monkeypatch):
         # the report and the points CSV share one set of top-K lists
         model = self._train(tiny_path, tmp_path, algo="random")
@@ -299,6 +314,16 @@ class TestCompare:
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
+    def test_unmakeable_report_dir_leaves_no_comparison(self, tiny_path, tmp_path, capsys):
+        out, notadir = tmp_path / "c.csv", tmp_path / "notadir"
+        notadir.write_text("a file, not a directory")
+        code = run("compare", "--data", tiny_path, "--algos", "random,zipf", "--out", out,
+                   "--report-dir", notadir)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(notadir) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["notadir", "tiny.dat"]
+
     def test_rerun_byte_identical(self, tiny_path, tmp_path):
         blobs = []
         for sub in ("one", "two"):
@@ -311,6 +336,22 @@ class TestCompare:
             blobs.append(((d / "cmp.csv").read_bytes(), (d / "ppr.json").read_bytes(),
                           (d / "random.json").read_bytes()))
         assert blobs[0] == blobs[1]
+
+
+SHARED_OUTPUTS = {
+    "train": ["train", "--model-out", "a.bin", "--stats-out", "a.bin"],
+    "evaluate": ["evaluate", "--model", "m.bin", "--report-out", "x", "--dme-points-out", "x"],
+    "compare": ["compare", "--algos", "random,zipf", "--out", "rd/zipf.json", "--report-dir", "rd"],
+}
+
+
+@pytest.mark.parametrize("argv", SHARED_OUTPUTS.values(), ids=SHARED_OUTPUTS.keys())
+def test_shared_output_path_is_config_error(tmp_path, monkeypatch, capsys, argv):
+    # the data file is missing: the paths must be refused before it is read
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv, "--data", "nope.dat") == 1
+    assert capsys.readouterr().err.startswith("config error: outputs ")
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestAnalyzePowerlaw:

@@ -1,4 +1,3 @@
-import io
 import itertools
 import json
 import math
@@ -12,6 +11,8 @@ from scipy import stats as sps
 
 import paretorank as pr
 from conftest import items_of, matrix_from
+from paretorank import store
+from paretorank.cli import main
 from paretorank.errors import ConfigError, DataError
 from test_model import assert_same_recs, reference_top_k
 
@@ -105,16 +106,23 @@ class TestDegreeOfMatthewEffect:
         assert freqs.tolist() == []
         assert freqs.dtype == np.int64
 
-    def test_dme_points_csv(self):
-        buf = io.StringIO()
-        pr.write_dme_points_csv(recs_with_counts([8, 4, 2, 1]), 4, buf)
-        lines = buf.getvalue().splitlines()
+    def test_dme_points_csv(self, tiny_path, tmp_path):
+        model, points = tmp_path / "m.bin", tmp_path / "points.csv"
+        assert main(["train", "--data", str(tiny_path), "--algo", "random", "--seed", "7",
+                     "--model-out", str(model)]) == 0
+        with open(tiny_path, "rb") as fp:
+            train = pr.split(pr.build_matrix(pr.parse_movielens(fp).records), 0.2, seed=7).train
+        counts = pr.recommendation_frequencies(
+            pr.top_k(store.load_model(model)[0], train, k=10), train.n_items)
+        assert main(["evaluate", "--data", str(tiny_path), "--model", str(model), "--report-out",
+                     str(tmp_path / "r.json"), "--dme-points-out", str(points)]) == 0
+        lines = points.read_text().splitlines()[1:]
         assert lines[0] == "rank,count,ln_rank,ln_count"
-        assert len(lines) == 5
+        assert len(lines) == 1 + len(counts)
         rank, count, ln_rank, ln_count = lines[1].split(",")
-        assert (int(rank), int(count)) == (1, 8)
+        assert (int(rank), int(count)) == (1, counts[0])
         assert float(ln_rank) == 0.0
-        assert float(ln_count) == pytest.approx(math.log(8))
+        assert float(ln_count) == pytest.approx(math.log(counts[0]))
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(1, 50), min_size=2, max_size=12), st.integers(2, 7))
@@ -215,7 +223,10 @@ class TestRatingDiffHistogram:
 
     def test_two_users(self):
         m = matrix_from([("a", "x", 2), ("a", "y", 1), ("b", "x", 2), ("b", "y", 1)])
-        assert pr.rating_diff_histogram(m).counts == {1.0: 2}
+        with pytest.raises(DataError, match="need >= 2 distinct positive rating differences"):
+            pr.rating_diff_histogram(m)  # every difference is 1: no slope to fit
+        m = matrix_from([("a", "x", 2), ("a", "y", 1), ("b", "x", 2), ("b", "y", 1), ("b", "z", 4)])
+        assert pr.rating_diff_histogram(m).counts == {1.0: 2, 2.0: 1, 3.0: 1}
 
     def test_pair_count_identity_random_matrices(self):
         rng = np.random.default_rng(0)
@@ -229,7 +240,7 @@ class TestRatingDiffHistogram:
             try:
                 hist = pr.rating_diff_histogram(m)
             except DataError:
-                assert not brute_force_diffs(m)
+                assert len(brute_force_diffs(m)) < 2
                 continue
             assert hist.counts == brute_force_diffs(m)
             total = sum(hist.counts.values())
@@ -252,12 +263,13 @@ class TestRatingDiffHistogram:
         ).slope
         assert hist.slope == pytest.approx(expected, abs=1e-12)
 
-    def test_csv_export(self):
-        m = matrix_from([("a", "w", 5), ("a", "x", 4), ("a", "y", 3), ("a", "z", 1)])
-        hist = pr.rating_diff_histogram(m)
-        buf = io.StringIO()
-        hist.write_csv(buf, config_echo='{"dataset":"t"}')
-        lines = buf.getvalue().splitlines()
+    def test_csv_export(self, tmp_path):
+        data, out = tmp_path / "t.dat", tmp_path / "h.csv"
+        data.write_text("a::w::5::0\na::x::4::0\na::y::3::0\na::z::1::0\n")
+        with open(data, "rb") as fp:
+            hist = pr.rating_diff_histogram(pr.build_matrix(pr.parse_movielens(fp).records))
+        assert main(["analyze-powerlaw", "--data", str(data), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
         assert lines[0].startswith("# config:")
         assert lines[1] == "value,count,ln_value,ln_count"
         assert len(lines) == 2 + len(hist.counts)

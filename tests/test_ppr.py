@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 import paretorank as pr
 from conftest import items_of, matrix_from
+from paretorank import cli
 from paretorank.errors import DataError, DivergenceError
 
 
@@ -246,14 +247,12 @@ class TestTrainPpr:
         with pytest.raises(DivergenceError):
             pr.train_ppr(m, cfg)
 
-    def test_stats_csv_layout(self, tmp_path):
+    def test_stats_csv_layout(self):
         m = matrix_from([("a", "A", 5), ("a", "B", 3)])
         cfg = pr.TrainConfig(n_factors=2, max_iters=2, seed=3)
         _, stats = pr.train_ppr(m, cfg)
-        out = tmp_path / "stats.csv"
-        with open(out, "w") as fp:
-            stats.write_csv(fp, config_echo="{}")
-        lines = out.read_text().splitlines()
+        header, rows = cli.STATS_LAYOUTS["ppr"]
+        lines = cli._csv({}, header, rows(stats)).splitlines()
         assert lines[0] == "# config: {}"
         assert lines[1] == "iter,mean_pair_loss,updates,skips,clips"
         assert len(lines) == 4

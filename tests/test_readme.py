@@ -1,8 +1,10 @@
-"""The README's library example, run as written against the tiny test corpus."""
+"""The README's library example and artifact list, checked against the tiny test corpus."""
 
 import math
 import re
 from pathlib import Path
+
+from paretorank.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,3 +25,21 @@ def test_library_example_runs(tiny_path, capsys):
     assert math.isfinite(mae) and math.isfinite(slope)
     assert namespace["top_scores"].tolist() == sorted(namespace["top_scores"].tolist(), reverse=True)
     assert (namespace["small"].n_users, namespace["small"].n_items) == (2, 2)
+
+
+def test_artifacts_section_names_every_csv_header(tiny_path, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    fast = ["--max-iters", "2", "--user-sample-size", "20", "--mf-epochs", "2"]
+    commands = {
+        "ppr.csv": ["train", "--algo", "ppr", "--stats-out", "ppr.csv", *fast],
+        "mf.csv": ["train", "--algo", "mf", "--stats-out", "mf.csv", *fast],
+        "points.csv": ["evaluate", "--dme-points-out", "points.csv"],
+        "comparison.csv": ["compare", "--algos", "random,zipf", "--out", "comparison.csv"],
+        "powerlaw.csv": ["analyze-powerlaw", "--out", "powerlaw.csv"],
+    }
+    for argv in commands.values():
+        assert main(argv + ["--data", str(tiny_path)]) == 0
+    section = README.read_text(encoding="utf-8").split("## Artifacts", 1)[1].split("\n## ", 1)[0]
+    for name in commands:
+        header = Path(name).read_text(encoding="utf-8").splitlines()[1]
+        assert f"`{header}`" in section, name
