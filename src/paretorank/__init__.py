@@ -22,12 +22,14 @@ from .metrics import (
     mae,
     rating_diff_histogram,
     recommendation_frequencies,
+    summarize,
 )
 from .model import (
     FactorModel,
     RecommendationSet,
     init_model,
     scale_scores,
+    score_and_select,
     score_entries,
     top_k,
 )

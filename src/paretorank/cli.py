@@ -251,25 +251,39 @@ def _distinct_outputs(*paths: str | None) -> None:
         seen[real] = path
 
 
-def _write_outputs(outputs: dict) -> None:
+def _write_outputs(outputs: dict, new_dir: str | None = None) -> None:
     """Write every {path: str or bytes} output to `<path>.<pid>.tmp`, then rename all into place.
 
-    A failure removes the temporary files, leaves every path as it was and
-    raises DataError naming the path, not its temporary file.
+    `new_dir`, when given, is a directory made first, with any missing
+    parents. A failure removes the temporary files and the directories it
+    made, leaves every path as it was and raises DataError naming the path,
+    not its temporary file.
     """
+    made = []  # deepest first
     temps = {path: f"{path}.{os.getpid()}.tmp" for path in outputs}
     try:
+        if new_dir:
+            path = new_dir  # the path an error names until the outputs are written
+            parent = os.path.abspath(new_dir)
+            while not os.path.exists(parent):
+                made.append(parent)
+                parent = os.path.dirname(parent)
+            os.makedirs(new_dir, exist_ok=True)
         for path, data in outputs.items():
             with open(temps[path], "wb") as fp:
                 fp.write(data.encode("utf-8") if isinstance(data, str) else data)
         for path, temp in temps.items():
             os.replace(temp, path)
+        made = []
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
     finally:
         for temp in temps.values():
             with contextlib.suppress(OSError):
                 os.remove(temp)
+        for directory in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)
 
 
 def cmd_train(args) -> None:
@@ -330,15 +344,14 @@ def cmd_evaluate(args) -> None:
     algorithm = trained.get("algo", header.get("kind", "unknown"))
     echo = {**_data_echo(args), "k": k, "seed": seed, "test_ratio": test_ratio,
             "trained_with": trained}
-    recs = model.top_k(scorer, sp.train, k)
-    report = metrics.evaluate_scorer(
-        scorer, sp.train, sp.test, k,
+    recs, raw = model.score_and_select(scorer, sp.train, k, sp.test)
+    report = metrics.summarize(
+        recs, raw, sp.train, sp.test,
         algorithm=algorithm,
         dataset=os.path.basename(args.data),
         seed=seed,
         test_ratio=test_ratio,
         config=echo,
-        recs=recs,
     )
     outputs = {args.report_out: report.to_json()}
     if args.dme_points_out:
@@ -393,9 +406,8 @@ def cmd_compare(args) -> None:
         echo, "algorithm,mae,mae_rank,dme_slope,dme_abs,fairness_rank",
         ((r.algorithm, r.mae, r.mae_rank, r.dme_slope, r.dme_abs, r.fairness_rank) for r in rows))}
     if args.report_dir:
-        os.makedirs(args.report_dir, exist_ok=True)
         outputs.update((report_paths[r.algorithm], r.to_json()) for r in reports)
-    _write_outputs(outputs)
+    _write_outputs(outputs, new_dir=args.report_dir)
     print(f"wrote {args.out}")
 
 

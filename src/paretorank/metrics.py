@@ -16,7 +16,9 @@ import numpy as np
 
 from .dataio import RatingMatrix
 from .errors import ConfigError, DataError
-from .model import RecommendationSet, scale_scores, score_entries, top_k
+from .model import RecommendationSet, scale_scores, score_and_select
+# the benchmark's traced runs wrap metrics.top_k and metrics.score_entries by name
+from .model import score_entries, top_k  # noqa: F401
 
 
 @dataclass
@@ -72,12 +74,16 @@ def mae(predictions, test: RatingMatrix) -> float:
 
     Predictions must align with the matrix's entry order, one per entry.
     """
-    if test.n_entries == 0:
-        raise DataError("cannot compute MAE on an empty test set")
+    _require_entries(test)
     preds = np.asarray(predictions, dtype=float)
     if preds.shape != (test.n_entries,):
         raise ValueError(f"expected {test.n_entries} predictions, got shape {preds.shape}")
     return float(np.mean(np.abs(preds - test.ratings)))
+
+
+def _require_entries(test: RatingMatrix):
+    if test.n_entries == 0:
+        raise DataError("cannot compute MAE on an empty test set")
 
 
 def recommendation_frequencies(recs: RecommendationSet, n_items: int) -> np.ndarray:
@@ -194,24 +200,44 @@ def evaluate_scorer(
     seed: int,
     test_ratio: float,
     config: dict | None = None,
-    recs: RecommendationSet | None = None,
 ) -> MetricsReport:
     """Full evaluation of one scorer: scaled-prediction MAE plus exposure slope.
 
+    One scoring pass: ``score_and_select`` calls ``score_row`` once per
+    user, and the same block of about 1 MiB of score rows gives both the
+    user's top-K list and the scores of the user's test entries, so the
+    memory in use beyond the lists and the entry scores is one block. See
+    ``summarize`` for what the report holds. A caller that needs the lists
+    too calls ``score_and_select`` and ``summarize`` itself.
+    """
+    recs, raw = score_and_select(scorer, train, k, test)
+    return summarize(recs, raw, train, test, algorithm, dataset, seed, test_ratio, config)
+
+
+def summarize(
+    recs: RecommendationSet,
+    raw: np.ndarray,
+    train: RatingMatrix,
+    test: RatingMatrix,
+    algorithm: str,
+    dataset: str,
+    seed: int,
+    test_ratio: float,
+    config: dict | None = None,
+) -> MetricsReport:
+    """The report of one scorer from its top-K lists and raw test-entry scores.
+
     Raw test-entry scores are min-max scaled onto the rating scale as one
     batch (the same monotone map for every algorithm), then MAE is taken
-    against the held-out ratings. Top-K lists are built from the training
-    matrix and summarized by the Matthew-effect slope; a caller that needs
-    the lists too builds them with ``top_k(scorer, train, k)`` and passes
-    them as ``recs``.
+    against the held-out ratings. The top-K lists, built from the training
+    matrix, are summarized by the Matthew-effect slope. An empty training
+    or test set raises DataError.
     """
-    if recs is not None and recs.k != k:
-        raise ValueError(f"recs hold top-{recs.k} lists, expected top-{k}")
-    raw = score_entries(scorer, test)
+    if train.n_entries == 0:
+        raise DataError("cannot evaluate with an empty training set")
+    _require_entries(test)
     predictions = scale_scores(raw, (test.r_min, test.r_max))
     err = mae(predictions, test)
-    if recs is None:
-        recs = top_k(scorer, train, k)
     slope, fit_points = degree_of_matthew_effect(recs, train.n_items)
     return MetricsReport(
         algorithm=algorithm,
@@ -220,7 +246,7 @@ def evaluate_scorer(
         dme_slope=slope,
         dme_abs=abs(slope),
         fit_points=fit_points,
-        k=k,
+        k=recs.k,
         seed=seed,
         test_ratio=test_ratio,
         config=config or {},

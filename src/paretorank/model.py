@@ -78,44 +78,124 @@ def scale_scores(scores, scale: tuple[float, float]) -> np.ndarray:
     return r_min + (arr - lo) * ((r_max - r_min) / (hi - lo))
 
 
+# A walk scores users into a block of about this many bytes of float64 rows.
+_BLOCK_BYTES = 1 << 20
+# The top-K screen takes one maximum per group of at most this many items.
+_GROUP = 64
+
+
 def top_k(scorer, train: RatingMatrix, k: int) -> RecommendationSet:
     """Per-user k best-scoring items not rated in train.
 
     Ordering is descending score with ascending item index as the tie-break,
     which makes the output fully deterministic. Users with fewer than k
-    unrated items get shorter lists.
+    unrated items get shorter lists. Scores must not be NaN.
 
-    Each user's list is selected, not sorted: one ``np.partition`` finds the
-    k-th best unrated score, and only the items that tie or beat it (every
-    tie at the boundary included) are ordered. The cost per user is linear
-    in ``n_items``. Scores must not be NaN.
+    One scoring pass: ``score_row(u)`` is called once per user, in user
+    order, and each row is copied into a block of about 1 MiB of score rows
+    (``n_items`` rounded up to a multiple of 64 per row), so the memory in
+    use beyond the lists is one block whatever ``n_users``. Each block is
+    screened, not sorted: the rated items are masked out, the items are
+    split into ``G = ceil(n_items / 64)`` groups (item ``i`` in group
+    ``i mod G``), and each row's ``kk``-th largest group maximum
+    (``kk = min(k, unrated items)``) bounds its ``kk``-th best unrated score
+    from below, because ``kk`` distinct groups each hold an unrated item at
+    or above it. Only the unrated items at or above that bound (every one,
+    when ``kk > G``) are ordered, with one ``lexsort`` per block.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    n_items = scorer.n_items
-    items = []
-    for u in range(scorer.n_users):
-        row = scorer.score_row(u)
-        rated = train.row(u)[0]
-        kk = min(k, n_items - rated.size)
-        if kk == 0:
-            items.append(np.empty(0, dtype=np.intp))
-            continue
-        # a new array: score_row may return a shared row that must stay unwritten
-        neg = -row
-        neg[rated] = np.inf
-        keep = neg <= np.partition(neg, kk - 1)[kk - 1]
-        keep[rated] = False
-        cand = np.flatnonzero(keep)
-        items.append(cand[np.lexsort((cand, neg[cand]))[:kk]])
-    return RecommendationSet(k=k, items=items)
+    return _walk(scorer, np.arange(scorer.n_users), train, k, None)[0]
 
 
 def score_entries(scorer, matrix: RatingMatrix) -> np.ndarray:
-    """Raw scores for every entry of a matrix, in entry order; one score_row call per non-empty user."""
-    out = np.empty(matrix.n_entries)
-    indptr = matrix.indptr
-    for u in np.flatnonzero(np.diff(indptr)).tolist():
-        lo, hi = indptr[u], indptr[u + 1]
-        out[lo:hi] = scorer.score_row(u)[matrix.indices[lo:hi]]
-    return out
+    """Raw scores for every entry of a matrix, in entry order.
+
+    One ``score_row`` call per user that has entries, made by the same
+    blocked walk as ``top_k``.
+    """
+    return _walk(scorer, np.flatnonzero(np.diff(matrix.indptr)), None, 0, matrix)[1]
+
+
+def score_and_select(scorer, train: RatingMatrix, k: int,
+                     entries: RatingMatrix) -> tuple[RecommendationSet, np.ndarray]:
+    """``top_k(scorer, train, k)`` and ``score_entries(scorer, entries)`` from one walk.
+
+    Every user is scored once: the block that selects a user's list also
+    gives the scores of that user's entries. ``entries`` must span the
+    scorer's users.
+    """
+    if entries.n_users != scorer.n_users:
+        raise ValueError(f"entries cover {entries.n_users} users, the scorer {scorer.n_users}")
+    return _walk(scorer, np.arange(scorer.n_users), train, k, entries)
+
+
+def _block_rows(indptr: np.ndarray, users: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """The entry span [lo, hi) of a block's users and each entry's row in the block.
+
+    Users between the block's first and last that are not in it must have
+    no entries.
+    """
+    lo, hi = indptr[users[0]], indptr[users[-1] + 1]
+    return lo, hi, np.repeat(np.arange(users.size), indptr[users + 1] - indptr[users])
+
+
+def _walk(scorer, users: np.ndarray, train: RatingMatrix | None, k: int,
+          entries: RatingMatrix | None) -> tuple[RecommendationSet | None, np.ndarray | None]:
+    """Score each of ``users`` (ascending) once, a block of rows at a time.
+
+    With ``train``, selects every walked user's top-k list (see ``top_k``);
+    with ``entries``, gathers the raw score of each entry, whose user must
+    be walked. Returns (lists or None, entry scores or None).
+    """
+    if train is not None and k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    n_items = scorer.n_items
+    width = max(1, -(-n_items // _GROUP)) * _GROUP
+    # the padding columns stay NaN: never a group's maximum, never selected
+    block = np.full((max(1, _BLOCK_BYTES // (8 * width)), width), np.nan)
+    items = [] if train is not None else None
+    raw = np.empty(entries.n_entries) if entries is not None else None
+    for start in range(0, users.size, block.shape[0]):
+        walked = users[start:start + block.shape[0]]
+        rows = block[:walked.size]
+        # a copy: score_row may return a shared row that must stay unwritten
+        for r, u in enumerate(walked.tolist()):
+            rows[r, :n_items] = scorer.score_row(u)
+        if entries is not None:
+            lo, hi, at = _block_rows(entries.indptr, walked)
+            raw[lo:hi] = rows[at, entries.indices[lo:hi]]
+        if train is not None:
+            items += _select(rows, walked, train, k, n_items)
+    recs = RecommendationSet(k=k, items=items) if train is not None else None
+    return recs, raw
+
+
+def _select(rows: np.ndarray, users: np.ndarray, train: RatingMatrix, k: int,
+            n_items: int) -> list[np.ndarray]:
+    """Each row's top-k unrated items, by (score descending, item ascending).
+
+    ``rows`` holds the block's scores in its first ``n_items`` columns and
+    NaN after them. The rated items are overwritten with NaN, which
+    ``fmax`` skips and no comparison selects, so a rated item is told apart
+    from an unrated ``-inf`` one.
+    """
+    lo, hi, at = _block_rows(train.indptr, users)
+    rows[at, train.indices[lo:hi]] = np.nan
+    kk = np.minimum(k, n_items - (train.indptr[users + 1] - train.indptr[users]))
+    # group g holds items g, g + G, g + 2G, ...: the group maxima are one
+    # elementwise fmax over the 64 slices of G columns; -inf for a group
+    # with no unrated item
+    peaks = np.fmax.reduce(rows.reshape(users.size, _GROUP, -1), axis=1, initial=-np.inf)
+    n_groups = peaks.shape[1]
+    # the kk-th largest group maximum; -inf where kk exceeds the groups (or is 0)
+    bound = np.full(users.size, -np.inf)
+    screened = np.flatnonzero((kk >= 1) & (kk <= n_groups))
+    bound[screened] = np.sort(peaks[screened], axis=1)[np.arange(screened.size),
+                                                       n_groups - kk[screened]]
+    # the flat index form, because a 2-D nonzero is several times slower;
+    # NaN (rated or padding) passes no comparison
+    r, cand = np.divmod(np.flatnonzero(rows >= bound[:, None]), rows.shape[1])
+    cand = cand[np.lexsort((cand, -rows[r, cand], r))]
+    # each row's candidates, in order, start with its list: it has at least kk
+    counts = np.bincount(r, minlength=users.size)
+    starts = np.cumsum(counts) - counts
+    return [cand[s:s + n] for s, n in zip(starts.tolist(), kk.tolist())]

@@ -156,6 +156,10 @@ MALFORMED_HEADERS = {
 }
 
 
+EMPTY_SPLITS = [("0", "cannot compute MAE on an empty test set"),
+                ("1", "cannot evaluate with an empty training set")]
+
+
 class TestEvaluate:
     def _train(self, tiny_path, tmp_path, algo="ppr", seed="7"):
         model_out = tmp_path / f"{algo}.bin"
@@ -221,7 +225,8 @@ class TestEvaluate:
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_dme_points_score_each_user_once(self, tiny_path, tmp_path, monkeypatch):
-        # the report and the points CSV share one set of top-K lists
+        # one walk gives the report's test-entry scores and the top-K lists it
+        # shares with the points CSV
         model = self._train(tiny_path, tmp_path, algo="random")
         calls = collections.Counter()
 
@@ -239,9 +244,20 @@ class TestEvaluate:
         assert run("evaluate", "--data", tiny_path, "--model", model, "--report-out",
                    tmp_path / "r.json", "--dme-points-out", tmp_path / "points.csv") == 0
         with open(tiny_path, "rb") as fp:
-            test = pr.split(pr.build_matrix(pr.parse_movielens(fp).records), 0.2, seed=7).test
-        tested = np.diff(test.indptr) > 0  # score_entries scores each user with test entries once
-        assert calls == {u: 1 + int(tested[u]) for u in range(test.n_users)}
+            n_users = pr.build_matrix(pr.parse_movielens(fp).records).n_users
+        assert calls == {u: 1 for u in range(n_users)}
+
+    @pytest.mark.parametrize("ratio,error", EMPTY_SPLITS, ids=["empty-test", "empty-train"])
+    def test_empty_split_is_data_error(self, tiny_path, tmp_path, capsys, ratio, error):
+        model = tmp_path / "random.bin"
+        assert run("train", "--data", tiny_path, "--algo", "random", "--test-ratio", ratio,
+                   "--model-out", model) == 0
+        capsys.readouterr()
+        report_out = tmp_path / "r.json"
+        assert run("evaluate", "--data", tiny_path, "--model", model,
+                   "--report-out", report_out) == 2
+        assert capsys.readouterr().err == f"data error: {error}\n"
+        assert not report_out.exists()
 
     @pytest.mark.parametrize("malform", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
     def test_malformed_artifact_is_data_error(self, tiny_path, tmp_path, capsys, malform):
@@ -323,6 +339,23 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(notadir) in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["notadir", "tiny.dat"]
+
+    def test_failed_write_leaves_no_new_report_dir(self, tiny_path, tmp_path, capsys):
+        out = tmp_path / "missing" / "c.csv"
+        code = run("compare", "--data", tiny_path, "--algos", "random,zipf", "--out", out,
+                   "--report-dir", tmp_path / "new" / "reports")
+        assert code == 2
+        assert capsys.readouterr().err == f"data error: cannot write {out}: {NO_DIR}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.dat"]
+
+    @pytest.mark.parametrize("ratio,error", EMPTY_SPLITS, ids=["empty-test", "empty-train"])
+    def test_empty_split_is_data_error(self, tiny_path, tmp_path, capsys, ratio, error):
+        out = tmp_path / "c.csv"
+        code = run("compare", "--data", tiny_path, "--algos", "random,zipf",
+                   "--test-ratio", ratio, "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err == f"data error: {error}\n"
+        assert not out.exists()
 
     def test_rerun_byte_identical(self, tiny_path, tmp_path):
         blobs = []

@@ -196,10 +196,8 @@ class TestCorpusScale:
         scorer = pr.RandomScorer(train.n_users, train.n_items, seed=12)
         kwargs = dict(algorithm="random", dataset="d", seed=12, test_ratio=0.2)
         report = pr.evaluate_scorer(scorer, train, test, 10, **kwargs)
-        recs = pr.top_k(scorer, train, k=10)
-        assert pr.evaluate_scorer(scorer, train, test, 10, recs=recs, **kwargs) == report
-        with pytest.raises(ValueError):
-            pr.evaluate_scorer(scorer, train, test, 5, recs=recs, **kwargs)
+        recs, raw = pr.top_k(scorer, train, k=10), pr.score_entries(scorer, test)
+        assert pr.summarize(recs, raw, train, test, **kwargs) == report
 
     def test_rating_diff_histogram(self, ml_like_matrix):
         got = pr.rating_diff_histogram(ml_like_matrix)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,3 +231,81 @@ def test_score_entries_alignment():
     out = pr.score_entries(model, m)
     expected = [model.U[u] @ model.V[i] for u, i, _ in entry_triples(m)]
     assert out.tolist() == pytest.approx(expected)
+
+
+class _CountingScorer(_FixedScorer):
+    """A fixed score table that counts its score_row calls per user."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.calls = np.zeros(self.n_users, dtype=int)
+
+    def score_row(self, user):
+        self.calls[user] += 1
+        return super().score_row(user)
+
+
+@st.composite
+def walk_cases(draw):
+    """Catalogues up to five 64-item groups wide, tie-heavy or continuous rows with +-inf."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_users = draw(st.integers(1, 7))
+    n_items = draw(st.integers(1, 5 * 64))
+    k = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        table = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], size=(n_users, n_items))
+    else:
+        table = rng.standard_normal((n_users, n_items))
+    infs = rng.random((n_users, n_items)) < draw(st.sampled_from([0.0, 0.01, 0.5]))
+    table[infs] = rng.choice([-np.inf, np.inf], size=int(infs.sum()))
+    rated = []
+    for kind in draw(st.lists(st.sampled_from(["none", "some", "all", "all but a few"]),
+                              min_size=n_users, max_size=n_users)):
+        n_rated = {"none": 0, "some": int(rng.integers(0, n_items + 1)), "all": n_items,
+                   "all but a few": max(0, n_items - int(rng.integers(0, k)))}[kind]
+        rated.append(set(rng.choice(n_items, size=n_rated, replace=False).tolist()))
+    # entries in a shuffled order within each user, some users with none
+    lists = [rng.permutation(n_items)[:rng.integers(0, min(n_items, 6) + 1)] for _ in range(n_users)]
+    indptr = np.concatenate(([0], np.cumsum([len(e) for e in lists])))
+    indices = np.concatenate([np.empty(0, dtype=np.intp), *lists]).astype(np.intp)
+    entries = pr.RatingMatrix([f"u{u}" for u in range(n_users)], [f"i{j}" for j in range(n_items)],
+                              indptr, indices, np.full(indices.size, 3.0), 1.0, 5.0)
+    block_rows = draw(st.integers(1, 4))
+    return table, rated, k, entries, block_rows
+
+
+class TestWalk:
+    """The blocked walk against the full-sort top-K and a per-user score_row gather."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(walk_cases())
+    def test_matches_references(self, case):
+        table, rated, k, entries, block_rows = case
+        train = matrix_with_rated(rated, table.shape[1])
+        width = -(-table.shape[1] // 64) * 64
+        want_recs = reference_top_k(_FixedScorer(table), train, k)
+        want_raw = [table[u, entries.row(u)[0]] for u in range(entries.n_users)]
+        want_raw = np.concatenate([np.empty(0), *want_raw])
+        before = table.copy()
+        # a few rows per block, so most walks cover several blocks and end on a part-full one
+        with mock.patch.object(pr.model, "_BLOCK_BYTES", block_rows * 8 * width):
+            scorer = _CountingScorer(table)
+            recs, raw = pr.score_and_select(scorer, train, k, entries)
+            assert scorer.calls.tolist() == [1] * scorer.n_users
+            assert_same_recs(recs, want_recs)
+            assert raw.tobytes() == want_raw.tobytes()
+
+            scorer = _CountingScorer(table)
+            assert_same_recs(pr.top_k(scorer, train, k), want_recs)
+            assert scorer.calls.tolist() == [1] * scorer.n_users
+
+            scorer = _CountingScorer(table)
+            assert pr.score_entries(scorer, entries).tobytes() == want_raw.tobytes()
+            assert scorer.calls.tolist() == (np.diff(entries.indptr) > 0).astype(int).tolist()
+        assert table.tobytes() == before.tobytes()  # score rows are copied, never written
+
+    def test_entries_must_span_the_scorers_users(self):
+        train = matrix_with_rated([set(), set()], n_items=3)
+        with pytest.raises(ValueError):
+            pr.score_and_select(_FixedScorer(np.zeros((2, 3))), train, 1,
+                                matrix_with_rated([{0}], n_items=3))
