@@ -74,16 +74,12 @@ def mae(predictions, test: RatingMatrix) -> float:
 
     Predictions must align with the matrix's entry order, one per entry.
     """
-    _require_entries(test)
+    if test.n_entries == 0:
+        raise DataError("cannot compute MAE on an empty test set")
     preds = np.asarray(predictions, dtype=float)
     if preds.shape != (test.n_entries,):
         raise ValueError(f"expected {test.n_entries} predictions, got shape {preds.shape}")
     return float(np.mean(np.abs(preds - test.ratings)))
-
-
-def _require_entries(test: RatingMatrix):
-    if test.n_entries == 0:
-        raise DataError("cannot compute MAE on an empty test set")
 
 
 def recommendation_frequencies(recs: RecommendationSet, n_items: int) -> np.ndarray:
@@ -206,7 +202,7 @@ def evaluate_scorer(
     One scoring pass: ``score_and_select`` calls ``score_row`` once per
     user, and the same block of about 1 MiB of score rows gives both the
     user's top-K list and the scores of the user's test entries, so the
-    memory in use beyond the lists and the entry scores is one block. See
+    memory in use beyond the lists and the entry scores is a few blocks. See
     ``summarize`` for what the report holds. A caller that needs the lists
     too calls ``score_and_select`` and ``summarize`` itself.
     """
@@ -235,7 +231,9 @@ def summarize(
     """
     if train.n_entries == 0:
         raise DataError("cannot evaluate with an empty training set")
-    _require_entries(test)
+    # checked before scaling, which cannot scale an empty batch
+    if test.n_entries == 0:
+        raise DataError("cannot compute MAE on an empty test set")
     predictions = scale_scores(raw, (test.r_min, test.r_max))
     err = mae(predictions, test)
     slope, fit_points = degree_of_matthew_effect(recs, train.n_items)

@@ -80,8 +80,10 @@ def scale_scores(scores, scale: tuple[float, float]) -> np.ndarray:
 
 # A walk scores users into a block of about this many bytes of float64 rows.
 _BLOCK_BYTES = 1 << 20
-# The top-K screen takes one maximum per group of at most this many items.
+# The top-K screen takes one maximum per group of at most _GROUP items, and
+# keeps at least _SPREAD * k groups.
 _GROUP = 64
+_SPREAD = 2
 
 
 def top_k(scorer, train: RatingMatrix, k: int) -> RecommendationSet:
@@ -93,15 +95,17 @@ def top_k(scorer, train: RatingMatrix, k: int) -> RecommendationSet:
 
     One scoring pass: ``score_row(u)`` is called once per user, in user
     order, and each row is copied into a block of about 1 MiB of score rows
-    (``n_items`` rounded up to a multiple of 64 per row), so the memory in
-    use beyond the lists is one block whatever ``n_users``. Each block is
-    screened, not sorted: the rated items are masked out, the items are
-    split into ``G = ceil(n_items / 64)`` groups (item ``i`` in group
-    ``i mod G``), and each row's ``kk``-th largest group maximum
-    (``kk = min(k, unrated items)``) bounds its ``kk``-th best unrated score
-    from below, because ``kk`` distinct groups each hold an unrated item at
-    or above it. Only the unrated items at or above that bound (every one,
-    when ``kk > G``) are ordered, with one ``lexsort`` per block.
+    (``n_items`` rounded up to a multiple of 64 per row). The memory in use
+    beyond the lists, which are arrays of their own, is a few blocks
+    whatever ``n_users``. Each block is screened, not sorted: the rated
+    items are masked out and the items are split into ``G`` groups (item
+    ``i`` in group ``i mod G``) of 64 items, halved, down to one item,
+    while there are fewer than ``2k`` groups. Each row's ``kk``-th largest group
+    maximum (``kk = min(k, unrated items)``) bounds its ``kk``-th best
+    unrated score from below, because ``kk`` distinct groups each hold an
+    unrated item at or above it. Only the unrated items at or above the
+    bound are sorted: about ``kk`` of them per user, unless many scores tie
+    at the bound.
     """
     return _walk(scorer, np.arange(scorer.n_users), train, k, None)[0]
 
@@ -174,28 +178,43 @@ def _select(rows: np.ndarray, users: np.ndarray, train: RatingMatrix, k: int,
     """Each row's top-k unrated items, by (score descending, item ascending).
 
     ``rows`` holds the block's scores in its first ``n_items`` columns and
-    NaN after them. The rated items are overwritten with NaN, which
-    ``fmax`` skips and no comparison selects, so a rated item is told apart
-    from an unrated ``-inf`` one.
+    NaN after them, up to a multiple of 64. The rated items are overwritten
+    with NaN, which ``fmax`` skips and no comparison selects, so a rated
+    item is told apart from an unrated ``-inf`` one.
     """
     lo, hi, at = _block_rows(train.indptr, users)
     rows[at, train.indices[lo:hi]] = np.nan
     kk = np.minimum(k, n_items - (train.indptr[users + 1] - train.indptr[users]))
+    # groups of the widest size (a power of two, at most 64) that leaves at
+    # least _SPREAD * k groups: one item per group when k is that large
+    size = _GROUP
+    while size > 1 and rows.shape[1] // size < _SPREAD * k:
+        size //= 2
     # group g holds items g, g + G, g + 2G, ...: the group maxima are one
-    # elementwise fmax over the 64 slices of G columns; -inf for a group
+    # elementwise fmax over the slices of G columns; -inf for a group
     # with no unrated item
-    peaks = np.fmax.reduce(rows.reshape(users.size, _GROUP, -1), axis=1, initial=-np.inf)
-    n_groups = peaks.shape[1]
-    # the kk-th largest group maximum; -inf where kk exceeds the groups (or is 0)
-    bound = np.full(users.size, -np.inf)
-    screened = np.flatnonzero((kk >= 1) & (kk <= n_groups))
-    bound[screened] = np.sort(peaks[screened], axis=1)[np.arange(screened.size),
-                                                       n_groups - kk[screened]]
+    peaks = np.sort(np.fmax.reduce(rows.reshape(users.size, size, -1), axis=1,
+                                   initial=-np.inf), axis=1)
+    # the kk-th largest group maximum (kk never exceeds the groups); a row
+    # with every item rated (kk = 0) has only -inf maxima and no candidate
+    bound = peaks[np.arange(users.size), peaks.shape[1] - np.maximum(kk, 1)]
     # the flat index form, because a 2-D nonzero is several times slower;
     # NaN (rated or padding) passes no comparison
     r, cand = np.divmod(np.flatnonzero(rows >= bound[:, None]), rows.shape[1])
-    cand = cand[np.lexsort((cand, -rows[r, cand], r))]
-    # each row's candidates, in order, start with its list: it has at least kk
+    # each row's candidates, in item order, fill one row of keys padded with
+    # +inf (NaN would slow the default sort several-fold). The default sort
+    # is several times faster than a stable one,
+    # which is needed only where a candidate ties with the next, to keep
+    # equal scores in ascending items: a tie at a row's last candidate
+    # (a -inf score) may be with the padding, which must come after it.
     counts = np.bincount(r, minlength=users.size)
     starts = np.cumsum(counts) - counts
-    return [cand[s:s + n] for s, n in zip(starts.tolist(), kk.tolist())]
+    width = counts.max(initial=0)
+    keys = np.full((users.size, width), np.inf)
+    keys[r, np.arange(r.size) - starts[r]] = -rows[r, cand]
+    order = np.argsort(keys, axis=1)
+    ordered = np.take_along_axis(keys, order, axis=1)
+    if ((ordered[:, 1:] == ordered[:, :-1]) & (np.arange(1, width) <= counts[:, None])).any():
+        order = np.argsort(keys, axis=1, kind="stable")
+    # each row's candidates, in order, start with its list: it has at least kk
+    return [cand[s + o[:n]] for s, o, n in zip(starts.tolist(), order, kk.tolist())]

@@ -293,6 +293,8 @@ class TestWalk:
             recs, raw = pr.score_and_select(scorer, train, k, entries)
             assert scorer.calls.tolist() == [1] * scorer.n_users
             assert_same_recs(recs, want_recs)
+            # each list is its own array, not a view that keeps a block's candidates alive
+            assert all(items.flags.owndata for items in recs.items)
             assert raw.tobytes() == want_raw.tobytes()
 
             scorer = _CountingScorer(table)
@@ -303,6 +305,19 @@ class TestWalk:
             assert pr.score_entries(scorer, entries).tobytes() == want_raw.tobytes()
             assert scorer.calls.tolist() == (np.diff(entries.indptr) > 0).astype(int).tolist()
         assert table.tobytes() == before.tobytes()  # score rows are copied, never written
+
+    def test_lone_neg_inf_candidate_sorts_before_the_padding(self):
+        # user 0's 500 candidates end with one -inf score; user 1's 600 pad
+        # user 0's row of sort keys, whose padding must not overtake it
+        rng = np.random.default_rng(3)
+        table = rng.standard_normal((2, 2048))
+        unrated = rng.choice(2048, size=500, replace=False)
+        table[0, unrated[0]] = -np.inf
+        rated = [set(range(2048)) - set(unrated.tolist()), set()]
+        train = matrix_with_rated(rated, 2048)
+        recs = pr.top_k(_FixedScorer(table), train, 600)
+        assert_same_recs(recs, reference_top_k(_FixedScorer(table), train, 600))
+        assert recs.items[0][-1] == unrated[0]
 
     def test_entries_must_span_the_scorers_users(self):
         train = matrix_with_rated([set(), set()], n_items=3)
