@@ -203,10 +203,10 @@ def _select(rows: np.ndarray, users: np.ndarray, train: RatingMatrix, k: int,
     r, cand = np.divmod(np.flatnonzero(rows >= bound[:, None]), rows.shape[1])
     # each row's candidates, in item order, fill one row of keys padded with
     # +inf (NaN would slow the default sort several-fold). The default sort
-    # is several times faster than a stable one,
-    # which is needed only where a candidate ties with the next, to keep
-    # equal scores in ascending items: a tie at a row's last candidate
-    # (a -inf score) may be with the padding, which must come after it.
+    # is several times faster than a stable one, which is needed only in the
+    # rows where a candidate ties with the next, to keep equal scores in
+    # ascending items: a tie at a row's last candidate (a -inf score) may be
+    # with the padding, which must come after it.
     counts = np.bincount(r, minlength=users.size)
     starts = np.cumsum(counts) - counts
     width = counts.max(initial=0)
@@ -214,7 +214,9 @@ def _select(rows: np.ndarray, users: np.ndarray, train: RatingMatrix, k: int,
     keys[r, np.arange(r.size) - starts[r]] = -rows[r, cand]
     order = np.argsort(keys, axis=1)
     ordered = np.take_along_axis(keys, order, axis=1)
-    if ((ordered[:, 1:] == ordered[:, :-1]) & (np.arange(1, width) <= counts[:, None])).any():
-        order = np.argsort(keys, axis=1, kind="stable")
+    tied = ((ordered[:, 1:] == ordered[:, :-1])
+            & (np.arange(1, width) <= counts[:, None])).any(axis=1)
+    if tied.any():
+        order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
     # each row's candidates, in order, start with its list: it has at least kk
     return [cand[s + o[:n]] for s, o, n in zip(starts.tolist(), order, kk.tolist())]

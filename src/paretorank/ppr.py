@@ -16,6 +16,13 @@ using a snapshot of the three rows so the updates are simultaneous:
     U_i += lr * alpha * (V_j - V_k) / m
     V_j += lr * alpha * U_i_old / m
     V_k -= lr * alpha * U_i_old / m
+
+One private kernel, ``_step``, does that arithmetic on three row views in
+place; ``train_ppr`` calls it for every pair and ``pair_update`` wraps it, so
+the single-pair tests check the trainer's own arithmetic. The trainer stays a
+sequential per-pair loop and is bit-reproducible: each user's pairs chain on
+its row ``U_i`` and popular items chain users together, so there is no batch
+of independent pairs to apply at once.
 """
 
 import math
@@ -117,32 +124,46 @@ def pair_update(
     exceed min_margin the model is left untouched and a skip is reported.
     Each row delta is norm-clipped at STEP_NORM_CAP so a barely-admissible
     margin cannot blow the step up; a clipped step is flagged in the result.
+    This is the trainer's own step (``_step``) on one pair.
     """
-    U = model.U
-    V = model.V
-    u = U[pair.user]
-    vj = V[pair.preferred]
-    vk = V[pair.other]
+    margin, applied, clipped = _step(
+        model.U[pair.user], model.V[pair.preferred], model.V[pair.other],
+        learning_rate * alpha, min_margin,
+    )
+    return PairUpdateResult(applied=applied, clipped=clipped, margin=margin)
+
+
+def _step(u: np.ndarray, vj: np.ndarray, vk: np.ndarray, step: float,
+          min_margin: float) -> tuple[float, bool, bool]:
+    """The pair step on row views u = U_i, vj = V_j, vk = V_k, in place.
+
+    ``step`` is learning_rate * alpha. Returns (margin, applied, clipped).
+    The dots stay in numpy (``ndarray.dot``, the same BLAS ddot as ``@``):
+    a Python-float sum rounds differently, and the trainer is chaotic
+    enough that one rounding change moves the trained factors.
+    """
     dv = vj - vk
-    margin = float(u @ dv)
+    # with one factor, ndarray.dot returns the bare product, where @ adds it
+    # to 0.0: the + 0.0 turns its -0.0 into @'s 0.0 and changes nothing else
+    margin = float(u.dot(dv)) + 0.0
     if margin <= min_margin:
-        return PairUpdateResult(applied=False, clipped=False, margin=margin)
-    coef = learning_rate * alpha / margin
+        return margin, False, False
+    coef = step / margin
     du = coef * dv
     dvj = coef * u  # copy of the pre-update user row, scaled
     clipped = False
-    nu = math.sqrt(float(du @ du))
+    nu = math.sqrt(du.dot(du))
     if nu > STEP_NORM_CAP:
         du *= STEP_NORM_CAP / nu
         clipped = True
-    nv = math.sqrt(float(dvj @ dvj))
+    nv = math.sqrt(dvj.dot(dvj))
     if nv > STEP_NORM_CAP:
         dvj *= STEP_NORM_CAP / nv
         clipped = True
     u += du
     vj += dvj
     vk -= dvj
-    return PairUpdateResult(applied=True, clipped=clipped, margin=margin)
+    return margin, True, clipped
 
 
 # overflow is tolerated mid-iteration; the iteration-end check raises DivergenceError
@@ -157,8 +178,12 @@ def train_ppr(
     Per iteration: sample users without replacement, sample each user's rated
     items without replacement, sort the sample by decreasing rating, and walk
     every ordered position pair, updating where the earlier rating strictly
-    exceeds the later one. Identical (train, config) inputs give bit-identical
-    results.
+    exceeds the later one. Each update is one ``_step``, the kernel
+    ``pair_update`` also runs. A user's pairs come from one comparison of
+    the sorted sample's ratings: they descend, so a pair's preferred position
+    always precedes the other, and ``np.nonzero`` lists the pairs row by row,
+    the order of the nested position loop. Identical (train, config) inputs
+    give bit-identical results.
 
     Args:
         train: training ratings; must be non-empty.
@@ -166,7 +191,9 @@ def train_ppr(
             ``config.seed`` before the iteration loop.
         on_pair: optional instrumentation hook called as
             ``on_pair(iteration, pair, result)`` for every admissible pair
-            visited.
+            visited, right after its step, in visiting order.
+            ``PairSample``/``PairUpdateResult`` objects are built only when
+            it is given.
 
     Returns:
         The trained model and per-iteration TrainStats.
@@ -180,6 +207,8 @@ def train_ppr(
     stats = TrainStats()
     iter_seeds = np.random.SeedSequence(config.seed).spawn(config.max_iters)
     n_user_sample = min(config.user_sample_size, train.n_users)
+    U, V = model.U, model.V
+    step = config.learning_rate * config.alpha
 
     for it in range(config.max_iters):
         rng = np.random.default_rng(iter_seeds[it])
@@ -188,8 +217,7 @@ def train_ppr(
         n_updates = 0
         n_skips = 0
         n_clips = 0
-        for user in users:
-            user = int(user)
+        for user in users.tolist():
             items, item_ratings = train.row(user)
             if len(items) < 2:
                 continue
@@ -200,24 +228,20 @@ def train_ppr(
             order = np.lexsort((sampled, -ratings))
             sampled = sampled[order]
             ratings = ratings[order]
-            for a in range(take - 1):
-                r_a = ratings[a]
-                j = int(sampled[a])
-                for b in range(a + 1, take):
-                    if r_a <= ratings[b]:
-                        continue
-                    pair = PairSample(user, j, int(sampled[b]))
-                    result = pair_update(
-                        model, pair, config.learning_rate, config.alpha, config.min_margin
-                    )
-                    if on_pair is not None:
-                        on_pair(it, pair, result)
-                    if result.applied:
-                        n_updates += 1
-                        n_clips += result.clipped
-                        loss_sum += -config.alpha * math.log(result.margin)
-                    else:
-                        n_skips += 1
+            # ratings descend, so a > b never holds below the diagonal, and
+            # nonzero walks the grid row-major: the nested (a, b > a) order
+            a, b = np.nonzero(ratings[:, None] > ratings[None, :])
+            u = U[user]
+            for j, k in zip(sampled[a].tolist(), sampled[b].tolist()):
+                margin, applied, clipped = _step(u, V[j], V[k], step, config.min_margin)
+                if on_pair is not None:
+                    on_pair(it, PairSample(user, j, k), PairUpdateResult(applied, clipped, margin))
+                if applied:
+                    n_updates += 1
+                    n_clips += clipped
+                    loss_sum += -config.alpha * math.log(margin)
+                else:
+                    n_skips += 1
         stats.mean_loss.append(loss_sum / n_updates if n_updates else math.nan)
         stats.updates.append(n_updates)
         stats.skips.append(n_skips)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -149,6 +149,34 @@ class TestPairUpdate:
         assert new_margin > margin
         assert pr.pair_loss(model, PAIR, alpha=1.0) < loss_before
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        data=st.data(),
+        same_rows=st.booleans(),
+        learning_rate=st.sampled_from([1e-3, 0.5, 1e308]),
+    )
+    def test_single_steps(self, n, data, same_rows, learning_rate):
+        rows = hnp.arrays(np.float64, n, elements=st.sampled_from([0.0, -0.0, 0.5, -1.5, 3.0]))
+        u, vj = data.draw(rows), data.draw(rows)
+        vk = vj.copy() if same_rows else data.draw(rows)
+        self.check_step(u, vj, vk, learning_rate)
+
+    def test_one_factor_zero_margin(self):
+        # the margin is a -0.0 product, which @ reads as 0.0
+        self.check_step(np.array([-1.0]), np.array([2.0]), np.array([2.0]), 0.5)
+
+    @staticmethod
+    def check_step(u, vj, vk, learning_rate):
+        """pair_update and the reference step agree on the result and the rows."""
+        got = pr.FactorModel(U=u[None].copy(), V=np.vstack([vj, vk]))
+        want = pr.FactorModel(U=u[None].copy(), V=np.vstack([vj, vk]))
+        with np.errstate(all="ignore"):
+            res = pr.pair_update(got, PAIR, learning_rate, 1.0, 1e-6)
+            ref = reference_pair_update(want, PAIR, learning_rate, 1.0, 1e-6)
+        assert repr(res) == repr(ref)
+        assert (got.U.tobytes(), got.V.tobytes()) == (want.U.tobytes(), want.V.tobytes())
+
 
 def enumerate_admissible(matrix, allowed_items=None):
     """Brute-force {(i, j, k) : R[i,j] > R[i,k]} over rated (sampled) items."""
@@ -259,6 +287,207 @@ class TestTrainPpr:
         first = lines[2].split(",")
         assert first[0] == "1"
         assert int(first[2]) + int(first[3]) >= 1
+
+
+def reference_pair_update(model, pair, learning_rate, alpha, min_margin):
+    """One pair step with ``@`` dots and fresh row views: the reference for ``ppr._step``."""
+    U = model.U
+    V = model.V
+    u = U[pair.user]
+    vj = V[pair.preferred]
+    vk = V[pair.other]
+    dv = vj - vk
+    margin = float(u @ dv)
+    if margin <= min_margin:
+        return pr.PairUpdateResult(applied=False, clipped=False, margin=margin)
+    coef = learning_rate * alpha / margin
+    du = coef * dv
+    dvj = coef * u  # copy of the pre-update user row, scaled
+    clipped = False
+    nu = math.sqrt(float(du @ du))
+    if nu > pr.ppr.STEP_NORM_CAP:
+        du *= pr.ppr.STEP_NORM_CAP / nu
+        clipped = True
+    nv = math.sqrt(float(dvj @ dvj))
+    if nv > pr.ppr.STEP_NORM_CAP:
+        dvj *= pr.ppr.STEP_NORM_CAP / nv
+        clipped = True
+    u += du
+    vj += dvj
+    vk -= dvj
+    return pr.PairUpdateResult(applied=True, clipped=clipped, margin=margin)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_train_ppr(train, config, on_pair=None):
+    """PPR training by a nested position loop over the sorted sample, one pair at a time."""
+    if train.n_entries == 0:
+        raise DataError("cannot train on an empty rating matrix")
+    model = pr.init_model(train.n_users, train.n_items, config.n_factors, config.seed)
+    stats = pr.TrainStats()
+    iter_seeds = np.random.SeedSequence(config.seed).spawn(config.max_iters)
+    n_user_sample = min(config.user_sample_size, train.n_users)
+
+    for it in range(config.max_iters):
+        rng = np.random.default_rng(iter_seeds[it])
+        users = rng.choice(train.n_users, size=n_user_sample, replace=False)
+        loss_sum = 0.0
+        n_updates = 0
+        n_skips = 0
+        n_clips = 0
+        for user in users:
+            user = int(user)
+            items, item_ratings = train.row(user)
+            if len(items) < 2:
+                continue
+            take = min(config.item_sample_size, len(items))
+            pick = rng.choice(len(items), size=take, replace=False)
+            sampled = items[pick]
+            ratings = item_ratings[pick]
+            order = np.lexsort((sampled, -ratings))
+            sampled = sampled[order]
+            ratings = ratings[order]
+            for a in range(take - 1):
+                r_a = ratings[a]
+                j = int(sampled[a])
+                for b in range(a + 1, take):
+                    if r_a <= ratings[b]:
+                        continue
+                    pair = pr.PairSample(user, j, int(sampled[b]))
+                    result = reference_pair_update(
+                        model, pair, config.learning_rate, config.alpha, config.min_margin
+                    )
+                    if on_pair is not None:
+                        on_pair(it, pair, result)
+                    if result.applied:
+                        n_updates += 1
+                        n_clips += result.clipped
+                        loss_sum += -config.alpha * math.log(result.margin)
+                    else:
+                        n_skips += 1
+        stats.mean_loss.append(loss_sum / n_updates if n_updates else math.nan)
+        stats.updates.append(n_updates)
+        stats.skips.append(n_skips)
+        stats.clips.append(n_clips)
+        if not (np.isfinite(model.U).all() and np.isfinite(model.V).all()):
+            raise DivergenceError(
+                f"factors went non-finite at iteration {it + 1}; try a smaller learning rate"
+            )
+    return model, stats
+
+
+def ppr_outcome(trainer, train, config):
+    """Factor bytes and stats (or the DivergenceError message), and every hook call.
+
+    Floats are compared by ``repr``, so a NaN matches a NaN and a change of
+    type (a numpy scalar for a float) shows.
+    """
+    calls = []
+
+    def on_pair(it, pair, res):
+        calls.append(repr((it, pair.user, pair.preferred, pair.other,
+                           res.applied, res.clipped, res.margin)))
+
+    try:
+        model, stats = trainer(train, config, on_pair=on_pair)
+    except DivergenceError as exc:
+        return ("diverged", str(exc)), calls
+    return (model.U.tobytes(), model.V.tobytes(), stats.updates, stats.skips, stats.clips,
+            repr(stats.mean_loss)), calls
+
+
+@st.composite
+def ppr_matrices(draw):
+    """Small matrices whose rows hold many tied ratings."""
+    n_users = draw(st.integers(1, 8))
+    n_items = draw(st.integers(2, 14))
+    triples = draw(st.lists(
+        st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1),
+                  st.sampled_from([1.0, 2.0, 3.0, 4.0, 5.0, 3.5])),
+        min_size=1, max_size=80,
+    ))
+    return matrix_from((f"u{u}", f"i{i}", r) for u, i, r in triples)
+
+
+class TestTrainPprMatchesPerPairLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=ppr_matrices(),
+        n_factors=st.integers(1, 8),
+        learning_rate=st.sampled_from([0.001, 0.05, 2.0, 1e308]),
+        alpha=st.sampled_from([0.5, 1.0, 10.0]),
+        min_margin=st.sampled_from([1e-6, 0.05]),
+        user_sample_size=st.integers(1, 9),
+        item_sample_size=st.integers(1, 16),
+        max_iters=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_matrices(self, m, n_factors, learning_rate, alpha, min_margin,
+                             user_sample_size, item_sample_size, max_iters, seed):
+        config = pr.TrainConfig(
+            alpha=alpha, learning_rate=learning_rate, n_factors=n_factors,
+            max_iters=max_iters, user_sample_size=user_sample_size,
+            item_sample_size=item_sample_size, min_margin=min_margin, seed=seed,
+        )
+        expected = ppr_outcome(reference_train_ppr, m, config)
+        assert ppr_outcome(pr.train_ppr, m, config) == expected
+
+    def test_without_hook(self, monkeypatch):
+        # without a hook no pair objects are built, and the result is the same
+        def refuse(*args):
+            raise AssertionError("pair object built without a hook")
+
+        m = matrix_from([(f"u{u}", f"i{(u * 5 + j) % 11}", float(1 + (u + j) % 5))
+                         for u in range(6) for j in range(7)])
+        config = pr.TrainConfig(n_factors=3, max_iters=3, item_sample_size=5, seed=4)
+        ref_model, ref_stats = reference_train_ppr(m, config)
+        monkeypatch.setattr(pr.ppr, "PairSample", refuse)
+        monkeypatch.setattr(pr.ppr, "PairUpdateResult", refuse)
+        model, stats = pr.train_ppr(m, config)
+        assert (model.U.tobytes(), model.V.tobytes()) == (ref_model.U.tobytes(),
+                                                          ref_model.V.tobytes())
+        assert repr(stats) == repr(ref_stats)
+
+    def test_test_corpus_128_users(self, ml_like_split):
+        assert ml_like_split.seed == 12
+        config = pr.TrainConfig(max_iters=1, user_sample_size=128, seed=12)
+        expected = ppr_outcome(reference_train_ppr, ml_like_split.train, config)
+        assert len(expected[1]) > 10_000
+        assert ppr_outcome(pr.train_ppr, ml_like_split.train, config) == expected
+
+
+def special_or_scaled():
+    """Zeros, infinities and finite magnitudes from 1e-300 to 1e300, either sign."""
+    magnitude = st.one_of(
+        st.floats(min_value=1e-300, max_value=1e300),
+        st.floats(-300, 300).map(lambda e: 10.0 ** e),
+    )
+    return st.one_of(
+        st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+        st.tuples(magnitude, st.booleans()).map(lambda t: -t[0] if t[1] else t[0]),
+    )
+
+
+class TestDotKernel:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.integers(1, 16).flatmap(lambda n: st.tuples(
+            hnp.arrays(np.float64, n, elements=special_or_scaled()),
+            hnp.arrays(np.float64, n, elements=special_or_scaled()),
+        ))
+    )
+    @example(vectors=(np.array([0.0]), np.array([-0.0])))
+    def test_ndarray_dot_is_matmul_bit_for_bit(self, vectors):
+        # _step takes its margins and norms with ndarray.dot; @ was the original
+        a, b = vectors
+        with np.errstate(all="ignore"):
+            if a.size > 1:
+                assert a.dot(b).tobytes() == (a @ b).tobytes()
+            # the margin's form: at length 1, dot gives a bare -0.0 product
+            # where @ gives 0.0
+            assert np.float64(float(a.dot(b)) + 0.0).tobytes() == (a @ b).tobytes()
+            # the norms' form
+            assert a.dot(a).tobytes() == (a @ a).tobytes()
 
 
 class TestPairwiseConcordance:
