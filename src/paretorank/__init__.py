@@ -38,7 +38,6 @@ from .ppr import (
     PairUpdateResult,
     TrainConfig,
     TrainStats,
-    pair_loss,
     pair_update,
     pairwise_concordance,
     train_ppr,

@@ -9,12 +9,15 @@ malformed line like any other.
 Parsers read a binary stream (a file opened with ``"rb"``) and return
 :class:`RatingColumns`, the ids and ratings of the well-formed lines as
 parallel columns; :class:`RatingColumns` is the only form a rating takes
-between a file and a matrix. The stream is read in blocks of whole lines; a
-block is split into fields by a few whole-block string operations and its
-numbers are converted a column at a time. Only the lines those column checks
-reject are passed one by one to the line validator, which alone defines a
-well-formed line and names the line and the reason in its error. A MovieLens
-timestamp is checked (an integer that fits in 64 bits) but not kept.
+between a file and a matrix. The stream is read in blocks of whole lines. A
+MovieLens block whose every line is plain (see :func:`_plain_movielens`) is
+read on its bytes: one numpy pass finds its separators and line breaks, and
+its columns are cut from them at once. Any other block is split into fields
+by a few whole-block string operations and its numbers are converted a
+column at a time. Only the lines those column checks reject are passed one
+by one to the line validator, which alone defines a well-formed line and
+names the line and the reason in its error. A MovieLens timestamp is checked
+(an integer that fits in 64 bits) but not kept.
 
 :func:`build_matrix` takes columns and returns a :class:`RatingMatrix`,
 whose CSR arrays fix the entry order that splits, and so every downstream
@@ -42,12 +45,18 @@ class RatingColumns:
 
     Observation ``n`` is user ``user_ids[n]`` rating item ``item_ids[n]``
     with ``ratings[n]``; ids are opaque strings and ``ratings`` is a float64
-    array.
+    array. The three columns must have one length.
     """
 
     user_ids: list[str]
     item_ids: list[str]
     ratings: np.ndarray
+
+    def __post_init__(self):
+        shape = np.shape(self.ratings)
+        if len(shape) != 1 or not len(self.user_ids) == len(self.item_ids) == shape[0]:
+            raise ValueError(f"rating columns must be 1-D and of one length, got {len(self.user_ids)} "
+                             f"user ids, {len(self.item_ids)} item ids and ratings of shape {shape}")
 
     def __len__(self) -> int:
         return len(self.user_ids)
@@ -123,19 +132,17 @@ class SplitPair:
 # -- reading lines ---------------------------------------------------------------
 
 
-def _line_blocks(fp) -> Iterator[tuple[int, list[str], dict[int, LineParseError]]]:
-    """The stream's lines in blocks: (1-based number of the first line, lines, framing errors).
+def _byte_blocks(fp) -> Iterator[bytes]:
+    """The stream's bytes in blocks of whole lines of about ``_BLOCK_BYTES``.
 
-    ``fp`` is a binary stream, read in blocks of whole lines of about
-    ``_BLOCK_BYTES``. Line ends are stripped, and each line loses one leading
-    byte order mark. A line that is not valid UTF-8 is a framing error keyed
-    by its index in the block; its place in ``lines`` holds "".
+    ``fp`` is a binary stream. Every block but the stream's last ends in a
+    line break.
     """
     read = getattr(fp, "read", None)
     if read is None or not isinstance(read(0), bytes):
         raise TypeError(f'parsers read a binary stream, got {type(fp).__name__}; '
                         'open the file with "rb"')
-    line_no, rest = 1, b""
+    rest = b""
     while True:
         chunk = fp.read(_BLOCK_BYTES)
         data = rest + chunk
@@ -143,15 +150,30 @@ def _line_blocks(fp) -> Iterator[tuple[int, list[str], dict[int, LineParseError]
         cut = data.rfind(b"\n") + 1 if chunk else len(data)
         data, rest = data[:cut], data[cut:]
         if data:
-            lines, framing = _split_lines(data, line_no)
-            yield line_no, lines, framing
-            line_no += len(lines)
+            yield data
         if not chunk:
             return
 
 
+def _line_blocks(fp) -> Iterator[tuple[int, list[str], dict[int, LineParseError]]]:
+    """The stream's lines in blocks: (1-based number of the first line, lines, framing errors).
+
+    See :func:`_byte_blocks` and :func:`_split_lines`.
+    """
+    line_no = 1
+    for data in _byte_blocks(fp):
+        lines, framing = _split_lines(data, line_no)
+        yield line_no, lines, framing
+        line_no += len(lines)
+
+
 def _split_lines(data: bytes, line_no: int) -> tuple[list[str], dict[int, LineParseError]]:
-    """Decode whole lines of bytes and split them, as each line's own utf-8-sig decoding would."""
+    """Decode whole lines of bytes and split them, as each line's own utf-8-sig decoding would.
+
+    Line ends are stripped, and each line loses one leading byte order mark.
+    A line that is not valid UTF-8 is a framing error keyed by its index in
+    the block; its place in the lines holds "".
+    """
     framing = {}
     try:
         text = data.decode("utf-8")
@@ -251,6 +273,10 @@ class _Columns:
         if ignored is not None:
             rejected &= ~ignored
         self._reject(line_no, lines, framing, np.flatnonzero(rejected).tolist())
+        self.keep(users, items, ratings)
+
+    def keep(self, users: list[str], items: list[str], ratings: np.ndarray):
+        """Append columns already known to be valid."""
         self.user_ids += users
         self.item_ids += items
         self.ratings.append(ratings)
@@ -290,12 +316,77 @@ def parse_movielens(source, errors: str = "raise") -> ParseResult:
     """
     _check_policy(errors)
     out = _Columns(errors, _parse_movielens_line)
-    for line_no, lines, framing in _line_blocks(source):
+    line_no = 1
+    for data in _byte_blocks(source):
+        plain = _plain_movielens(data)
+        if plain is not None:
+            out.keep(*plain)
+            line_no += len(plain[2])
+            continue
+        lines, framing = _split_lines(data, line_no)
         at = np.flatnonzero(_separators(lines, "::") == 3)
         flat = _fields(_take(lines, at), "::")
         out.add(line_no, lines, framing, at, flat[0::4], flat[1::4], flat[2::4], flat[3::4])
         del flat  # free the block's rating and timestamp strings before the next block is read
+        line_no += len(lines)
     return out.result()
+
+
+_SEP = 0xFF  # a marked "::"; valid UTF-8 never holds the byte 0xFF
+_PLAIN_MARKS = np.array([_SEP, _SEP, _SEP, ord("\n")], dtype=np.uint8)
+_RUN_KINDS = np.array([1, 0, 2, 0], dtype=np.int8)
+_STAMP_DIGITS = 18  # every number of up to 18 digits fits in int64
+
+
+def _plain_movielens(data: bytes) -> Optional[tuple[list[str], list[str], np.ndarray]]:
+    """The columns of a block of whole MovieLens lines read on its bytes, or None unless all are plain.
+
+    A plain line has three ``::`` separators, non-empty ids, a rating of one
+    digit or of ``d.d``, and a timestamp of 1 to 18 ASCII digits; the block
+    must be valid UTF-8, hold no CR and no byte order mark, and end in a line
+    break. A plain line is well formed and gives the columns the string path
+    gives it, so the path a block takes changes no result.
+    """
+    if not data.endswith(b"\n") or b"\r" in data or b"\xef\xbb\xbf" in data:
+        return None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    # bytes.replace takes "::" left to right as str.split does, ":::" runs included
+    buf = np.frombuffer(data.replace(b"::", b"\xff"), dtype=np.uint8)
+    marks = np.flatnonzero((buf == _SEP) | (buf == ord("\n")))
+    if len(marks) % 4 or not (buf[marks].reshape(-1, 4) == _PLAIN_MARKS).all():
+        return None
+    user_end, item_end, rating_end, line_end = marks.reshape(-1, 4).T
+    starts = np.concatenate(([0], line_end[:-1] + 1))
+    rating_len = rating_end - item_end - 1
+    stamp_len = line_end - rating_end - 1
+    # uint8 differences: below 10 only for an ASCII digit
+    units = buf[item_end + 1] - ord("0")
+    tenths = buf.take(item_end + 3, mode="clip") - ord("0")  # past the end only when not d.d
+    point = (rating_len == 3) & (buf[item_end + 2] == ord(".")) & (tenths < 10)
+    if not ((units < 10) & ((rating_len == 1) | point) & (user_end > starts)
+            & (item_end > user_end + 1) & (stamp_len >= 1) & (stamp_len <= _STAMP_DIGITS)).all():
+        return None
+    # each line is four runs of bytes: "user::item::" (1), "rating::" (0), the timestamp (2)
+    # and the line break (0)
+    runs = np.empty((len(starts), 4), dtype=np.intp)
+    runs[:, 0] = item_end + 1 - starts
+    runs[:, 1] = rating_end - item_end
+    runs[:, 2] = stamp_len
+    runs[:, 3] = 1
+    region = np.repeat(np.tile(_RUN_KINDS, len(starts)), runs.ravel())
+    if not buf[region == 2].tobytes().isdigit():
+        return None
+    ids = buf[region == 1]
+    ids[ids == _SEP] = ord("\n")
+    names = ids.tobytes().decode("utf-8").split("\n")
+    whole = units.astype(np.float64)
+    # float("d.e") and (10d + e) / 10 both round the one real number d.e once, to the same double
+    ratings = np.where(point, (10 * whole + tenths) / 10, whole)
+    return names[0:-1:2], names[1::2], ratings
 
 
 def _parse_movielens_line(line_no: int, line: str) -> None:

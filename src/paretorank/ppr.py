@@ -103,14 +103,6 @@ class TrainStats:
     clips: list[int] = field(default_factory=list)
 
 
-def pair_loss(model: FactorModel, pair: PairSample, alpha: float) -> float:
-    """Log-margin loss -alpha * ln(margin) for one preference pair."""
-    margin = float(model.U[pair.user] @ (model.V[pair.preferred] - model.V[pair.other]))
-    if margin <= 0.0:
-        raise ValueError(f"margin {margin} is not positive; log-margin loss undefined")
-    return -alpha * math.log(margin)
-
-
 def pair_update(
     model: FactorModel,
     pair: PairSample,

@@ -59,6 +59,15 @@ class TestParseMovielens:
         with pytest.raises(ConfigError):
             pr.parse_movielens(io.BytesIO(b""), errors="ignore")
 
+    def test_every_short_rating_on_the_byte_path(self):
+        # d and d.e are read from their digits; each must equal float() of its text
+        texts = [str(d) for d in range(10)] + [f"{d}.{e}" for d in range(10) for e in range(10)]
+        data = "".join(f"u::i{n}::{text}::{n}\n" for n, text in enumerate(texts)).encode()
+        with mock.patch.object(dataio, "_split_lines", side_effect=AssertionError("string path")):
+            cols = pr.parse_movielens(io.BytesIO(data)).records
+        assert cols.ratings.tobytes() == np.array([float(t) for t in texts]).tobytes()
+        assert cols.item_ids == [f"i{n}" for n in range(len(texts))]
+
 
 class TestParseCsv:
     def test_row_with_extra_columns(self):
@@ -133,6 +142,12 @@ class TestBuildMatrix:
         m = pr.build_matrix(res.records)
         assert m.n_entries == 4 - 1  # one duplicate (1,1)
         assert items_of(m, 0)[0] == 3.0  # last wins
+
+    def test_mismatched_columns_rejected(self):
+        with pytest.raises(ValueError, match="2 user ids, 1 item ids and ratings of shape \\(2,\\)"):
+            pr.build_matrix(pr.RatingColumns(["a", "b"], ["x"], np.array([1.0, 2.0])))
+        with pytest.raises(ValueError, match="1 user ids, 1 item ids and ratings of shape \\(1, 1\\)"):
+            pr.RatingColumns(["a"], ["x"], np.array([[1.0]]))
 
     def test_row_is_array_view(self):
         m = matrix_from([("a", "x", 3), ("a", "y", 4), ("b", "x", 5)])
@@ -322,10 +337,12 @@ def reference_parse_csv(source, columns=("userID", "itemID", "rating"), delimite
 
 # -- the columnar parsers against the references ---------------------------------------
 
-IDS = ["1", "42", "u7", "é", "x y", " 3", "", "\ufeff9", "a:b"]
-RATINGS = ["1", "4.5", "-2", "1e3", " 3 ", "1_0", "nan", "inf", "-Infinity", "abc", "", "1e999", "٣", "0x1"]
+IDS = ["1", "42", "u7", "é", "x y", " 3", "", "\ufeff9", "a:b", "\x00", "a\x00b", "7:"]
+RATINGS = ["1", "4.5", "-2", "1e3", " 3 ", "1_0", "nan", "inf", "-Infinity", "abc", "", "1e999", "٣", "0x1",
+           "0", "10", "3.5", "0.5", ".5", "5.", "3.55", "4.x", "-"]
 STAMPS = ["978300760", "0", "-5", "+7", "1_000", " 12", "x", "", "1.5", "٣",
-          str(2**63 - 1), str(-(2**63)), str(2**63), str(-(2**63) - 1), "9" * 30]
+          str(2**63 - 1), str(-(2**63)), str(2**63), str(-(2**63) - 1), "9" * 30,
+          "9" * 18, "0" * 19, "1" * 19]
 FIELD = st.sampled_from(IDS + RATINGS + STAMPS) | st.text(alphabet=":ab1 \t", max_size=4)
 
 MOVIELENS_LINES = st.one_of(
@@ -436,6 +453,21 @@ class TestColumnarParsersMatchReference:
     def test_movielens(self, doc, blocks):
         assert_parsers_agree(doc, pr.parse_movielens, reference_parse_movielens, blocks)
 
+    @pytest.mark.parametrize("field", range(4), ids=["user", "item", "rating", "stamp"])
+    def test_one_odd_field_between_plain_lines(self, field):
+        # each listed value, then maybe an undecodable byte, in one field of a line that is
+        # otherwise plain, between two plain lines in one block: the block's path must not
+        # change what is kept or what is named
+        plain = ["1", "2", "3", "978300760"]
+        line = ("::".join(plain), b"", "", "\n")
+        for value in (IDS, IDS, RATINGS, STAMPS)[field]:
+            odd = plain.copy()
+            odd[field] = value
+            head, tail = "::".join(odd[:field + 1]), "".join("::" + part for part in odd[field + 1:])
+            for bad in (b"", b"\xc3", b"\xff"):
+                doc = [line, (head, bad, tail, "\n"), line]
+                assert_parsers_agree(doc, pr.parse_movielens, reference_parse_movielens, 1 << 20)
+
     @settings(max_examples=300, deadline=None)
     @given(doc=documents(CSV_ROWS, header=True), blocks=BLOCKS)
     def test_csv(self, doc, blocks):
@@ -450,6 +482,17 @@ class TestColumnarParsersMatchReference:
             got = outcome(columnar(pr.parse_movielens), io.BytesIO(raw))
             want = outcome(per_line(reference_parse_movielens), io.BytesIO(raw))
             assert got == want
+        # odd lines in the middle of the first block, which is otherwise plain: a half-star
+        # rating keeps the block on the byte path, a signed timestamp or a byte order mark
+        # sends the whole block down the string path
+        mid = data.find(b"\n", dataio._BLOCK_BYTES // 2) + 1
+        half, signed, bom = b"1::2::3.5::4\n", b"1::2::3::+7\n", b"\xef\xbb\xbf1::2::3::4\n"
+        for odd, string_blocks in ((half, 0), (signed, 1), (bom, 1), (half + signed + bom, 1)):
+            raw = data[:mid] + odd + data[mid:]
+            with mock.patch.object(dataio, "_split_lines", wraps=dataio._split_lines) as spy:
+                got = outcome(columnar(pr.parse_movielens), io.BytesIO(raw))
+            assert spy.call_count == string_blocks
+            assert got == outcome(per_line(reference_parse_movielens), io.BytesIO(raw))
         cols = pr.parse_movielens(io.BytesIO(data)).records
         records, _ = reference_parse_movielens(io.BytesIO(data))
         assert matrix_arrays(pr.build_matrix, cols) == matrix_arrays(matrix_from, records)

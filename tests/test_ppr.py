@@ -20,6 +20,14 @@ def model_1d(u, vj, vk):
 PAIR = pr.PairSample(user=0, preferred=0, other=1)
 
 
+def pair_loss(model, pair, alpha):
+    """Log-margin loss -alpha * ln(margin) for one preference pair: the loss oracle."""
+    margin = float(model.U[pair.user] @ (model.V[pair.preferred] - model.V[pair.other]))
+    if margin <= 0.0:
+        raise ValueError(f"margin {margin} is not positive; log-margin loss undefined")
+    return -alpha * math.log(margin)
+
+
 class TestTrainConfig:
     def test_defaults_valid(self):
         cfg = pr.TrainConfig()
@@ -47,20 +55,20 @@ class TestTrainConfig:
 class TestPairLoss:
     def test_hand_arithmetic(self):
         m = model_1d(2.0, 3.0, 1.0)  # margin 4
-        assert pr.pair_loss(m, PAIR, alpha=1.0) == pytest.approx(-1.3862943611198906)
+        assert pair_loss(m, PAIR, alpha=1.0) == pytest.approx(-1.3862943611198906)
 
     def test_unit_margin(self):
         m = model_1d(1.0, 2.0, 1.0)  # margin 1
-        assert pr.pair_loss(m, PAIR, alpha=1.0) == 0.0
+        assert pair_loss(m, PAIR, alpha=1.0) == 0.0
 
     def test_alpha_scaling(self):
         m = model_1d(1.0, 1.0, 0.5)  # margin 0.5
-        assert pr.pair_loss(m, PAIR, alpha=2.0) == pytest.approx(1.3862943611198906)
+        assert pair_loss(m, PAIR, alpha=2.0) == pytest.approx(1.3862943611198906)
 
     def test_nonpositive_margin_rejected(self):
         m = model_1d(1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            pr.pair_loss(m, PAIR, alpha=1.0)
+            pair_loss(m, PAIR, alpha=1.0)
 
 
 class TestPairUpdate:
@@ -117,7 +125,7 @@ class TestPairUpdate:
                     U=theta[:d].reshape(1, d).copy(),
                     V=theta[d:].reshape(2, d).copy(),
                 )
-                return pr.pair_loss(m2, PAIR, alpha=1.0)
+                return pair_loss(m2, PAIR, alpha=1.0)
 
             theta0 = np.concatenate([U[0], V[0], V[1]])
             grad = np.empty_like(theta0)
@@ -142,12 +150,12 @@ class TestPairUpdate:
         if margin <= 1e-6:
             return
         model = pr.FactorModel(U=u.reshape(1, -1).copy(), V=np.vstack([vj, vk]).copy())
-        loss_before = pr.pair_loss(model, PAIR, alpha=1.0)
+        loss_before = pair_loss(model, PAIR, alpha=1.0)
         result = pr.pair_update(model, PAIR, learning_rate=1e-6, alpha=1.0, min_margin=1e-6)
         assert result.applied
         new_margin = float(model.U[0] @ (model.V[0] - model.V[1]))
         assert new_margin > margin
-        assert pr.pair_loss(model, PAIR, alpha=1.0) < loss_before
+        assert pair_loss(model, PAIR, alpha=1.0) < loss_before
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -454,6 +462,33 @@ class TestTrainPprMatchesPerPairLoop:
         expected = ppr_outcome(reference_train_ppr, ml_like_split.train, config)
         assert len(expected[1]) > 10_000
         assert ppr_outcome(pr.train_ppr, ml_like_split.train, config) == expected
+
+
+class TestAlphaOnlyRescalesStep:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=ppr_matrices(),
+        n_factors=st.integers(1, 4),
+        alpha=st.sampled_from([0.5, 1.0, 3.0, 10.0]),
+        learning_rate=st.sampled_from([0.001, 0.02, 2.0]),
+        j=st.integers(-6, 6),
+        max_iters=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_power_of_two_trade(self, m, n_factors, alpha, learning_rate, j, max_iters, seed):
+        # alpha enters a step only as learning_rate * alpha, a product that moving a power
+        # of two from one factor to the other leaves exact; the loss is alpha * -ln(margin)
+        def train(a, lr):
+            config = pr.TrainConfig(alpha=a, learning_rate=lr, n_factors=n_factors,
+                                    max_iters=max_iters, seed=seed)
+            return pr.train_ppr(m, config)
+
+        base_model, base = train(alpha, learning_rate)
+        model, stats = train(alpha * 2**j, learning_rate / 2**j)
+        assert (model.U.tobytes(), model.V.tobytes()) == (base_model.U.tobytes(),
+                                                          base_model.V.tobytes())
+        assert (stats.updates, stats.skips, stats.clips) == (base.updates, base.skips, base.clips)
+        assert repr(stats.mean_loss) == repr([loss * 2**j for loss in base.mean_loss])
 
 
 def special_or_scaled():
