@@ -45,13 +45,13 @@ def _data_parent() -> argparse.ArgumentParser:
 
 def _hyper_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--alpha", type=float, default=1.0, help="power-law exponent")
-    p.add_argument("--learning-rate", type=float, default=0.01)
-    p.add_argument("--n-factors", type=int, default=8)
-    p.add_argument("--max-iters", type=int, default=60)
-    p.add_argument("--user-sample-size", type=int, default=512)
-    p.add_argument("--item-sample-size", type=int, default=32)
-    p.add_argument("--min-margin", type=float, default=1e-6)
+    # PPR's defaults are TrainConfig's, read from its class attributes
+    p.add_argument("--learning-rate", type=float, default=ppr.TrainConfig.learning_rate)
+    p.add_argument("--n-factors", type=int, default=ppr.TrainConfig.n_factors)
+    p.add_argument("--max-iters", type=int, default=ppr.TrainConfig.max_iters)
+    p.add_argument("--user-sample-size", type=int, default=ppr.TrainConfig.user_sample_size)
+    p.add_argument("--item-sample-size", type=int, default=ppr.TrainConfig.item_sample_size)
+    p.add_argument("--min-margin", type=float, default=ppr.TrainConfig.min_margin)
     p.add_argument("--mf-learning-rate", type=float, default=0.005)
     p.add_argument("--mf-reg", type=float, default=0.01)
     p.add_argument("--mf-epochs", type=int, default=30)
@@ -159,7 +159,6 @@ def _data_echo(args) -> dict:
 
 def _hyper_echo(args) -> dict:
     return {
-        "alpha": args.alpha,
         "learning_rate": args.learning_rate,
         "n_factors": args.n_factors,
         "max_iters": args.max_iters,
@@ -190,7 +189,6 @@ def _trainer(algo: str, args):
     """
     if algo == "ppr":
         config = ppr.TrainConfig(
-            alpha=args.alpha,
             learning_rate=args.learning_rate,
             n_factors=args.n_factors,
             max_iters=args.max_iters,

@@ -227,14 +227,20 @@ def summarize(
     batch (the same monotone map for every algorithm), then MAE is taken
     against the held-out ratings. The top-K lists, built from the training
     matrix, are summarized by the Matthew-effect slope. An empty training
-    or test set raises DataError.
+    or test set raises DataError, and so do raw scores that do not scale
+    to finite predictions.
     """
     if train.n_entries == 0:
         raise DataError("cannot evaluate with an empty training set")
     # checked before scaling, which cannot scale an empty batch
     if test.n_entries == 0:
         raise DataError("cannot compute MAE on an empty test set")
-    predictions = scale_scores(raw, (test.r_min, test.r_max))
+    # an infinite score, or a score range past the float range, scales to inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        predictions = scale_scores(raw, (test.r_min, test.r_max))
+    if not np.isfinite(predictions).all():
+        raise DataError("test-entry scores do not scale to finite predictions: "
+                        "a score or the score range is not finite")
     err = mae(predictions, test)
     slope, fit_points = degree_of_matthew_effect(recs, train.n_items)
     return MetricsReport(

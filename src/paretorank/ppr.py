@@ -1,21 +1,20 @@
-"""Pareto pairwise ranking: power-law pairwise objective and its SGD trainer.
+"""Pareto pairwise ranking: the pairwise log-margin objective and its SGD trainer.
 
 Training treats within-user rating pairs as preference evidence. For a user i
 and items j, k with R[i,j] > R[i,k], the model margin is
 
     m = U_i . V_j - U_i . V_k
 
-and the pair contributes -alpha * ln(m) to the loss, the log of a Pareto
-density over the margin. Only strictly-ordered pairs are ever visited; pairs
-whose current margin is at or below the guard are skipped because the log is
-undefined there and its gradient blows up near zero.
+and the pair contributes -ln(m) to the loss. Only strictly-ordered pairs are
+ever visited; pairs whose current margin is at or below the guard are skipped
+because the log is undefined there and its gradient blows up near zero.
 
 Each SGD step descends the exact gradient of the pair's log-margin loss,
 using a snapshot of the three rows so the updates are simultaneous:
 
-    U_i += lr * alpha * (V_j - V_k) / m
-    V_j += lr * alpha * U_i_old / m
-    V_k -= lr * alpha * U_i_old / m
+    U_i += lr * (V_j - V_k) / m
+    V_j += lr * U_i_old / m
+    V_k -= lr * U_i_old / m
 
 One private kernel, ``_step``, does that arithmetic on three row views in
 place; ``train_ppr`` calls it for every pair and ``pair_update`` wraps it, so
@@ -41,14 +40,12 @@ STEP_NORM_CAP = 1.0
 class TrainConfig:
     """Hyperparameters for the pairwise trainer.
 
-    alpha is the power-law exponent (held constant, never learned).
     user_sample_size / item_sample_size cap how many users are visited per
     iteration and how many rated items are sampled per visited user; both
     are clamped to what the data offers. min_margin is the smallest margin
     an update will touch.
     """
 
-    alpha: float = 1.0
     learning_rate: float = 0.01
     n_factors: int = 8
     max_iters: int = 60
@@ -58,7 +55,7 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        for name in ("alpha", "learning_rate", "min_margin"):
+        for name in ("learning_rate", "min_margin"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
@@ -107,7 +104,6 @@ def pair_update(
     model: FactorModel,
     pair: PairSample,
     learning_rate: float,
-    alpha: float,
     min_margin: float,
 ) -> PairUpdateResult:
     """One SGD step on a preference pair, in place.
@@ -120,16 +116,16 @@ def pair_update(
     """
     margin, applied, clipped = _step(
         model.U[pair.user], model.V[pair.preferred], model.V[pair.other],
-        learning_rate * alpha, min_margin,
+        learning_rate, min_margin,
     )
     return PairUpdateResult(applied=applied, clipped=clipped, margin=margin)
 
 
-def _step(u: np.ndarray, vj: np.ndarray, vk: np.ndarray, step: float,
+def _step(u: np.ndarray, vj: np.ndarray, vk: np.ndarray, learning_rate: float,
           min_margin: float) -> tuple[float, bool, bool]:
     """The pair step on row views u = U_i, vj = V_j, vk = V_k, in place.
 
-    ``step`` is learning_rate * alpha. Returns (margin, applied, clipped).
+    Returns (margin, applied, clipped).
     The dots stay in numpy (``ndarray.dot``, the same BLAS ddot as ``@``):
     a Python-float sum rounds differently, and the trainer is chaotic
     enough that one rounding change moves the trained factors.
@@ -140,7 +136,7 @@ def _step(u: np.ndarray, vj: np.ndarray, vk: np.ndarray, step: float,
     margin = float(u.dot(dv)) + 0.0
     if margin <= min_margin:
         return margin, False, False
-    coef = step / margin
+    coef = learning_rate / margin
     du = coef * dv
     dvj = coef * u  # copy of the pre-update user row, scaled
     clipped = False
@@ -178,7 +174,8 @@ def train_ppr(
     give bit-identical results.
 
     Args:
-        train: training ratings; must be non-empty.
+        train: training ratings; some user must have rated two items
+            differently.
         config: hyperparameters; the model is initialized once from
             ``config.seed`` before the iteration loop.
         on_pair: optional instrumentation hook called as
@@ -191,16 +188,24 @@ def train_ppr(
         The trained model and per-iteration TrainStats.
 
     Raises:
+        DataError: if no user rated two items differently, so there is no
+            pair to train on (an empty matrix included), checked before the
+            model is initialized.
         DivergenceError: if the factors go non-finite during an iteration.
     """
     if train.n_entries == 0:
         raise DataError("cannot train on an empty rating matrix")
+    # one max and one min per non-empty row: a user with two ratings that differ has a pair
+    starts = train.indptr[:-1][np.diff(train.indptr) > 0]
+    if not (np.maximum.reduceat(train.ratings, starts)
+            > np.minimum.reduceat(train.ratings, starts)).any():
+        raise DataError("no user rated two items differently: there is no pair to train on")
     model = init_model(train.n_users, train.n_items, config.n_factors, config.seed)
     stats = TrainStats()
     iter_seeds = np.random.SeedSequence(config.seed).spawn(config.max_iters)
     n_user_sample = min(config.user_sample_size, train.n_users)
     U, V = model.U, model.V
-    step = config.learning_rate * config.alpha
+    learning_rate = config.learning_rate
 
     for it in range(config.max_iters):
         rng = np.random.default_rng(iter_seeds[it])
@@ -225,13 +230,13 @@ def train_ppr(
             a, b = np.nonzero(ratings[:, None] > ratings[None, :])
             u = U[user]
             for j, k in zip(sampled[a].tolist(), sampled[b].tolist()):
-                margin, applied, clipped = _step(u, V[j], V[k], step, config.min_margin)
+                margin, applied, clipped = _step(u, V[j], V[k], learning_rate, config.min_margin)
                 if on_pair is not None:
                     on_pair(it, PairSample(user, j, k), PairUpdateResult(applied, clipped, margin))
                 if applied:
                     n_updates += 1
                     n_clips += clipped
-                    loss_sum += -config.alpha * math.log(margin)
+                    loss_sum -= math.log(margin)
                 else:
                     n_skips += 1
         stats.mean_loss.append(loss_sum / n_updates if n_updates else math.nan)

@@ -38,13 +38,12 @@ def test_criterion_1_gradient_oracle():
     rng = np.random.default_rng(101)
     lr = 1e-3
     h = 1e-6
-    alpha = 1.0
     total = 0
     for d in (1, 4, 16):
         for _ in range(334):
             u, vj, vk = _random_admissible(rng, d, 0.1)
             model = pr.FactorModel(U=u.reshape(1, d).copy(), V=np.vstack([vj, vk]).copy())
-            result = pr.pair_update(model, PAIR, learning_rate=lr, alpha=alpha, min_margin=1e-6)
+            result = pr.pair_update(model, PAIR, learning_rate=lr, min_margin=1e-6)
             assert result.applied and not result.clipped
             step = np.concatenate(
                 [model.U[0] - u, model.V[0] - vj, model.V[1] - vk]
@@ -54,7 +53,7 @@ def test_criterion_1_gradient_oracle():
 
             def loss_at(theta):
                 m = float(theta[:d] @ (theta[d:2 * d] - theta[2 * d:]))
-                return -alpha * math.log(m)
+                return -math.log(m)
 
             grad = np.empty_like(theta0)
             for idx in range(theta0.size):
@@ -78,7 +77,7 @@ def test_criterion_2_margin_ascent_and_skip():
         u, vj, vk = _random_admissible(rng, d, 1e-6)
         model = pr.FactorModel(U=u.reshape(1, d).copy(), V=np.vstack([vj, vk]).copy())
         before = float(u @ (vj - vk))
-        result = pr.pair_update(model, PAIR, learning_rate=1e-6, alpha=1.0, min_margin=1e-6)
+        result = pr.pair_update(model, PAIR, learning_rate=1e-6, min_margin=1e-6)
         assert result.applied
         after = float(model.U[0] @ (model.V[0] - model.V[1]))
         assert after > before
@@ -94,7 +93,7 @@ def test_criterion_2_margin_ascent_and_skip():
             vj, vk = vk, vj  # flip to force a non-admissible margin
         model = pr.FactorModel(U=u.reshape(1, d).copy(), V=np.vstack([vj, vk]).copy())
         before = (model.U.tobytes(), model.V.tobytes())
-        result = pr.pair_update(model, PAIR, learning_rate=1e-6, alpha=1.0, min_margin=1e-6)
+        result = pr.pair_update(model, PAIR, learning_rate=1e-6, min_margin=1e-6)
         assert not result.applied
         assert (model.U.tobytes(), model.V.tobytes()) == before
     _pass(2, "margin ascent and guard skip")

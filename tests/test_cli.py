@@ -1,11 +1,14 @@
+import argparse
 import collections
+import dataclasses
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 import paretorank as pr
-from paretorank import store
+from paretorank import baselines, cli, store
 from paretorank.cli import main
 
 FAST_PPR = ["--max-iters", "3", "--user-sample-size", "30", "--item-sample-size", "8"]
@@ -15,6 +18,12 @@ NO_DIR = "No such file or directory"
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def rejects(err, flag):
+    """Whether err is the config error that names the hyperparameter behind flag."""
+    name = flag.removeprefix("--").removeprefix("mf-").replace("-", "_")
+    return err.startswith("config error:") and f"{name} must be" in err
 
 
 class TestTrain:
@@ -54,9 +63,10 @@ class TestTrain:
             assert not model_out.exists()
 
     @pytest.mark.parametrize("algo,flag,value", [
-        ("ppr", "--alpha", "nan"), ("ppr", "--alpha", "inf"), ("ppr", "--alpha", "-1"),
         ("ppr", "--learning-rate", "nan"), ("ppr", "--learning-rate", "inf"),
+        ("ppr", "--learning-rate", "-1"), ("ppr", "--learning-rate", "0"),
         ("ppr", "--min-margin", "nan"), ("ppr", "--min-margin", "inf"),
+        ("ppr", "--min-margin", "-1"), ("ppr", "--min-margin", "0"),
         ("mf", "--mf-epochs", "-1"), ("mf", "--mf-epochs", "0"),
         ("mf", "--mf-learning-rate", "-1"), ("mf", "--mf-learning-rate", "nan"),
         ("mf", "--mf-learning-rate", "inf"), ("mf", "--mf-reg", "nan"),
@@ -68,7 +78,20 @@ class TestTrain:
         code = run("train", "--data", tmp_path / "nope.dat", "--algo", algo, flag, value,
                    "--model-out", model_out, *FAST_PPR)
         assert code == 1
-        assert capsys.readouterr().err.startswith("config error:")
+        assert rejects(capsys.readouterr().err, flag)
+        assert not model_out.exists()
+
+    @pytest.mark.parametrize("via", ["flag", "config-file"])
+    def test_alpha_is_not_an_option(self, tmp_path, capsys, via):
+        # the data file is missing: the option must be refused before it is read
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha=2\n")
+        given = ["--alpha", "2"] if via == "flag" else ["--config", cfg]
+        model_out = tmp_path / "m.bin"
+        code = run("train", "--data", tmp_path / "nope.dat", "--algo", "ppr", *given,
+                   "--model-out", model_out)
+        assert code == 1
+        assert capsys.readouterr().err == "config error: unrecognized arguments: --alpha 2\n"
         assert not model_out.exists()
 
     @pytest.mark.parametrize("algo", ["ppr", "mf"])
@@ -106,7 +129,7 @@ class TestTrain:
     def test_ppr_divergence_exit_code(self, tiny_path, tmp_path, capsys):
         model_out = tmp_path / "m.bin"
         code = run("train", "--data", tiny_path, "--algo", "ppr", "--learning-rate", "1e308",
-                   "--alpha", "10", "--model-out", model_out, *FAST_PPR)
+                   "--model-out", model_out, *FAST_PPR)
         assert code == 3
         assert capsys.readouterr().err.startswith("divergence:")
         assert not model_out.exists()
@@ -288,6 +311,27 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "4x3" in err and "does not match" in err
 
+    @pytest.mark.parametrize("scale", [1e200, 1e154], ids=["scores-overflow", "range-overflows"])
+    def test_unscalable_scores_are_data_error(self, tiny_path, tmp_path, capsys, scale):
+        # one factor of either sign: 1e200 rows give scores of -inf and inf, 1e154 rows
+        # give finite scores near -1e308 and 1e308 whose range overflows
+        with open(tiny_path, "rb") as fp:
+            matrix = pr.build_matrix(pr.parse_movielens(fp).records)
+
+        def rows(n):
+            return np.where(np.arange(n) % 3 == 0, -scale, scale)[:, None]
+
+        model = tmp_path / "m.bin"
+        store.save_model(pr.FactorModel(U=rows(matrix.n_users), V=rows(matrix.n_items)), model, 7)
+        report_out = tmp_path / "r.json"
+        with np.errstate(over="ignore"):
+            code = run("evaluate", "--data", tiny_path, "--model", model,
+                       "--report-out", report_out)
+        assert code == 2
+        assert capsys.readouterr().err == ("data error: test-entry scores do not scale to finite"
+                                           " predictions: a score or the score range is not finite\n")
+        assert not report_out.exists()
+
 
 class TestCompare:
     def test_four_algo_comparison(self, tiny_path, tmp_path):
@@ -319,15 +363,15 @@ class TestCompare:
         assert not out.exists()
 
     @pytest.mark.parametrize("algos,flag,value", [
-        ("mf,ppr", "--alpha", "nan"), ("mf,ppr", "--mf-reg", "-1"),
+        ("mf,ppr", "--learning-rate", "nan"), ("mf,ppr", "--mf-reg", "-1"),
         ("mf,random", "--n-factors", "0"),
-    ], ids=["--alpha-nan", "--mf-reg--1", "mf,random---n-factors-0"])
+    ], ids=["--learning-rate-nan", "--mf-reg--1", "mf,random---n-factors-0"])
     def test_every_trainer_checked_before_data(self, tmp_path, capsys, algos, flag, value):
         out = tmp_path / "c.csv"
         code = run("compare", "--data", tmp_path / "nope.dat", "--algos", algos,
                    flag, value, "--out", out)
         assert code == 1
-        assert capsys.readouterr().err.startswith("config error:")
+        assert rejects(capsys.readouterr().err, flag)
         assert not out.exists()
 
     def test_unmakeable_report_dir_leaves_no_comparison(self, tiny_path, tmp_path, capsys):
@@ -385,6 +429,38 @@ def test_shared_output_path_is_config_error(tmp_path, monkeypatch, capsys, argv)
     assert run(*argv, "--data", "nope.dat") == 1
     assert capsys.readouterr().err.startswith("config error: outputs ")
     assert list(tmp_path.iterdir()) == []
+
+
+# every user's ratings are tied or single: 5,5 / 3,3 / 4
+NO_PAIR_LINES = ["1::1::5::0", "1::2::5::0", "2::1::3::0", "2::3::3::0", "3::2::4::0"]
+NO_PAIR_RUNS = {
+    "train": ["train", "--algo", "ppr", "--test-ratio", "0", "--stats-out", "s.csv"],
+    "compare": ["compare", "--algos", "ppr,zipf", "--report-dir", "reports"],
+}
+
+
+@pytest.mark.parametrize("argv", NO_PAIR_RUNS.values(), ids=NO_PAIR_RUNS.keys())
+def test_no_preference_pair_is_data_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "flat.dat").write_text("\n".join(NO_PAIR_LINES) + "\n")
+    assert run(*argv, "--data", "flat.dat") == 2
+    assert capsys.readouterr().err == ("data error: no user rated two items differently:"
+                                       " there is no pair to train on\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["flat.dat"]
+
+
+def test_hyperparameter_flags_echoed_with_library_defaults():
+    # a flag without an echo, or a default that drifts from the library's, fails here
+    defaults = vars(cli._hyper_parent().parse_args([]))
+    assert cli._hyper_echo(argparse.Namespace(**defaults)) == defaults
+    ppr_config = pr.TrainConfig()
+    mf = {name: p.default for name, p in
+          inspect.signature(baselines.train_classic_mf).parameters.items() if name != "train"}
+    library = {f.name: getattr(ppr_config, f.name) for f in dataclasses.fields(ppr_config)}
+    library.update({f"mf_{name}": mf[name] for name in ("learning_rate", "reg", "epochs")})
+    assert mf["n_factors"] == library["n_factors"]
+    assert mf["seed"] == library.pop("seed") == cli.DEFAULT_SEED
+    assert defaults == library
 
 
 class TestAnalyzePowerlaw:

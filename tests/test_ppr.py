@@ -18,26 +18,27 @@ def model_1d(u, vj, vk):
 
 
 PAIR = pr.PairSample(user=0, preferred=0, other=1)
+NO_PAIRS = "no user rated two items differently: there is no pair to train on"
 
 
-def pair_loss(model, pair, alpha):
-    """Log-margin loss -alpha * ln(margin) for one preference pair: the loss oracle."""
+def pair_loss(model, pair):
+    """Log-margin loss -ln(margin) for one preference pair: the loss oracle."""
     margin = float(model.U[pair.user] @ (model.V[pair.preferred] - model.V[pair.other]))
     if margin <= 0.0:
         raise ValueError(f"margin {margin} is not positive; log-margin loss undefined")
-    return -alpha * math.log(margin)
+    return -math.log(margin)
 
 
 class TestTrainConfig:
     def test_defaults_valid(self):
         cfg = pr.TrainConfig()
-        assert cfg.alpha == 1.0
+        assert cfg.learning_rate == 0.01
         assert cfg.min_margin == 1e-6
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"alpha": 0.0},
+            {"learning_rate": 0.0},
             {"learning_rate": -0.1},
             {"min_margin": 0.0},
             {"n_factors": 0},
@@ -55,26 +56,22 @@ class TestTrainConfig:
 class TestPairLoss:
     def test_hand_arithmetic(self):
         m = model_1d(2.0, 3.0, 1.0)  # margin 4
-        assert pair_loss(m, PAIR, alpha=1.0) == pytest.approx(-1.3862943611198906)
+        assert pair_loss(m, PAIR) == pytest.approx(-1.3862943611198906)
 
     def test_unit_margin(self):
         m = model_1d(1.0, 2.0, 1.0)  # margin 1
-        assert pair_loss(m, PAIR, alpha=1.0) == 0.0
-
-    def test_alpha_scaling(self):
-        m = model_1d(1.0, 1.0, 0.5)  # margin 0.5
-        assert pair_loss(m, PAIR, alpha=2.0) == pytest.approx(1.3862943611198906)
+        assert pair_loss(m, PAIR) == 0.0
 
     def test_nonpositive_margin_rejected(self):
         m = model_1d(1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            pair_loss(m, PAIR, alpha=1.0)
+            pair_loss(m, PAIR)
 
 
 class TestPairUpdate:
     def test_hand_arithmetic_with_snapshot_semantics(self):
         m = model_1d(2.0, 3.0, 1.0)  # margin 4
-        result = pr.pair_update(m, PAIR, learning_rate=0.1, alpha=1.0, min_margin=1e-6)
+        result = pr.pair_update(m, PAIR, learning_rate=0.1, min_margin=1e-6)
         assert result.applied and not result.clipped
         assert result.margin == pytest.approx(4.0)
         # sequential writes would give V_j = 3 + 0.1 * 2.05 / 4 = 3.05125
@@ -86,20 +83,20 @@ class TestPairUpdate:
         m = pr.init_model(1, 2, 4, seed=1)
         m.V[1] = m.V[0]  # V_j == V_k -> margin 0
         before = (m.U.tobytes(), m.V.tobytes())
-        result = pr.pair_update(m, PAIR, learning_rate=0.1, alpha=1.0, min_margin=1e-6)
+        result = pr.pair_update(m, PAIR, learning_rate=0.1, min_margin=1e-6)
         assert not result.applied
         assert (m.U.tobytes(), m.V.tobytes()) == before
 
     def test_zero_learning_rate_changes_nothing(self):
         m = model_1d(2.0, 3.0, 1.0)
-        result = pr.pair_update(m, PAIR, learning_rate=0.0, alpha=1.0, min_margin=1e-6)
+        result = pr.pair_update(m, PAIR, learning_rate=0.0, min_margin=1e-6)
         assert result.applied
         assert (m.U[0, 0], m.V[0, 0], m.V[1, 0]) == (2.0, 3.0, 1.0)
 
     def test_clipping_caps_step_norm(self):
         m = model_1d(1.0, 1.0 + 5e-6, 1.0)  # margin = 5e-6, just above the guard
         before = m.V.copy()
-        result = pr.pair_update(m, PAIR, learning_rate=0.1, alpha=1.0, min_margin=1e-6)
+        result = pr.pair_update(m, PAIR, learning_rate=0.1, min_margin=1e-6)
         assert result.applied and result.clipped
         assert np.linalg.norm(m.V[0] - before[0]) <= 1.0 + 1e-12
         assert np.isfinite(m.U).all() and np.isfinite(m.V).all()
@@ -117,7 +114,7 @@ class TestPairUpdate:
             if margin <= 0.1:
                 continue
             model = pr.FactorModel(U=U.copy(), V=V.copy())
-            pr.pair_update(model, PAIR, learning_rate=lr, alpha=1.0, min_margin=1e-6)
+            pr.pair_update(model, PAIR, learning_rate=lr, min_margin=1e-6)
             step = np.concatenate([model.U[0] - U[0], model.V[0] - V[0], model.V[1] - V[1]])
 
             def loss_at(theta):
@@ -125,7 +122,7 @@ class TestPairUpdate:
                     U=theta[:d].reshape(1, d).copy(),
                     V=theta[d:].reshape(2, d).copy(),
                 )
-                return pair_loss(m2, PAIR, alpha=1.0)
+                return pair_loss(m2, PAIR)
 
             theta0 = np.concatenate([U[0], V[0], V[1]])
             grad = np.empty_like(theta0)
@@ -150,12 +147,12 @@ class TestPairUpdate:
         if margin <= 1e-6:
             return
         model = pr.FactorModel(U=u.reshape(1, -1).copy(), V=np.vstack([vj, vk]).copy())
-        loss_before = pair_loss(model, PAIR, alpha=1.0)
-        result = pr.pair_update(model, PAIR, learning_rate=1e-6, alpha=1.0, min_margin=1e-6)
+        loss_before = pair_loss(model, PAIR)
+        result = pr.pair_update(model, PAIR, learning_rate=1e-6, min_margin=1e-6)
         assert result.applied
         new_margin = float(model.U[0] @ (model.V[0] - model.V[1]))
         assert new_margin > margin
-        assert pair_loss(model, PAIR, alpha=1.0) < loss_before
+        assert pair_loss(model, PAIR) < loss_before
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -180,8 +177,8 @@ class TestPairUpdate:
         got = pr.FactorModel(U=u[None].copy(), V=np.vstack([vj, vk]))
         want = pr.FactorModel(U=u[None].copy(), V=np.vstack([vj, vk]))
         with np.errstate(all="ignore"):
-            res = pr.pair_update(got, PAIR, learning_rate, 1.0, 1e-6)
-            ref = reference_pair_update(want, PAIR, learning_rate, 1.0, 1e-6)
+            res = pr.pair_update(got, PAIR, learning_rate, 1e-6)
+            ref = reference_pair_update(want, PAIR, learning_rate, 1e-6)
         assert repr(res) == repr(ref)
         assert (got.U.tobytes(), got.V.tobytes()) == (want.U.tobytes(), want.V.tobytes())
 
@@ -199,15 +196,18 @@ def enumerate_admissible(matrix, allowed_items=None):
 
 
 class TestTrainPpr:
-    def test_no_pairs_leaves_model_at_init(self):
-        m = matrix_from([("a", "x", 5), ("b", "y", 3), ("c", "z", 1)])
-        cfg = pr.TrainConfig(n_factors=3, max_iters=2, seed=0)
-        model, stats = pr.train_ppr(m, cfg)
-        init = pr.init_model(m.n_users, m.n_items, 3, seed=0)
-        assert model.U.tobytes() == init.U.tobytes()
-        assert model.V.tobytes() == init.V.tobytes()
-        assert sum(stats.updates) == 0
-        assert stats.updates == [0, 0]
+    @pytest.mark.parametrize("triples", [
+        [("a", "x", 5), ("b", "y", 3), ("c", "z", 1)],
+        [("a", "x", 5), ("a", "y", 5), ("b", "x", 3), ("b", "z", 3), ("c", "y", 4)],
+    ], ids=["one-rating-each", "tied-ratings"])
+    def test_no_pairs_rejected_before_init(self, monkeypatch, triples):
+        def refuse(*args):
+            raise AssertionError("model initialized without a pair to train on")
+
+        m = matrix_from(triples)
+        monkeypatch.setattr(pr.ppr, "init_model", refuse)
+        with pytest.raises(DataError, match="^" + NO_PAIRS + "$"):
+            pr.train_ppr(m, pr.TrainConfig(n_factors=3, max_iters=2, seed=0))
 
     def test_single_admissible_pair_orientation(self):
         m = matrix_from([("a", "A", 5), ("a", "B", 3)])
@@ -279,7 +279,7 @@ class TestTrainPpr:
     def test_divergence_raises(self):
         # a step so large that the clip computes inf * 0 and the factors go NaN
         m = matrix_from([("a", "x", 5), ("a", "y", 3), ("a", "z", 1)])
-        cfg = pr.TrainConfig(learning_rate=1e308, alpha=10, n_factors=2, max_iters=3, seed=0)
+        cfg = pr.TrainConfig(learning_rate=1e308, n_factors=2, max_iters=3, seed=0)
         with pytest.raises(DivergenceError):
             pr.train_ppr(m, cfg)
 
@@ -297,7 +297,7 @@ class TestTrainPpr:
         assert int(first[2]) + int(first[3]) >= 1
 
 
-def reference_pair_update(model, pair, learning_rate, alpha, min_margin):
+def reference_pair_update(model, pair, learning_rate, min_margin):
     """One pair step with ``@`` dots and fresh row views: the reference for ``ppr._step``."""
     U = model.U
     V = model.V
@@ -308,7 +308,7 @@ def reference_pair_update(model, pair, learning_rate, alpha, min_margin):
     margin = float(u @ dv)
     if margin <= min_margin:
         return pr.PairUpdateResult(applied=False, clipped=False, margin=margin)
-    coef = learning_rate * alpha / margin
+    coef = learning_rate / margin
     du = coef * dv
     dvj = coef * u  # copy of the pre-update user row, scaled
     clipped = False
@@ -331,6 +331,8 @@ def reference_train_ppr(train, config, on_pair=None):
     """PPR training by a nested position loop over the sorted sample, one pair at a time."""
     if train.n_entries == 0:
         raise DataError("cannot train on an empty rating matrix")
+    if all(len(set(train.row(u)[1].tolist())) < 2 for u in range(train.n_users)):
+        raise DataError(NO_PAIRS)
     model = pr.init_model(train.n_users, train.n_items, config.n_factors, config.seed)
     stats = pr.TrainStats()
     iter_seeds = np.random.SeedSequence(config.seed).spawn(config.max_iters)
@@ -363,14 +365,14 @@ def reference_train_ppr(train, config, on_pair=None):
                         continue
                     pair = pr.PairSample(user, j, int(sampled[b]))
                     result = reference_pair_update(
-                        model, pair, config.learning_rate, config.alpha, config.min_margin
+                        model, pair, config.learning_rate, config.min_margin
                     )
                     if on_pair is not None:
                         on_pair(it, pair, result)
                     if result.applied:
                         n_updates += 1
                         n_clips += result.clipped
-                        loss_sum += -config.alpha * math.log(result.margin)
+                        loss_sum -= math.log(result.margin)
                     else:
                         n_skips += 1
         stats.mean_loss.append(loss_sum / n_updates if n_updates else math.nan)
@@ -385,7 +387,7 @@ def reference_train_ppr(train, config, on_pair=None):
 
 
 def ppr_outcome(trainer, train, config):
-    """Factor bytes and stats (or the DivergenceError message), and every hook call.
+    """Factor bytes and stats (or the DataError/DivergenceError message), and every hook call.
 
     Floats are compared by ``repr``, so a NaN matches a NaN and a change of
     type (a numpy scalar for a float) shows.
@@ -398,8 +400,8 @@ def ppr_outcome(trainer, train, config):
 
     try:
         model, stats = trainer(train, config, on_pair=on_pair)
-    except DivergenceError as exc:
-        return ("diverged", str(exc)), calls
+    except (DataError, DivergenceError) as exc:
+        return (type(exc).__name__, str(exc)), calls
     return (model.U.tobytes(), model.V.tobytes(), stats.updates, stats.skips, stats.clips,
             repr(stats.mean_loss)), calls
 
@@ -422,18 +424,18 @@ class TestTrainPprMatchesPerPairLoop:
     @given(
         m=ppr_matrices(),
         n_factors=st.integers(1, 8),
-        learning_rate=st.sampled_from([0.001, 0.05, 2.0, 1e308]),
-        alpha=st.sampled_from([0.5, 1.0, 10.0]),
+        learning_rate=st.sampled_from([0.0005, 0.001, 0.01, 0.025, 0.05, 0.5, 1.0, 2.0, 20.0,
+                                       5e307, 1e308]),
         min_margin=st.sampled_from([1e-6, 0.05]),
         user_sample_size=st.integers(1, 9),
         item_sample_size=st.integers(1, 16),
         max_iters=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_random_matrices(self, m, n_factors, learning_rate, alpha, min_margin,
+    def test_random_matrices(self, m, n_factors, learning_rate, min_margin,
                              user_sample_size, item_sample_size, max_iters, seed):
         config = pr.TrainConfig(
-            alpha=alpha, learning_rate=learning_rate, n_factors=n_factors,
+            learning_rate=learning_rate, n_factors=n_factors,
             max_iters=max_iters, user_sample_size=user_sample_size,
             item_sample_size=item_sample_size, min_margin=min_margin, seed=seed,
         )
@@ -462,33 +464,6 @@ class TestTrainPprMatchesPerPairLoop:
         expected = ppr_outcome(reference_train_ppr, ml_like_split.train, config)
         assert len(expected[1]) > 10_000
         assert ppr_outcome(pr.train_ppr, ml_like_split.train, config) == expected
-
-
-class TestAlphaOnlyRescalesStep:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        m=ppr_matrices(),
-        n_factors=st.integers(1, 4),
-        alpha=st.sampled_from([0.5, 1.0, 3.0, 10.0]),
-        learning_rate=st.sampled_from([0.001, 0.02, 2.0]),
-        j=st.integers(-6, 6),
-        max_iters=st.integers(1, 5),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_power_of_two_trade(self, m, n_factors, alpha, learning_rate, j, max_iters, seed):
-        # alpha enters a step only as learning_rate * alpha, a product that moving a power
-        # of two from one factor to the other leaves exact; the loss is alpha * -ln(margin)
-        def train(a, lr):
-            config = pr.TrainConfig(alpha=a, learning_rate=lr, n_factors=n_factors,
-                                    max_iters=max_iters, seed=seed)
-            return pr.train_ppr(m, config)
-
-        base_model, base = train(alpha, learning_rate)
-        model, stats = train(alpha * 2**j, learning_rate / 2**j)
-        assert (model.U.tobytes(), model.V.tobytes()) == (base_model.U.tobytes(),
-                                                          base_model.V.tobytes())
-        assert (stats.updates, stats.skips, stats.clips) == (base.updates, base.skips, base.clips)
-        assert repr(stats.mean_loss) == repr([loss * 2**j for loss in base.mean_loss])
 
 
 def special_or_scaled():
