@@ -220,10 +220,13 @@ def _trainer(algo: str, args):
 
 
 # header and rows of each algorithm's training stats CSV; an algorithm without
-# an entry produces no stats
+# an entry produces no stats. An iteration that updated no pair has no mean
+# pair loss: its field is left empty
 STATS_LAYOUTS = {
     "ppr": ("iter,mean_pair_loss,updates,skips,clips",
-            lambda s: zip(range(1, len(s.updates) + 1), s.mean_loss, s.updates, s.skips, s.clips)),
+            lambda s: zip(range(1, len(s.updates) + 1),
+                          (loss if n else "" for loss, n in zip(s.mean_loss, s.updates)),
+                          s.updates, s.skips, s.clips)),
     "mf": ("epoch,loss", lambda losses: enumerate(losses, start=1)),
 }
 

@@ -9,15 +9,14 @@ malformed line like any other.
 Parsers read a binary stream (a file opened with ``"rb"``) and return
 :class:`RatingColumns`, the ids and ratings of the well-formed lines as
 parallel columns; :class:`RatingColumns` is the only form a rating takes
-between a file and a matrix. The stream is read in blocks of whole lines. A
-MovieLens block whose every line is plain (see :func:`_plain_movielens`) is
-read on its bytes: one numpy pass finds its separators and line breaks, and
-its columns are cut from them at once. Any other block is split into fields
-by a few whole-block string operations and its numbers are converted a
-column at a time. Only the lines those column checks reject are passed one
-by one to the line validator, which alone defines a well-formed line and
-names the line and the reason in its error. A MovieLens timestamp is checked
-(an integer that fits in 64 bits) but not kept.
+between a file and a matrix. The stream is read in blocks of whole lines,
+each in one of two ways. A MovieLens block whose every line is plain (see
+:func:`_plain_movielens`; a CRLF end is plain) is read on its bytes: one
+numpy pass finds its separators and line breaks, and its columns are cut
+from them at once. Any other block, and every CSV block, is read line by
+line by the format's line validator, which alone defines a well-formed line;
+a malformed line's error names the line and the reason. A MovieLens
+timestamp is checked (an integer that fits in 64 bits) but not kept.
 
 :func:`build_matrix` takes columns and returns a :class:`RatingMatrix`,
 whose CSR arrays fix the entry order that splits, and so every downstream
@@ -25,10 +24,8 @@ result, depend on.
 """
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from typing import Iterator, Optional
 
 import numpy as np
@@ -36,7 +33,6 @@ import numpy as np
 from .errors import ConfigError, DataError, LineParseError
 
 _BLOCK_BYTES = 1 << 20  # a byte stream is parsed in blocks of whole lines of about this size
-_INT64 = (-(2**63), 2**63)
 
 
 @dataclass(eq=False)
@@ -202,78 +198,20 @@ def _split_lines(data: bytes, line_no: int) -> tuple[list[str], dict[int, LinePa
 # -- lines to columns --------------------------------------------------------------
 
 
-def _separators(lines: list[str], sep: str) -> np.ndarray:
-    return np.fromiter(map(str.count, lines, repeat(sep)), np.intp, len(lines))
-
-
-def _take(lines: list[str], at: np.ndarray) -> list[str]:
-    return lines if len(at) == len(lines) else list(map(lines.__getitem__, at.tolist()))
-
-
-def _fields(lines: list[str], sep: str) -> list[str]:
-    """Every ``sep``-separated field of the lines, in order, as one flat list."""
-    return "\n".join(lines).replace(sep, "\n").split("\n") if lines else []
-
-
-def _convert(convert, strings: list[str], dtype) -> tuple[np.ndarray, np.ndarray]:
-    """``convert`` applied to each string, as an array, and the mask of strings it accepted."""
-    ok = np.ones(len(strings), dtype=bool)
-    try:
-        return np.fromiter(map(convert, strings), dtype, len(strings)), ok
-    except (ValueError, OverflowError):
-        pass
-    values = np.zeros(len(strings), dtype=dtype)
-    for n, s in enumerate(strings):
-        try:
-            values[n] = convert(s)
-        except (ValueError, OverflowError):
-            ok[n] = False
-    return values, ok
-
-
-def _nonempty(strings: list[str]) -> np.ndarray:
-    if "" not in strings:
-        return np.ones(len(strings), dtype=bool)
-    return np.fromiter(map(bool, strings), bool, len(strings))
-
-
 def _check_policy(errors: str):
     if errors not in ("raise", "skip"):
         raise ConfigError(f"unknown error policy {errors!r}; use 'raise' or 'skip'")
 
 
 class _Columns:
-    """Columns gathered block by block; a block's rejected lines raise or are counted."""
+    """Columns gathered block by block; a block's malformed lines raise or are counted."""
 
-    def __init__(self, errors: str, check):
+    def __init__(self, errors: str):
         self.errors = errors
-        self.check = check
         self.user_ids: list[str] = []
         self.item_ids: list[str] = []
         self.ratings: list[np.ndarray] = []
         self.skipped = 0
-
-    def add(self, line_no, lines, framing, at, users, items, rating_s, stamp_s=None, ignored=None):
-        """Keep the lines ``at`` whose fields hold valid values; reject every other line.
-
-        ``at`` indexes the lines whose fields are given (their field layout
-        is well formed); lines in ``ignored`` are passed over silently.
-        Each ``stamp_s`` string, when given, must convert to int64; it is
-        checked, not kept.
-        """
-        ratings, ok = _convert(float, rating_s, np.float64)
-        ok &= np.isfinite(ratings) & _nonempty(users) & _nonempty(items)
-        if stamp_s is not None:
-            ok &= _convert(int, stamp_s, np.int64)[1]
-        if not ok.all():
-            users, items = list(compress(users, ok)), list(compress(items, ok))
-            ratings, at = ratings[ok], at[ok]
-        rejected = np.ones(len(lines), dtype=bool)
-        rejected[at] = False
-        if ignored is not None:
-            rejected &= ~ignored
-        self._reject(line_no, lines, framing, np.flatnonzero(rejected).tolist())
-        self.keep(users, items, ratings)
 
     def keep(self, users: list[str], items: list[str], ratings: np.ndarray):
         """Append columns already known to be valid."""
@@ -281,18 +219,37 @@ class _Columns:
         self.item_ids += items
         self.ratings.append(ratings)
 
-    def _reject(self, line_no, lines, framing, bad):
-        for n in bad:
+    def read(self, line_no: int, lines: list[str], framing: dict[int, LineParseError],
+             parse_line, *args):
+        """Keep what ``parse_line(line, *args)`` reads from each line; reject every other line.
+
+        ``parse_line`` gives (user, item, rating), None for a line passed over,
+        or raises ValueError with the reason the line is malformed. A line in
+        ``framing`` is malformed whatever it holds; it holds "", which is never
+        read as a rating, so ``framing`` is looked up only for lines that give
+        none.
+        """
+        users, items, ratings = [], [], []
+        add_user, add_item, add_rating = users.append, items.append, ratings.append
+        for n, line in enumerate(lines):
             try:
-                if n in framing:
-                    raise framing[n]
-                self.check(line_no + n, lines[n])
-            except LineParseError:
-                if self.errors == "raise":
-                    raise
-                self.skipped += 1
-            else:
-                raise AssertionError(f"line {line_no + n} passes its line check but not the column checks")
+                row = parse_line(line, *args)
+            except ValueError as exc:
+                self._reject(framing.get(n) or LineParseError(line_no + n, line, str(exc)))
+                continue
+            if row is not None:
+                user, item, rating = row
+                add_user(user)
+                add_item(item)
+                add_rating(rating)
+            elif n in framing:
+                self._reject(framing[n])
+        self.keep(users, items, np.array(ratings, dtype=np.float64))
+
+    def _reject(self, error: LineParseError):
+        if self.errors == "raise":
+            raise error from None
+        self.skipped += 1
 
     def result(self) -> ParseResult:
         ratings = np.concatenate([np.empty(0), *self.ratings])
@@ -315,7 +272,7 @@ def parse_movielens(source, errors: str = "raise") -> ParseResult:
         in file order.
     """
     _check_policy(errors)
-    out = _Columns(errors, _parse_movielens_line)
+    out = _Columns(errors)
     line_no = 1
     for data in _byte_blocks(source):
         plain = _plain_movielens(data)
@@ -324,10 +281,7 @@ def parse_movielens(source, errors: str = "raise") -> ParseResult:
             line_no += len(plain[2])
             continue
         lines, framing = _split_lines(data, line_no)
-        at = np.flatnonzero(_separators(lines, "::") == 3)
-        flat = _fields(_take(lines, at), "::")
-        out.add(line_no, lines, framing, at, flat[0::4], flat[1::4], flat[2::4], flat[3::4])
-        del flat  # free the block's rating and timestamp strings before the next block is read
+        out.read(line_no, lines, framing, _parse_movielens_line)
         line_no += len(lines)
     return out.result()
 
@@ -342,11 +296,15 @@ def _plain_movielens(data: bytes) -> Optional[tuple[list[str], list[str], np.nda
     """The columns of a block of whole MovieLens lines read on its bytes, or None unless all are plain.
 
     A plain line has three ``::`` separators, non-empty ids, a rating of one
-    digit or of ``d.d``, and a timestamp of 1 to 18 ASCII digits; the block
-    must be valid UTF-8, hold no CR and no byte order mark, and end in a line
-    break. A plain line is well formed and gives the columns the string path
-    gives it, so the path a block takes changes no result.
+    digit or of ``d.d``, a timestamp of 1 to 18 ASCII digits, and an LF or
+    CRLF end; the block must be valid UTF-8, hold no other CR and no byte
+    order mark, and end in a line break. A plain line is well formed and
+    gives the columns the line validator gives it, so the way a block is read
+    changes no result.
     """
+    if b"\r" in data:  # a scan for one byte is far cheaper than replace's scan for two
+        # a CRLF end is stripped as _split_lines strips it; any other CR sends the block line by line
+        data = data.replace(b"\r\n", b"\n")
     if not data.endswith(b"\n") or b"\r" in data or b"\xef\xbb\xbf" in data:
         return None
     if not data.isascii():
@@ -389,22 +347,24 @@ def _plain_movielens(data: bytes) -> Optional[tuple[list[str], list[str], np.nda
     return names[0:-1:2], names[1::2], ratings
 
 
-def _parse_movielens_line(line_no: int, line: str) -> None:
+def _parse_movielens_line(line: str) -> tuple[str, str, float]:
+    """A MovieLens line's (user, item, rating); its timestamp is checked, not kept.
+
+    A ValueError gives the reason the line is malformed.
+    """
     parts = line.split("::")
     if len(parts) != 4:
-        raise LineParseError(line_no, line, f"expected 4 '::'-separated fields, got {len(parts)}")
+        raise ValueError(f"expected 4 '::'-separated fields, got {len(parts)}")
     user_id, item_id, rating_s, ts_s = parts
     if not user_id or not item_id:
-        raise LineParseError(line_no, line, "empty user or item id")
-    try:
-        rating = float(rating_s)
-        timestamp = int(ts_s)
-    except ValueError as exc:
-        raise LineParseError(line_no, line, str(exc)) from None
+        raise ValueError("empty user or item id")
+    rating = float(rating_s)
+    timestamp = int(ts_s)
     if not math.isfinite(rating):
-        raise LineParseError(line_no, line, f"non-finite rating {rating_s!r}")
-    if not _INT64[0] <= timestamp < _INT64[1]:
-        raise LineParseError(line_no, line, f"timestamp {ts_s!r} outside the 64-bit range")
+        raise ValueError(f"non-finite rating {rating_s!r}")
+    if not -(2**63) <= timestamp < 2**63:
+        raise ValueError(f"timestamp {ts_s!r} outside the 64-bit range")
+    return user_id, item_id, rating
 
 
 def parse_csv(
@@ -437,48 +397,35 @@ def parse_csv(
     except ValueError:
         missing = [name for name in columns if name not in header]
         raise ConfigError(f"column(s) {missing} not found in header {header}") from None
-    width = max(cols)
-    out = _Columns(errors, partial(_parse_csv_row, delimiter=delimiter, cols=cols))
+    out = _Columns(errors)
     first = (line_no + 1, lines[1:], {n - 1: exc for n, exc in framing.items()})
     for line_no, lines, framing in chain([first], blocks):
-        n_seps = _separators(lines, delimiter)
-        blank = np.fromiter(map(operator.not_, lines), bool, len(lines))
-        if framing:
-            blank[list(framing)] = False
-            n_seps[list(framing)] = -1
-        fits = np.flatnonzero((n_seps >= width) & ~blank)
-        # rows of each field count are split apart, then put back in file order
-        parts = [(fits[n_seps[fits] == c], c + 1) for c in np.unique(n_seps[fits]).tolist()]
-        at = np.concatenate([np.empty(0, dtype=np.intp), *(idx for idx, _ in parts)])
-        users, items, rating_s = [], [], []
-        for idx, step in parts:
-            flat = _fields(_take(lines, idx), delimiter)
-            users += flat[cols[0]::step]
-            items += flat[cols[1]::step]
-            rating_s += flat[cols[2]::step]
-        if len(parts) > 1:
-            order = np.argsort(at)
-            at = at[order]
-            users, items, rating_s = (list(map(col.__getitem__, order.tolist()))
-                                      for col in (users, items, rating_s))
-        out.add(line_no, lines, framing, at, users, items, rating_s, ignored=blank)
+        out.read(line_no, lines, framing, _parse_csv_row, delimiter, cols)
     return out.result()
 
 
-def _parse_csv_row(line_no: int, line: str, delimiter: str, cols: tuple[int, int, int]) -> None:
+def _parse_csv_row(line: str, delimiter: str,
+                   cols: tuple[int, int, int]) -> Optional[tuple[str, str, float]]:
+    """A row's (user, item, rating) from its ``cols`` fields, or None for a blank row.
+
+    A ValueError gives the reason the row is malformed.
+    """
+    if not line:
+        return None
     cells = line.split(delimiter)
-    width = max(cols)
-    if len(cells) <= width:
-        raise LineParseError(line_no, line, f"expected at least {width + 1} fields, got {len(cells)}")
-    user_id, item_id, rating_s = (cells[c] for c in cols)
+    try:
+        user_id, item_id, rating_s = cells[cols[0]], cells[cols[1]], cells[cols[2]]
+    except IndexError:
+        raise ValueError(f"expected at least {max(cols) + 1} fields, got {len(cells)}") from None
     if not user_id or not item_id:
-        raise LineParseError(line_no, line, "empty user or item id")
+        raise ValueError("empty user or item id")
     try:
         rating = float(rating_s)
     except ValueError:
-        raise LineParseError(line_no, line, f"non-numeric rating {rating_s!r}") from None
+        raise ValueError(f"non-numeric rating {rating_s!r}") from None
     if not math.isfinite(rating):
-        raise LineParseError(line_no, line, f"non-finite rating {rating_s!r}")
+        raise ValueError(f"non-finite rating {rating_s!r}")
+    return user_id, item_id, rating
 
 
 # -- columns to a matrix -----------------------------------------------------------

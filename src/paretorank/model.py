@@ -161,9 +161,12 @@ def _walk(scorer, users: np.ndarray, train: RatingMatrix | None, k: int,
     for start in range(0, users.size, block.shape[0]):
         walked = users[start:start + block.shape[0]]
         rows = block[:walked.size]
-        # a copy: score_row may return a shared row that must stay unwritten
-        for r, u in enumerate(walked.tolist()):
-            rows[r, :n_items] = scorer.score_row(u)
+        # a copy: score_row may return a shared row that must stay unwritten.
+        # A score that overflows is inf, not a warning; summarize rejects it
+        # among the test-entry scores
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r, u in enumerate(walked.tolist()):
+                rows[r, :n_items] = scorer.score_row(u)
         if entries is not None:
             lo, hi, at = _block_rows(entries.indptr, walked)
             raw[lo:hi] = rows[at, entries.indices[lo:hi]]
@@ -201,22 +204,10 @@ def _select(rows: np.ndarray, users: np.ndarray, train: RatingMatrix, k: int,
     # the flat index form, because a 2-D nonzero is several times slower;
     # NaN (rated or padding) passes no comparison
     r, cand = np.divmod(np.flatnonzero(rows >= bound[:, None]), rows.shape[1])
-    # each row's candidates, in item order, fill one row of keys padded with
-    # +inf (NaN would slow the default sort several-fold). The default sort
-    # is several times faster than a stable one, which is needed only in the
-    # rows where a candidate ties with the next, to keep equal scores in
-    # ascending items: a tie at a row's last candidate (a -inf score) may be
-    # with the padding, which must come after it.
-    counts = np.bincount(r, minlength=users.size)
-    starts = np.cumsum(counts) - counts
-    width = counts.max(initial=0)
-    keys = np.full((users.size, width), np.inf)
-    keys[r, np.arange(r.size) - starts[r]] = -rows[r, cand]
-    order = np.argsort(keys, axis=1)
-    ordered = np.take_along_axis(keys, order, axis=1)
-    tied = ((ordered[:, 1:] == ordered[:, :-1])
-            & (np.arange(1, width) <= counts[:, None])).any(axis=1)
-    if tied.any():
-        order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
+    # one stable sort of the block's candidates by row, then by descending
+    # score: each row's candidates come in ascending items, so equal scores
+    # keep that order
+    cand = cand[np.lexsort((-rows[r, cand], r))]
+    starts = np.searchsorted(r, np.arange(users.size))
     # each row's candidates, in order, start with its list: it has at least kk
-    return [cand[s + o[:n]] for s, o, n in zip(starts.tolist(), order, kk.tolist())]
+    return [cand[s:s + n].copy() for s, n in zip(starts.tolist(), kk.tolist())]

@@ -3,6 +3,10 @@ import collections
 import dataclasses
 import inspect
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -332,6 +336,29 @@ class TestEvaluate:
                                            " predictions: a score or the score range is not finite\n")
         assert not report_out.exists()
 
+    def test_overflowing_scores_print_no_numpy_warning(self, tiny_path, tmp_path):
+        # the scores of a one-factor +-1e200 model overflow to inf; evaluate still exits 2,
+        # and stderr holds the data error alone, with no numpy RuntimeWarning ahead of it
+        with open(tiny_path, "rb") as fp:
+            matrix = pr.build_matrix(pr.parse_movielens(fp).records)
+
+        def rows(n):
+            return np.where(np.arange(n) % 3 == 0, -1e200, 1e200)[:, None]
+
+        model = tmp_path / "m.bin"
+        store.save_model(pr.FactorModel(U=rows(matrix.n_users), V=rows(matrix.n_items)), model, 7)
+        src = pathlib.Path(pr.__file__).parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-c",
+             "import sys; from paretorank.cli import main; sys.exit(main(sys.argv[1:]))",
+             "evaluate", "--data", str(tiny_path), "--model", str(model),
+             "--report-out", str(tmp_path / "r.json")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 2
+        assert proc.stderr == ("data error: test-entry scores do not scale to finite"
+                               " predictions: a score or the score range is not finite\n")
+
 
 class TestCompare:
     def test_four_algo_comparison(self, tiny_path, tmp_path):
@@ -447,6 +474,28 @@ def test_no_preference_pair_is_data_error(tmp_path, monkeypatch, capsys, argv):
     assert capsys.readouterr().err == ("data error: no user rated two items differently:"
                                        " there is no pair to train on\n")
     assert [p.name for p in tmp_path.iterdir()] == ["flat.dat"]
+
+
+# only user 1 rates two items differently, so an iteration that samples another user
+# updates no pair
+ONE_PAIR_LINES = ["1::1::5::0", "1::2::3::0", "2::1::4::0", "3::2::4::0", "4::1::2::0",
+                  "5::2::1::0", "6::1::3::0"]
+
+
+def test_iteration_without_update_has_empty_loss_field(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "one.dat").write_text("\n".join(ONE_PAIR_LINES) + "\n")
+    assert run("train", "--data", "one.dat", "--algo", "ppr", "--test-ratio", "0",
+               "--user-sample-size", "1", "--max-iters", "6", "--model-out", "m.bin",
+               "--stats-out", "s.csv") == 0
+    text = (tmp_path / "s.csv").read_text()
+    assert "nan" not in text.lower()
+    rows = [line.split(",") for line in text.splitlines()[2:]]
+    assert len(rows) == 6
+    assert any(updates == "0" for _, _, updates, _, _ in rows)
+    assert any(updates != "0" for _, _, updates, _, _ in rows)
+    for _, loss, updates, _, _ in rows:
+        assert (loss == "") == (updates == "0")
 
 
 def test_hyperparameter_flags_echoed_with_library_defaults():

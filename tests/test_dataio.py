@@ -498,6 +498,26 @@ class TestColumnarParsersMatchReference:
         assert matrix_arrays(pr.build_matrix, cols) == matrix_arrays(matrix_from, records)
 
 
+class TestCrlfBlocks:
+    def test_crlf_corpus_is_read_on_its_bytes(self, ml_like_path):
+        raw = ml_like_path.read_bytes().replace(b"\n", b"\r\n")
+        with mock.patch.object(dataio, "_split_lines", wraps=dataio._split_lines) as spy:
+            got = outcome(columnar(pr.parse_movielens), io.BytesIO(raw))
+        assert spy.call_count == 0
+        assert got == outcome(per_line(reference_parse_movielens), io.BytesIO(raw))
+
+    @pytest.mark.parametrize("odd", [b"1::2::3::4\r\r\n", b"1::2::3::4\r5::6::7::8\n",
+                                     b"1::2\r::3::4\n"], ids=["cr-crlf", "cr-in-stamp", "cr-in-item"])
+    def test_other_cr_sends_the_block_line_by_line(self, odd):
+        plain = b"1::1193::5::978300760\r\n9::7::3.5::978300761\n"
+        raw = plain + odd + plain
+        for errors in ("raise", "skip"):
+            with mock.patch.object(dataio, "_split_lines", wraps=dataio._split_lines) as spy:
+                got = outcome(columnar(pr.parse_movielens), io.BytesIO(raw), errors=errors)
+            assert spy.call_count == 1
+            assert got == outcome(per_line(reference_parse_movielens), io.BytesIO(raw), errors=errors)
+
+
 FUZZ_BYTES = st.binary(max_size=200) | st.lists(st.sampled_from(
     [b"1", b"2", b"::", b":", b",", b"\n", b"\r", b"\xff", b"\xe2\x82", b"\xef\xbb\xbf", b"nan",
      b"userID,itemID,rating\n", b"5", b" ", b"\x00", b"-", b"e9", b"\xc3\xa9"]), max_size=60).map(b"".join)
