@@ -70,14 +70,13 @@ def check_mf_hyperparameters(n_factors: int, learning_rate: float, reg: float,
                              epochs: int) -> None:
     """Raise ValueError unless the MF hyperparameters can be trained with.
 
-    n_factors and epochs must be >= 1; learning_rate and reg must be finite
-    and >= 0. A zero learning rate is allowed and leaves the model at its
-    init.
+    n_factors and epochs must be >= 1 and below 2**63, numpy's integer
+    range; learning_rate and reg must be finite and >= 0. A zero learning
+    rate is allowed and leaves the model at its init.
     """
-    if n_factors < 1:
-        raise ValueError(f"MF n_factors must be >= 1, got {n_factors}")
-    if epochs < 1:
-        raise ValueError(f"MF epochs must be >= 1, got {epochs}")
+    for name, value in (("n_factors", n_factors), ("epochs", epochs)):
+        if not 1 <= value < 2**63:
+            raise ValueError(f"MF {name} must be >= 1 and < 2**63, got {value}")
     if not (math.isfinite(learning_rate) and learning_rate >= 0):
         raise ValueError(f"MF learning_rate must be finite and >= 0, got {learning_rate}")
     if not (math.isfinite(reg) and reg >= 0):
@@ -163,7 +162,7 @@ def train_classic_mf(
     0.070-0.085 s -> 0.13-0.14 s).
 
     Raises:
-        ValueError: if n_factors or epochs < 1, or learning_rate or reg is
+        ValueError: if n_factors or epochs is < 1 or >= 2**63, or learning_rate or reg is
             negative or not finite. A zero learning rate leaves the model at its init.
         DivergenceError: if factors or the objective go non-finite.
     """

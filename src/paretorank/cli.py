@@ -7,6 +7,8 @@ invocations produce byte-identical artifacts. Exit codes: 0 success,
 
 import argparse
 import contextlib
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -45,16 +47,17 @@ def _data_parent() -> argparse.ArgumentParser:
 
 def _hyper_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
-    # PPR's defaults are TrainConfig's, read from its class attributes
+    # the defaults are the library's: PPR's from TrainConfig's class
+    # attributes, MF's from train_classic_mf's signature
     p.add_argument("--learning-rate", type=float, default=ppr.TrainConfig.learning_rate)
     p.add_argument("--n-factors", type=int, default=ppr.TrainConfig.n_factors)
     p.add_argument("--max-iters", type=int, default=ppr.TrainConfig.max_iters)
     p.add_argument("--user-sample-size", type=int, default=ppr.TrainConfig.user_sample_size)
     p.add_argument("--item-sample-size", type=int, default=ppr.TrainConfig.item_sample_size)
-    p.add_argument("--min-margin", type=float, default=ppr.TrainConfig.min_margin)
-    p.add_argument("--mf-learning-rate", type=float, default=0.005)
-    p.add_argument("--mf-reg", type=float, default=0.01)
-    p.add_argument("--mf-epochs", type=int, default=30)
+    mf = inspect.signature(baselines.train_classic_mf).parameters
+    p.add_argument("--mf-learning-rate", type=float, default=mf["learning_rate"].default)
+    p.add_argument("--mf-reg", type=float, default=mf["reg"].default)
+    p.add_argument("--mf-epochs", type=int, default=mf["epochs"].default)
     return p
 
 
@@ -76,7 +79,7 @@ def build_parser() -> _Parser:
 
     ev = sub.add_parser("evaluate", parents=[data], help="evaluate a trained model artifact")
     ev.add_argument("--model", default="model.bin")
-    ev.add_argument("--k", type=int, default=None, help=f"list length (default {DEFAULT_K})")
+    ev.add_argument("--k", type=int, default=DEFAULT_K, help="list length")
     ev.add_argument("--test-ratio", type=float, default=None,
                     help="defaults to the value echoed in the model artifact")
     ev.add_argument("--seed", type=int, default=None,
@@ -158,17 +161,8 @@ def _data_echo(args) -> dict:
 
 
 def _hyper_echo(args) -> dict:
-    return {
-        "learning_rate": args.learning_rate,
-        "n_factors": args.n_factors,
-        "max_iters": args.max_iters,
-        "user_sample_size": args.user_sample_size,
-        "item_sample_size": args.item_sample_size,
-        "min_margin": args.min_margin,
-        "mf_learning_rate": args.mf_learning_rate,
-        "mf_reg": args.mf_reg,
-        "mf_epochs": args.mf_epochs,
-    }
+    """The value of every hyperparameter flag, keyed by its argparse name."""
+    return {name: getattr(args, name) for name in vars(_hyper_parent().parse_args([]))}
 
 
 def _check_ratio(test_ratio: float):
@@ -188,15 +182,8 @@ def _trainer(algo: str, args):
     rows or None).
     """
     if algo == "ppr":
-        config = ppr.TrainConfig(
-            learning_rate=args.learning_rate,
-            n_factors=args.n_factors,
-            max_iters=args.max_iters,
-            user_sample_size=args.user_sample_size,
-            item_sample_size=args.item_sample_size,
-            min_margin=args.min_margin,
-            seed=args.seed,
-        )
+        config = ppr.TrainConfig(**{f.name: getattr(args, f.name)
+                                    for f in dataclasses.fields(ppr.TrainConfig)})
         return lambda train: ppr.train_ppr(train, config)
     if algo == "mf":
         baselines.check_mf_hyperparameters(args.n_factors, args.mf_learning_rate, args.mf_reg,
@@ -300,6 +287,7 @@ def cmd_train(args) -> None:
         **_data_echo(args),
         **_hyper_echo(args),
         "algo": args.algo,
+        "data_sha256": matrix.sha256(),
         "seed": args.seed,
         "test_ratio": args.test_ratio,
     }
@@ -331,9 +319,8 @@ def cmd_evaluate(args) -> None:
                 or not 0.0 <= test_ratio <= 1.0):
             raise DataError(
                 f"{args.model}: echoed test_ratio {test_ratio!r} is not a number in [0, 1]")
-    k = args.k if args.k is not None else DEFAULT_K
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    if args.k < 1:
+        raise ConfigError(f"k must be >= 1, got {args.k}")
     _check_ratio(test_ratio)
     matrix = _load_matrix(args)
     if (scorer.n_users, scorer.n_items) != (matrix.n_users, matrix.n_items):
@@ -341,11 +328,15 @@ def cmd_evaluate(args) -> None:
             f"model shape {scorer.n_users}x{scorer.n_items} does not match "
             f"dataset shape {matrix.n_users}x{matrix.n_items}"
         )
+    # an artifact without the digest (one saved by the library) is not checked
+    if "data_sha256" in trained and trained["data_sha256"] != matrix.sha256():
+        raise DataError(f"{args.data} is not the data {args.model} was trained on: "
+                        "its sha256 differs from the one in the model")
     sp = dataio.split(matrix, test_ratio, seed)
     algorithm = trained.get("algo", header.get("kind", "unknown"))
-    echo = {**_data_echo(args), "k": k, "seed": seed, "test_ratio": test_ratio,
+    echo = {**_data_echo(args), "k": args.k, "seed": seed, "test_ratio": test_ratio,
             "trained_with": trained}
-    recs, raw = model.score_and_select(scorer, sp.train, k, sp.test)
+    recs, raw = model.score_and_select(scorer, sp.train, args.k, sp.test)
     report = metrics.summarize(
         recs, raw, sp.train, sp.test,
         algorithm=algorithm,

@@ -20,9 +20,11 @@ timestamp is checked (an integer that fits in 64 bits) but not kept.
 
 :func:`build_matrix` takes columns and returns a :class:`RatingMatrix`,
 whose CSR arrays fix the entry order that splits, and so every downstream
-result, depend on.
+result, depend on. Its rating scale is the observed (min, max) rating.
 """
 
+import hashlib
+import json
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -107,6 +109,17 @@ class RatingMatrix:
     def entry_users(self) -> np.ndarray:
         """The user index of every entry, aligned with ``indices``."""
         return np.repeat(np.arange(self.n_users), np.diff(self.indptr))
+
+    def sha256(self) -> str:
+        """Hex sha256 of the ids (as JSON), then indptr, indices and ratings as little-endian bytes.
+
+        Two matrices share a digest when they hold the same ids, entries,
+        entry order and ratings.
+        """
+        digest = hashlib.sha256(json.dumps([self.user_ids, self.item_ids]).encode("utf-8"))
+        for array, dtype in ((self.indptr, "<i8"), (self.indices, "<i8"), (self.ratings, "<f8")):
+            digest.update(np.ascontiguousarray(array, dtype=dtype))
+        return digest.hexdigest()
 
     def subset(self, mask: np.ndarray) -> "RatingMatrix":
         """The entries where ``mask`` is true, over the same ids and scale."""
@@ -438,32 +451,23 @@ def _first_appearance(ids: list[str]) -> tuple[list[str], np.ndarray]:
     return distinct, np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
 
 
-def build_matrix(columns: RatingColumns,
-                 scale: Optional[tuple[float, float]] = None) -> RatingMatrix:
+def build_matrix(columns: RatingColumns) -> RatingMatrix:
     """Build a RatingMatrix from rating columns.
 
     Indices are assigned in first-appearance order. A duplicate (user, item)
     pair keeps the position of its first observation and the rating of its
-    last. With no declared scale the observed (min, max) is used; with a
-    declared scale any rating outside it is an error naming the first such
-    observation.
+    last. The rating scale is the observed (min, max). A non-finite rating
+    is an error naming the first such observation.
     """
     n = len(columns)
     if not n:
         raise DataError("cannot build a rating matrix from zero records")
     ratings = np.asarray(columns.ratings, dtype=float)
-    valid = np.isfinite(ratings)
-    if scale is not None:
-        valid &= (scale[0] <= ratings) & (ratings <= scale[1])
-    if not valid.all():
-        bad = int(np.argmin(valid))
-        user, item, rating = columns.user_ids[bad], columns.item_ids[bad], float(ratings[bad])
-        if not math.isfinite(rating):
-            raise DataError(f"non-finite rating for user {user!r}, item {item!r}")
-        raise DataError(
-            f"rating {rating} outside declared scale [{scale[0]}, {scale[1]}] "
-            f"(user {user!r}, item {item!r})"
-        )
+    finite = np.isfinite(ratings)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise DataError(f"non-finite rating for user {columns.user_ids[bad]!r}, "
+                        f"item {columns.item_ids[bad]!r}")
     user_ids, users = _first_appearance(columns.user_ids)
     item_ids, items = _first_appearance(columns.item_ids)
     # one entry per distinct (user, item): the first record fixes its position, the last its rating
@@ -473,9 +477,8 @@ def build_matrix(columns: RatingColumns,
     entry_users = users[first]
     order = np.lexsort((first, entry_users))
     indptr = np.concatenate(([0], np.cumsum(np.bincount(entry_users, minlength=len(user_ids)))))
-    r_min, r_max = scale if scale is not None else (ratings.min(), ratings.max())
     return RatingMatrix(user_ids, item_ids, indptr, items[first][order],
-                        ratings[last][order], r_min, r_max)
+                        ratings[last][order], ratings.min(), ratings.max())
 
 
 def split(matrix: RatingMatrix, test_ratio: float, seed: int) -> SplitPair:

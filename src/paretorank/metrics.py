@@ -227,14 +227,17 @@ def summarize(
     batch (the same monotone map for every algorithm), then MAE is taken
     against the held-out ratings. The top-K lists, built from the training
     matrix, are summarized by the Matthew-effect slope. An empty training
-    or test set raises DataError, and so do raw scores that do not scale
-    to finite predictions.
+    or test set raises DataError, and so do a rating scale of one value and
+    raw scores that do not scale to finite predictions.
     """
     if train.n_entries == 0:
         raise DataError("cannot evaluate with an empty training set")
-    # checked before scaling, which cannot scale an empty batch
+    # checked before scaling, which cannot scale an empty batch or onto one value
     if test.n_entries == 0:
         raise DataError("cannot compute MAE on an empty test set")
+    if test.r_min >= test.r_max:
+        raise DataError(f"every rating is {test.r_min}: there is no rating scale to "
+                        "map scores onto")
     # an infinite score, or a score range past the float range, scales to inf or NaN
     with np.errstate(over="ignore", invalid="ignore"):
         predictions = scale_scores(raw, (test.r_min, test.r_max))

@@ -148,7 +148,9 @@ def _walk(scorer, users: np.ndarray, train: RatingMatrix | None, k: int,
 
     With ``train``, selects every walked user's top-k list (see ``top_k``);
     with ``entries``, gathers the raw score of each entry, whose user must
-    be walked. Returns (lists or None, entry scores or None).
+    be walked. Returns (lists or None, entry scores or None). No list is
+    longer than the catalogue, so the selection takes ``min(k, n_items)``
+    (a ``k`` past numpy's integer range included) and the lists keep ``k``.
     """
     if train is not None and k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -171,7 +173,7 @@ def _walk(scorer, users: np.ndarray, train: RatingMatrix | None, k: int,
             lo, hi, at = _block_rows(entries.indptr, walked)
             raw[lo:hi] = rows[at, entries.indices[lo:hi]]
         if train is not None:
-            items += _select(rows, walked, train, k, n_items)
+            items += _select(rows, walked, train, min(k, n_items), n_items)
     recs = RecommendationSet(k=k, items=items) if train is not None else None
     return recs, raw
 

@@ -6,8 +6,9 @@ and items j, k with R[i,j] > R[i,k], the model margin is
     m = U_i . V_j - U_i . V_k
 
 and the pair contributes -ln(m) to the loss. Only strictly-ordered pairs are
-ever visited; pairs whose current margin is at or below the guard are skipped
-because the log is undefined there and its gradient blows up near zero.
+ever visited; pairs whose current margin is at or below the fixed guard
+MIN_MARGIN are skipped because the log is undefined there and its gradient
+blows up near zero.
 
 Each SGD step descends the exact gradient of the pair's log-margin loss,
 using a snapshot of the three rows so the updates are simultaneous:
@@ -34,6 +35,8 @@ from .errors import DataError, DivergenceError
 from .model import FactorModel, init_model
 
 STEP_NORM_CAP = 1.0
+# the smallest margin a step touches: it keeps -ln(m) and 1/m finite
+MIN_MARGIN = 1e-6
 
 
 @dataclass
@@ -42,8 +45,8 @@ class TrainConfig:
 
     user_sample_size / item_sample_size cap how many users are visited per
     iteration and how many rated items are sampled per visited user; both
-    are clamped to what the data offers. min_margin is the smallest margin
-    an update will touch.
+    are clamped to what the data offers. The counts must be below 2**63,
+    numpy's integer range.
     """
 
     learning_rate: float = 0.01
@@ -51,20 +54,15 @@ class TrainConfig:
     max_iters: int = 60
     user_sample_size: int = 512
     item_sample_size: int = 32
-    min_margin: float = 1e-6
     seed: int = 42
 
     def __post_init__(self):
-        for name in ("learning_rate", "min_margin"):
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        for name in ("n_factors", "max_iters", "user_sample_size", "item_sample_size"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if self.n_factors < 1:
-            raise ValueError(f"n_factors must be >= 1, got {self.n_factors}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.user_sample_size < 1 or self.item_sample_size < 1:
-            raise ValueError("sample sizes must be >= 1")
+            if not 1 <= value < 2**63:
+                raise ValueError(f"{name} must be >= 1 and < 2**63, got {value}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -100,29 +98,22 @@ class TrainStats:
     clips: list[int] = field(default_factory=list)
 
 
-def pair_update(
-    model: FactorModel,
-    pair: PairSample,
-    learning_rate: float,
-    min_margin: float,
-) -> PairUpdateResult:
+def pair_update(model: FactorModel, pair: PairSample, learning_rate: float) -> PairUpdateResult:
     """One SGD step on a preference pair, in place.
 
     The margin is taken from a snapshot of the current rows; if it does not
-    exceed min_margin the model is left untouched and a skip is reported.
+    exceed MIN_MARGIN the model is left untouched and a skip is reported.
     Each row delta is norm-clipped at STEP_NORM_CAP so a barely-admissible
     margin cannot blow the step up; a clipped step is flagged in the result.
     This is the trainer's own step (``_step``) on one pair.
     """
     margin, applied, clipped = _step(
-        model.U[pair.user], model.V[pair.preferred], model.V[pair.other],
-        learning_rate, min_margin,
-    )
+        model.U[pair.user], model.V[pair.preferred], model.V[pair.other], learning_rate)
     return PairUpdateResult(applied=applied, clipped=clipped, margin=margin)
 
 
-def _step(u: np.ndarray, vj: np.ndarray, vk: np.ndarray, learning_rate: float,
-          min_margin: float) -> tuple[float, bool, bool]:
+def _step(u: np.ndarray, vj: np.ndarray, vk: np.ndarray,
+          learning_rate: float) -> tuple[float, bool, bool]:
     """The pair step on row views u = U_i, vj = V_j, vk = V_k, in place.
 
     Returns (margin, applied, clipped).
@@ -134,7 +125,7 @@ def _step(u: np.ndarray, vj: np.ndarray, vk: np.ndarray, learning_rate: float,
     # with one factor, ndarray.dot returns the bare product, where @ adds it
     # to 0.0: the + 0.0 turns its -0.0 into @'s 0.0 and changes nothing else
     margin = float(u.dot(dv)) + 0.0
-    if margin <= min_margin:
+    if margin <= MIN_MARGIN:
         return margin, False, False
     coef = learning_rate / margin
     du = coef * dv
@@ -230,7 +221,7 @@ def train_ppr(
             a, b = np.nonzero(ratings[:, None] > ratings[None, :])
             u = U[user]
             for j, k in zip(sampled[a].tolist(), sampled[b].tolist()):
-                margin, applied, clipped = _step(u, V[j], V[k], learning_rate, config.min_margin)
+                margin, applied, clipped = _step(u, V[j], V[k], learning_rate)
                 if on_pair is not None:
                     on_pair(it, PairSample(user, j, k), PairUpdateResult(applied, clipped, margin))
                 if applied:

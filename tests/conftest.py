@@ -47,12 +47,12 @@ def movielens_like_lines(n_users=900, n_items=1200, mean_ratings=130, seed=2024,
     return lines
 
 
-def matrix_from(triples, scale=None):
+def matrix_from(triples):
     """A matrix of (user id, item id, rating) triples, in the order given."""
     triples = list(triples)
     columns = pr.RatingColumns([u for u, _, _ in triples], [i for _, i, _ in triples],
                                np.array([r for _, _, r in triples], dtype=float))
-    return pr.build_matrix(columns, scale=scale)
+    return pr.build_matrix(columns)
 
 
 def items_of(matrix, user):
@@ -78,7 +78,7 @@ def planted_matrix(n_users=200, n_items=100, d=8, per_user=40, seed=11):
         for i in rng.choice(n_items, size=per_user, replace=False):
             r = 1.0 + float(np.floor((dots[u, i] - lo) / (hi - lo) * 4.999))
             triples.append((f"u{u}", f"i{i}", r))
-    return matrix_from(triples, scale=(1, 5))
+    return matrix_from(triples)
 
 
 def tiny_movielens_lines(n_users=60, n_items=40, per_user=12, seed=5):

@@ -24,13 +24,13 @@ def _pass(n, name):
     print(f"criterion {n} ({name}): PASS")
 
 
-def _random_admissible(rng, d, min_margin):
-    """Model rows (u, vj, vk) whose margin exceeds min_margin."""
+def _random_admissible(rng, d, floor):
+    """Model rows (u, vj, vk) whose margin exceeds floor."""
     while True:
         u = rng.uniform(-1, 1, d) + 0.5
         vj = rng.uniform(-1, 1, d)
         vk = rng.uniform(-1, 1, d)
-        if float(u @ (vj - vk)) > min_margin:
+        if float(u @ (vj - vk)) > floor:
             return u, vj, vk
 
 
@@ -43,7 +43,7 @@ def test_criterion_1_gradient_oracle():
         for _ in range(334):
             u, vj, vk = _random_admissible(rng, d, 0.1)
             model = pr.FactorModel(U=u.reshape(1, d).copy(), V=np.vstack([vj, vk]).copy())
-            result = pr.pair_update(model, PAIR, learning_rate=lr, min_margin=1e-6)
+            result = pr.pair_update(model, PAIR, learning_rate=lr)
             assert result.applied and not result.clipped
             step = np.concatenate(
                 [model.U[0] - u, model.V[0] - vj, model.V[1] - vk]
@@ -74,10 +74,10 @@ def test_criterion_2_margin_ascent_and_skip():
     ascended = 0
     for _ in range(1000):
         d = int(rng.integers(1, 17))
-        u, vj, vk = _random_admissible(rng, d, 1e-6)
+        u, vj, vk = _random_admissible(rng, d, pr.ppr.MIN_MARGIN)
         model = pr.FactorModel(U=u.reshape(1, d).copy(), V=np.vstack([vj, vk]).copy())
         before = float(u @ (vj - vk))
-        result = pr.pair_update(model, PAIR, learning_rate=1e-6, min_margin=1e-6)
+        result = pr.pair_update(model, PAIR, learning_rate=1e-6)
         assert result.applied
         after = float(model.U[0] @ (model.V[0] - model.V[1]))
         assert after > before
@@ -89,11 +89,11 @@ def test_criterion_2_margin_ascent_and_skip():
         u = rng.uniform(-1, 1, d)
         vj = rng.uniform(-1, 1, d)
         vk = vj + rng.uniform(0, 1, d)  # margin u.(vj-vk) <= 0 half the time; filter
-        if float(u @ (vj - vk)) > 1e-6:
+        if float(u @ (vj - vk)) > pr.ppr.MIN_MARGIN:
             vj, vk = vk, vj  # flip to force a non-admissible margin
         model = pr.FactorModel(U=u.reshape(1, d).copy(), V=np.vstack([vj, vk]).copy())
         before = (model.U.tobytes(), model.V.tobytes())
-        result = pr.pair_update(model, PAIR, learning_rate=1e-6, min_margin=1e-6)
+        result = pr.pair_update(model, PAIR, learning_rate=1e-6)
         assert not result.applied
         assert (model.U.tobytes(), model.V.tobytes()) == before
     _pass(2, "margin ascent and guard skip")

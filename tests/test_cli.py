@@ -1,4 +1,3 @@
-import argparse
 import collections
 import dataclasses
 import inspect
@@ -69,8 +68,7 @@ class TestTrain:
     @pytest.mark.parametrize("algo,flag,value", [
         ("ppr", "--learning-rate", "nan"), ("ppr", "--learning-rate", "inf"),
         ("ppr", "--learning-rate", "-1"), ("ppr", "--learning-rate", "0"),
-        ("ppr", "--min-margin", "nan"), ("ppr", "--min-margin", "inf"),
-        ("ppr", "--min-margin", "-1"), ("ppr", "--min-margin", "0"),
+        ("ppr", "--max-iters", str(2**63)), ("mf", "--mf-epochs", str(2**63)),
         ("mf", "--mf-epochs", "-1"), ("mf", "--mf-epochs", "0"),
         ("mf", "--mf-learning-rate", "-1"), ("mf", "--mf-learning-rate", "nan"),
         ("mf", "--mf-learning-rate", "inf"), ("mf", "--mf-reg", "nan"),
@@ -79,24 +77,35 @@ class TestTrain:
     def test_bad_hyperparameter_is_config_error(self, tmp_path, capsys, algo, flag, value):
         # the data file is missing: the flags must be rejected before it is read
         model_out = tmp_path / "m.bin"
-        code = run("train", "--data", tmp_path / "nope.dat", "--algo", algo, flag, value,
-                   "--model-out", model_out, *FAST_PPR)
+        # the flag comes last, so FAST_PPR cannot override it
+        code = run("train", "--data", tmp_path / "nope.dat", "--algo", algo, *FAST_PPR,
+                   "--model-out", model_out, flag, value)
         assert code == 1
         assert rejects(capsys.readouterr().err, flag)
         assert not model_out.exists()
 
-    @pytest.mark.parametrize("via", ["flag", "config-file"])
-    def test_alpha_is_not_an_option(self, tmp_path, capsys, via):
+    @staticmethod
+    def refuses_option(tmp_path, capsys, via, key):
         # the data file is missing: the option must be refused before it is read
+        flag = "--" + key.replace("_", "-")
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("alpha=2\n")
-        given = ["--alpha", "2"] if via == "flag" else ["--config", cfg]
+        cfg.write_text(f"{key}=2\n")
+        given = [flag, "2"] if via == "flag" else ["--config", cfg]
         model_out = tmp_path / "m.bin"
         code = run("train", "--data", tmp_path / "nope.dat", "--algo", "ppr", *given,
                    "--model-out", model_out)
         assert code == 1
-        assert capsys.readouterr().err == "config error: unrecognized arguments: --alpha 2\n"
+        assert capsys.readouterr().err == f"config error: unrecognized arguments: {flag} 2\n"
         assert not model_out.exists()
+
+    @pytest.mark.parametrize("via", ["flag", "config-file"])
+    def test_alpha_is_not_an_option(self, tmp_path, capsys, via):
+        self.refuses_option(tmp_path, capsys, via, "alpha")
+
+    @pytest.mark.parametrize("via", ["flag", "config-file"])
+    def test_min_margin_is_not_an_option(self, tmp_path, capsys, via):
+        # the guard is ppr.MIN_MARGIN
+        self.refuses_option(tmp_path, capsys, via, "min_margin")
 
     @pytest.mark.parametrize("algo", ["ppr", "mf"])
     def test_unopenable_stats_path_leaves_no_model(self, tiny_path, tmp_path, capsys, algo):
@@ -305,6 +314,33 @@ class TestEvaluate:
         assert code == 1
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("artifact,changed", [
+        ("trained", False), ("trained", True), ("library", True),
+    ], ids=["same-data", "one-rating-changed", "no-digest"])
+    def test_other_data_of_the_same_shape(self, tiny_path, tmp_path, capsys, artifact, changed):
+        # the digest train keeps refuses the changed file; an artifact saved by the
+        # library keeps none and is not checked
+        model = self._train(tiny_path, tmp_path, algo="zipf")
+        if artifact == "library":
+            scorer, header = store.load_model(model)
+            del header["config"]["data_sha256"]
+            store.save_model(scorer, model, header["seed"], header["config"])
+        if changed:
+            lines = tiny_path.read_text().splitlines()
+            user, item, rating, stamp = lines[0].split("::")
+            lines[0] = "::".join((user, item, str(1 + int(rating) % 5), stamp))
+            tiny_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        report_out = tmp_path / "r.json"
+        code = run("evaluate", "--data", tiny_path, "--model", model, "--report-out", report_out)
+        refused = artifact == "trained" and changed
+        assert code == (2 if refused else 0)
+        assert report_out.exists() != refused
+        if refused:
+            assert capsys.readouterr().err == (
+                f"data error: {tiny_path} is not the data {model} was trained on:"
+                " its sha256 differs from the one in the model\n")
+
     def test_dimension_mismatch_names_both_shapes(self, tiny_path, tmp_path, capsys):
         model = self._train(tiny_path, tmp_path)
         other = tmp_path / "other.dat"
@@ -476,6 +512,51 @@ def test_no_preference_pair_is_data_error(tmp_path, monkeypatch, capsys, argv):
     assert [p.name for p in tmp_path.iterdir()] == ["flat.dat"]
 
 
+ONE_VALUE_RUNS = {
+    "evaluate": ["evaluate", "--model", "m.bin", "--report-out", "r.json",
+                 "--dme-points-out", "points.csv"],
+    "compare": ["compare", "--algos", "mf,zipf", "--mf-epochs", "2", "--report-dir", "reports"],
+}
+
+
+@pytest.mark.parametrize("argv", ONE_VALUE_RUNS.values(), ids=ONE_VALUE_RUNS.keys())
+def test_one_rating_value_is_data_error(tmp_path, monkeypatch, capsys, argv):
+    # every rating is 4: there is no scale to map scores onto
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "four.dat").write_text(
+        "\n".join(f"{u}::{i}::4::0" for u in range(1, 31) for i in range(1, 11)) + "\n")
+    assert run("train", "--data", "four.dat", "--algo", "zipf", "--model-out", "m.bin") == 0
+    capsys.readouterr()
+    assert run(*argv, "--data", "four.dat") == 2
+    assert capsys.readouterr().err == ("data error: every rating is 4.0: there is no rating"
+                                       " scale to map scores onto\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["four.dat", "m.bin"]
+
+
+K_RUNS = {
+    "evaluate": lambda k: ["evaluate", "--model", "m.bin", "--report-out", f"{k}.json",
+                           "--dme-points-out", f"{k}.csv"],
+    "compare": lambda k: ["compare", "--algos", "random,zipf", "--out", f"{k}.csv",
+                          "--report-dir", f"reports{k}"],
+}
+
+
+@pytest.mark.parametrize("argv", K_RUNS.values(), ids=K_RUNS.keys())
+def test_k_past_int64_gives_the_whole_catalogue(tiny_path, tmp_path, monkeypatch, argv):
+    # no list is longer than the catalogue (40 items): a k past numpy's integer
+    # range gives the lists of k = 40, and the outputs keep the k given
+    monkeypatch.chdir(tmp_path)
+    assert run("train", "--data", tiny_path, "--algo", "zipf", "--model-out", "m.bin") == 0
+    big = 10**20
+    for k in (40, big):
+        assert run(*argv(k), "--data", tiny_path, "--k", k) == 0
+    csvs = [pathlib.Path(f"{k}.csv").read_text().splitlines() for k in (40, big)]
+    assert csvs[0][1:] == csvs[1][1:]
+    assert json.loads(csvs[1][0].removeprefix("# config: "))["k"] == big
+    reports = list(tmp_path.glob(f"*{big}*.json")) + list(tmp_path.glob(f"reports{big}/*.json"))
+    assert reports and all(json.loads(p.read_text())["k"] == big for p in reports)
+
+
 # only user 1 rates two items differently, so an iteration that samples another user
 # updates no pair
 ONE_PAIR_LINES = ["1::1::5::0", "1::2::3::0", "2::1::4::0", "3::2::4::0", "4::1::2::0",
@@ -499,9 +580,11 @@ def test_iteration_without_update_has_empty_loss_field(tmp_path, monkeypatch):
 
 
 def test_hyperparameter_flags_echoed_with_library_defaults():
-    # a flag without an echo, or a default that drifts from the library's, fails here
+    # a flag without an echo, a library hyperparameter without a flag, or a
+    # default that drifts from the library's, fails here
     defaults = vars(cli._hyper_parent().parse_args([]))
-    assert cli._hyper_echo(argparse.Namespace(**defaults)) == defaults
+    args = cli._parse_args(["train", "--data", "x.dat", "--mf-reg", "0.5"])
+    assert cli._hyper_echo(args) == {**defaults, "mf_reg": 0.5}
     ppr_config = pr.TrainConfig()
     mf = {name: p.default for name, p in
           inspect.signature(baselines.train_classic_mf).parameters.items() if name != "train"}

@@ -123,10 +123,6 @@ class TestBuildMatrix:
         m = matrix_from([("a", "x", 1), ("a", "y", 5), ("b", "x", 3)])
         assert (m.r_min, m.r_max) == (1.0, 5.0)
 
-    def test_declared_scale_violation(self):
-        with pytest.raises(DataError):
-            matrix_from([("a", "x", 7)], scale=(1, 5))
-
     def test_empty_input(self):
         with pytest.raises(DataError):
             matrix_from([])

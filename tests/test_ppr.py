@@ -33,14 +33,14 @@ class TestTrainConfig:
     def test_defaults_valid(self):
         cfg = pr.TrainConfig()
         assert cfg.learning_rate == 0.01
-        assert cfg.min_margin == 1e-6
+        assert pr.ppr.MIN_MARGIN == 1e-6
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"learning_rate": 0.0},
             {"learning_rate": -0.1},
-            {"min_margin": 0.0},
+            {"max_iters": 2**63},
             {"n_factors": 0},
             {"max_iters": 0},
             {"user_sample_size": 0},
@@ -71,7 +71,7 @@ class TestPairLoss:
 class TestPairUpdate:
     def test_hand_arithmetic_with_snapshot_semantics(self):
         m = model_1d(2.0, 3.0, 1.0)  # margin 4
-        result = pr.pair_update(m, PAIR, learning_rate=0.1, min_margin=1e-6)
+        result = pr.pair_update(m, PAIR, learning_rate=0.1)
         assert result.applied and not result.clipped
         assert result.margin == pytest.approx(4.0)
         # sequential writes would give V_j = 3 + 0.1 * 2.05 / 4 = 3.05125
@@ -83,23 +83,32 @@ class TestPairUpdate:
         m = pr.init_model(1, 2, 4, seed=1)
         m.V[1] = m.V[0]  # V_j == V_k -> margin 0
         before = (m.U.tobytes(), m.V.tobytes())
-        result = pr.pair_update(m, PAIR, learning_rate=0.1, min_margin=1e-6)
+        result = pr.pair_update(m, PAIR, learning_rate=0.1)
         assert not result.applied
         assert (m.U.tobytes(), m.V.tobytes()) == before
 
     def test_zero_learning_rate_changes_nothing(self):
         m = model_1d(2.0, 3.0, 1.0)
-        result = pr.pair_update(m, PAIR, learning_rate=0.0, min_margin=1e-6)
+        result = pr.pair_update(m, PAIR, learning_rate=0.0)
         assert result.applied
         assert (m.U[0, 0], m.V[0, 0], m.V[1, 0]) == (2.0, 3.0, 1.0)
 
     def test_clipping_caps_step_norm(self):
         m = model_1d(1.0, 1.0 + 5e-6, 1.0)  # margin = 5e-6, just above the guard
         before = m.V.copy()
-        result = pr.pair_update(m, PAIR, learning_rate=0.1, min_margin=1e-6)
+        result = pr.pair_update(m, PAIR, learning_rate=0.1)
         assert result.applied and result.clipped
         assert np.linalg.norm(m.V[0] - before[0]) <= 1.0 + 1e-12
         assert np.isfinite(m.U).all() and np.isfinite(m.V).all()
+
+    @pytest.mark.parametrize("margin,applied", [
+        (pr.ppr.MIN_MARGIN, False), (np.nextafter(pr.ppr.MIN_MARGIN, np.inf), True),
+    ], ids=["at-guard", "just-above-guard"])
+    def test_guard_is_min_margin(self, margin, applied):
+        m = model_1d(1.0, margin, 0.0)  # margin = 1 * (margin - 0), exactly
+        result = pr.pair_update(m, PAIR, learning_rate=0.1)
+        assert (result.margin, result.applied) == (margin, applied)
+        assert (m.V[0, 0] != margin) == applied
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -114,7 +123,7 @@ class TestPairUpdate:
             if margin <= 0.1:
                 continue
             model = pr.FactorModel(U=U.copy(), V=V.copy())
-            pr.pair_update(model, PAIR, learning_rate=lr, min_margin=1e-6)
+            pr.pair_update(model, PAIR, learning_rate=lr)
             step = np.concatenate([model.U[0] - U[0], model.V[0] - V[0], model.V[1] - V[1]])
 
             def loss_at(theta):
@@ -144,11 +153,11 @@ class TestPairUpdate:
     )
     def test_margin_strictly_ascends_for_small_steps(self, u, vj, vk):
         margin = float(u @ (vj - vk))
-        if margin <= 1e-6:
+        if margin <= pr.ppr.MIN_MARGIN:
             return
         model = pr.FactorModel(U=u.reshape(1, -1).copy(), V=np.vstack([vj, vk]).copy())
         loss_before = pair_loss(model, PAIR)
-        result = pr.pair_update(model, PAIR, learning_rate=1e-6, min_margin=1e-6)
+        result = pr.pair_update(model, PAIR, learning_rate=1e-6)
         assert result.applied
         new_margin = float(model.U[0] @ (model.V[0] - model.V[1]))
         assert new_margin > margin
@@ -177,8 +186,8 @@ class TestPairUpdate:
         got = pr.FactorModel(U=u[None].copy(), V=np.vstack([vj, vk]))
         want = pr.FactorModel(U=u[None].copy(), V=np.vstack([vj, vk]))
         with np.errstate(all="ignore"):
-            res = pr.pair_update(got, PAIR, learning_rate, 1e-6)
-            ref = reference_pair_update(want, PAIR, learning_rate, 1e-6)
+            res = pr.pair_update(got, PAIR, learning_rate)
+            ref = reference_pair_update(want, PAIR, learning_rate)
         assert repr(res) == repr(ref)
         assert (got.U.tobytes(), got.V.tobytes()) == (want.U.tobytes(), want.V.tobytes())
 
@@ -297,7 +306,7 @@ class TestTrainPpr:
         assert int(first[2]) + int(first[3]) >= 1
 
 
-def reference_pair_update(model, pair, learning_rate, min_margin):
+def reference_pair_update(model, pair, learning_rate):
     """One pair step with ``@`` dots and fresh row views: the reference for ``ppr._step``."""
     U = model.U
     V = model.V
@@ -306,7 +315,7 @@ def reference_pair_update(model, pair, learning_rate, min_margin):
     vk = V[pair.other]
     dv = vj - vk
     margin = float(u @ dv)
-    if margin <= min_margin:
+    if margin <= pr.ppr.MIN_MARGIN:
         return pr.PairUpdateResult(applied=False, clipped=False, margin=margin)
     coef = learning_rate / margin
     du = coef * dv
@@ -364,9 +373,7 @@ def reference_train_ppr(train, config, on_pair=None):
                     if r_a <= ratings[b]:
                         continue
                     pair = pr.PairSample(user, j, int(sampled[b]))
-                    result = reference_pair_update(
-                        model, pair, config.learning_rate, config.min_margin
-                    )
+                    result = reference_pair_update(model, pair, config.learning_rate)
                     if on_pair is not None:
                         on_pair(it, pair, result)
                     if result.applied:
@@ -426,18 +433,17 @@ class TestTrainPprMatchesPerPairLoop:
         n_factors=st.integers(1, 8),
         learning_rate=st.sampled_from([0.0005, 0.001, 0.01, 0.025, 0.05, 0.5, 1.0, 2.0, 20.0,
                                        5e307, 1e308]),
-        min_margin=st.sampled_from([1e-6, 0.05]),
         user_sample_size=st.integers(1, 9),
         item_sample_size=st.integers(1, 16),
         max_iters=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_random_matrices(self, m, n_factors, learning_rate, min_margin,
-                             user_sample_size, item_sample_size, max_iters, seed):
+    def test_random_matrices(self, m, n_factors, learning_rate, user_sample_size,
+                             item_sample_size, max_iters, seed):
         config = pr.TrainConfig(
             learning_rate=learning_rate, n_factors=n_factors,
             max_iters=max_iters, user_sample_size=user_sample_size,
-            item_sample_size=item_sample_size, min_margin=min_margin, seed=seed,
+            item_sample_size=item_sample_size, seed=seed,
         )
         expected = ppr_outcome(reference_train_ppr, m, config)
         assert ppr_outcome(pr.train_ppr, m, config) == expected
