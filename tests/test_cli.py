@@ -68,6 +68,8 @@ class TestTrain:
     @pytest.mark.parametrize("algo,flag,value", [
         ("ppr", "--learning-rate", "nan"), ("ppr", "--learning-rate", "inf"),
         ("ppr", "--learning-rate", "-1"), ("ppr", "--learning-rate", "0"),
+        ("ppr", "--min-margin", "nan"), ("ppr", "--min-margin", "inf"),
+        ("ppr", "--min-margin", "-1"), ("ppr", "--min-margin", "0"),
         ("ppr", "--max-iters", str(2**63)), ("mf", "--mf-epochs", str(2**63)),
         ("mf", "--mf-epochs", "-1"), ("mf", "--mf-epochs", "0"),
         ("mf", "--mf-learning-rate", "-1"), ("mf", "--mf-learning-rate", "nan"),
@@ -81,7 +83,12 @@ class TestTrain:
         code = run("train", "--data", tmp_path / "nope.dat", "--algo", algo, *FAST_PPR,
                    "--model-out", model_out, flag, value)
         assert code == 1
-        assert rejects(capsys.readouterr().err, flag)
+        err = capsys.readouterr().err
+        if flag == "--min-margin":
+            # the guard is the constant ppr.MIN_MARGIN: no value of the flag is accepted
+            assert err == f"config error: unrecognized arguments: {flag} {value}\n"
+        else:
+            assert rejects(err, flag)
         assert not model_out.exists()
 
     @staticmethod
