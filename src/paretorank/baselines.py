@@ -172,13 +172,14 @@ def train_classic_mf(
     model = init_model(train.n_users, train.n_items, n_factors, seed)
     U, V = model.U, model.V
     users, items, ratings = train.entry_users(), train.indices, train.ratings
-    epoch_seeds = np.random.SeedSequence(seed).spawn(epochs)
+    # one child seed per epoch, spawned as it starts: the ones spawn(epochs) would give
+    seed_seq = np.random.SeedSequence(seed)
     losses = []
     # overflow to inf is tolerated mid-epoch; the epoch-end check converts it
     # into a DivergenceError instead of a warning storm
     with np.errstate(over="ignore", invalid="ignore"):
         for ep in range(epochs):
-            rng = np.random.default_rng(epoch_seeds[ep])
+            rng = np.random.default_rng(seed_seq.spawn(1)[0])
             _sgd_epoch(model, users, items, ratings, rng.permutation(train.n_entries),
                        learning_rate, reg)
             sq = ratings - np.einsum("ij,ij->i", U[users], V[items])

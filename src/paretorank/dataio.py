@@ -7,20 +7,25 @@ CRLF line endings are accepted, and a line that is not valid UTF-8 is a
 malformed line like any other.
 
 Parsers read a binary stream (a file opened with ``"rb"``) and return
-:class:`RatingColumns`, the ids and ratings of the well-formed lines as
-parallel columns; :class:`RatingColumns` is the only form a rating takes
-between a file and a matrix. The stream is read in blocks of whole lines,
-each in one of two ways. A MovieLens block whose every line is plain (see
-:func:`_plain_movielens`; a CRLF end is plain) is read on its bytes: one
-numpy pass finds its separators and line breaks, and its columns are cut
-from them at once. Any other block, and every CSV block, is read line by
-line by the format's line validator, which alone defines a well-formed line;
-a malformed line's error names the line and the reason. A MovieLens
-timestamp is checked (an integer that fits in 64 bits) but not kept.
+:class:`RatingColumns`: the distinct user and item ids, and for each
+well-formed line a user code, an item code and a rating, as parallel
+arrays. :class:`RatingColumns` is the only form a rating takes between a
+file and a matrix. Ids become codes block by block, in first-appearance
+order, so no per-line id string outlives the block it was read from.
 
-:func:`build_matrix` takes columns and returns a :class:`RatingMatrix`,
-whose CSR arrays fix the entry order that splits, and so every downstream
-result, depend on. Its rating scale is the observed (min, max) rating.
+The stream is read in blocks of whole lines, each in one of two ways. A
+MovieLens block whose every line is plain (see :func:`_plain_movielens`; a
+CRLF end is plain) is read on its bytes: one numpy pass finds its
+separators and line breaks, and its columns are cut from them at once. Any
+other block, and every CSV block, is read line by line by the format's line
+validator, which alone defines a well-formed line; a malformed line's error
+names the line and the reason. A MovieLens timestamp is checked (an integer
+that fits in 64 bits) but not kept.
+
+:func:`build_matrix` takes columns and returns a :class:`RatingMatrix` over
+their ids, with their codes as indices. Its CSR arrays fix the entry order
+that splits, and so every downstream result, depend on. Its rating scale is
+the observed (min, max) rating.
 """
 
 import hashlib
@@ -39,25 +44,46 @@ _BLOCK_BYTES = 1 << 20  # a byte stream is parsed in blocks of whole lines of ab
 
 @dataclass(eq=False)
 class RatingColumns:
-    """Rating observations as parallel columns, in file order.
+    """Rating observations as parallel columns of integer codes, in file order.
 
-    Observation ``n`` is user ``user_ids[n]`` rating item ``item_ids[n]``
-    with ``ratings[n]``; ids are opaque strings and ``ratings`` is a float64
-    array. The three columns must have one length.
+    Observation ``n`` is user ``user_ids[users[n]]`` rating item
+    ``item_ids[items[n]]`` with ``ratings[n]``. ``user_ids`` and ``item_ids``
+    are the distinct ids (opaque strings), in first-appearance order when the
+    columns come from a parser or :meth:`from_ids`; ``users`` and ``items``
+    are int64 arrays of codes into them and ``ratings`` is a float64 array.
+    The three arrays must have one length and every code must index its list.
     """
 
     user_ids: list[str]
     item_ids: list[str]
+    users: np.ndarray
+    items: np.ndarray
     ratings: np.ndarray
 
     def __post_init__(self):
-        shape = np.shape(self.ratings)
-        if len(shape) != 1 or not len(self.user_ids) == len(self.item_ids) == shape[0]:
-            raise ValueError(f"rating columns must be 1-D and of one length, got {len(self.user_ids)} "
-                             f"user ids, {len(self.item_ids)} item ids and ratings of shape {shape}")
+        shapes = [np.shape(column) for column in (self.users, self.items, self.ratings)]
+        if len(shapes[0]) != 1 or not shapes[0] == shapes[1] == shapes[2]:
+            raise ValueError(f"rating columns must be 1-D and of one length, got user codes of shape "
+                             f"{shapes[0]}, item codes of shape {shapes[1]} and ratings of shape "
+                             f"{shapes[2]}")
+        for codes, ids, kind in ((self.users, self.user_ids, "user"),
+                                 (self.items, self.item_ids, "item")):
+            codes = np.asarray(codes)
+            if not np.issubdtype(codes.dtype, np.integer) or (
+                    len(codes) and not 0 <= codes.min() <= codes.max() < len(ids)):
+                raise ValueError(f"{kind} codes must be integers in [0, {len(ids)}), "
+                                 f"indices into {kind}_ids")
 
     def __len__(self) -> int:
-        return len(self.user_ids)
+        return len(self.ratings)
+
+    @classmethod
+    def from_ids(cls, users, items, ratings) -> "RatingColumns":
+        """Columns of observations given as one user id and one item id per rating, in order."""
+        user_codes, item_codes = _IdCodes(), _IdCodes()
+        users, items = user_codes.encode(list(users)), item_codes.encode(list(items))
+        return cls(list(user_codes), list(item_codes), users, items,
+                   np.asarray(ratings, dtype=np.float64))
 
 
 @dataclass
@@ -71,9 +97,10 @@ class ParseResult:
 class RatingMatrix:
     """Sparse user x item rating store in compressed sparse row (CSR) form.
 
-    Raw string ids are remapped to dense 0-based indices in first-appearance
-    order. Entry ``n`` holds item ``indices[n]`` rated ``ratings[n]``; user
-    ``u``'s entries are the contiguous slice ``indptr[u]:indptr[u + 1]``.
+    User ``u`` is ``user_ids[u]`` and item ``i`` is ``item_ids[i]``; from
+    parsed columns, both lists are in first-appearance order. Entry ``n``
+    holds item ``indices[n]`` rated ``ratings[n]``; user ``u``'s entries are
+    the contiguous slice ``indptr[u]:indptr[u + 1]``.
     Entries are user-major and, within a user, in the order each item first
     appeared for that user; train/test splits draw one number per entry in
     this order. Instances are treated as immutable after construction and
@@ -216,20 +243,38 @@ def _check_policy(errors: str):
         raise ConfigError(f"unknown error policy {errors!r}; use 'raise' or 'skip'")
 
 
+class _IdCodes(dict):
+    """Distinct ids in first-appearance order, each mapped to its code: a new id gets the next."""
+
+    def __missing__(self, id_: str) -> int:
+        self[id_] = code = len(self)
+        return code
+
+    def encode(self, ids: list[str]) -> np.ndarray:
+        """The int64 code of each id, in order; new ids join in order of first appearance."""
+        return np.fromiter(map(self.__getitem__, ids), np.int64, len(ids))
+
+
 class _Columns:
-    """Columns gathered block by block; a block's malformed lines raise or are counted."""
+    """Columns gathered block by block; a block's malformed lines raise or are counted.
+
+    Each block's ids become codes as the block is kept, so no id string
+    outlives its block but the first of each distinct id.
+    """
 
     def __init__(self, errors: str):
         self.errors = errors
-        self.user_ids: list[str] = []
-        self.item_ids: list[str] = []
+        self.user_codes = _IdCodes()
+        self.item_codes = _IdCodes()
+        self.users: list[np.ndarray] = []
+        self.items: list[np.ndarray] = []
         self.ratings: list[np.ndarray] = []
         self.skipped = 0
 
     def keep(self, users: list[str], items: list[str], ratings: np.ndarray):
-        """Append columns already known to be valid."""
-        self.user_ids += users
-        self.item_ids += items
+        """Append a block's columns, already known to be valid, with its ids as codes."""
+        self.users.append(self.user_codes.encode(users))
+        self.items.append(self.item_codes.encode(items))
         self.ratings.append(ratings)
 
     def read(self, line_no: int, lines: list[str], framing: dict[int, LineParseError],
@@ -265,8 +310,11 @@ class _Columns:
         self.skipped += 1
 
     def result(self) -> ParseResult:
+        users, items = (np.concatenate([np.empty(0, np.int64), *codes])
+                        for codes in (self.users, self.items))
         ratings = np.concatenate([np.empty(0), *self.ratings])
-        return ParseResult(RatingColumns(self.user_ids, self.item_ids, ratings), self.skipped)
+        return ParseResult(RatingColumns(list(self.user_codes), list(self.item_codes),
+                                         users, items, ratings), self.skipped)
 
 
 # -- the two formats ---------------------------------------------------------------
@@ -444,41 +492,47 @@ def _parse_csv_row(line: str, delimiter: str,
 # -- columns to a matrix -----------------------------------------------------------
 
 
-def _first_appearance(ids: list[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct ids in first-appearance order, and the index of each id among them."""
-    distinct = list(dict.fromkeys(ids))
-    index = dict(zip(distinct, range(len(distinct))))
-    return distinct, np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
-
-
 def build_matrix(columns: RatingColumns) -> RatingMatrix:
     """Build a RatingMatrix from rating columns.
 
-    Indices are assigned in first-appearance order. A duplicate (user, item)
-    pair keeps the position of its first observation and the rating of its
-    last. The rating scale is the observed (min, max). A non-finite rating
-    is an error naming the first such observation.
+    The matrix keeps the columns' ids, and their codes as its indices. A
+    duplicate (user, item) pair keeps the position of its first observation
+    and the rating of its last. The rating scale is the observed (min, max).
+    A non-finite rating is an error naming the first such observation.
     """
     n = len(columns)
     if not n:
         raise DataError("cannot build a rating matrix from zero records")
+    # int64 whatever the columns' integer type, so the (user, item) keys below cannot wrap
+    users, items = (np.asarray(codes, dtype=np.int64) for codes in (columns.users, columns.items))
     ratings = np.asarray(columns.ratings, dtype=float)
     finite = np.isfinite(ratings)
     if not finite.all():
         bad = int(np.argmin(finite))
-        raise DataError(f"non-finite rating for user {columns.user_ids[bad]!r}, "
-                        f"item {columns.item_ids[bad]!r}")
-    user_ids, users = _first_appearance(columns.user_ids)
-    item_ids, items = _first_appearance(columns.item_ids)
-    # one entry per distinct (user, item): the first record fixes its position, the last its rating
-    key = users * len(item_ids) + items
-    first = np.unique(key, return_index=True)[1]
-    last = n - 1 - np.unique(key[::-1], return_index=True)[1]
-    entry_users = users[first]
-    order = np.lexsort((first, entry_users))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(entry_users, minlength=len(user_ids)))))
-    return RatingMatrix(user_ids, item_ids, indptr, items[first][order],
-                        ratings[last][order], ratings.min(), ratings.max())
+        raise DataError(f"non-finite rating for user {columns.user_ids[users[bad]]!r}, "
+                        f"item {columns.item_ids[items[bad]]!r}")
+    # one entry per distinct (user, item): a stable sort keeps each key's observations in
+    # file order, so a key's run starts at its first observation and ends at its last.
+    # Spent arrays are dropped at once: this is the peak memory of parse, build and split.
+    key = users * len(columns.item_ids) + items
+    by_key = np.argsort(key, kind="stable")
+    key = key[by_key]
+    # bounds[j]: a run starts at j (j < n), and the one before it ends at j - 1 (j > 0)
+    bounds = np.empty(n + 1, dtype=bool)
+    bounds[0] = bounds[n] = True
+    np.not_equal(key[1:], key[:-1], out=bounds[1:n])
+    del key
+    first, last = by_key[bounds[:-1]], by_key[bounds[1:]]
+    del by_key
+    # entries user-major, and within a user in the order of their first observations
+    order = np.argsort(first)
+    first, last = first[order], last[order]
+    order = np.argsort(users[first], kind="stable")
+    first, last = first[order], last[order]
+    row_sizes = np.bincount(users[first], minlength=len(columns.user_ids))
+    indptr = np.concatenate(([0], np.cumsum(row_sizes)))
+    return RatingMatrix(columns.user_ids, columns.item_ids, indptr, items[first], ratings[last],
+                        ratings.min(), ratings.max())
 
 
 def split(matrix: RatingMatrix, test_ratio: float, seed: int) -> SplitPair:

@@ -193,13 +193,14 @@ def train_ppr(
         raise DataError("no user rated two items differently: there is no pair to train on")
     model = init_model(train.n_users, train.n_items, config.n_factors, config.seed)
     stats = TrainStats()
-    iter_seeds = np.random.SeedSequence(config.seed).spawn(config.max_iters)
+    # one child seed per iteration, spawned as it starts: the ones spawn(max_iters) would give
+    seed_seq = np.random.SeedSequence(config.seed)
     n_user_sample = min(config.user_sample_size, train.n_users)
     U, V = model.U, model.V
     learning_rate = config.learning_rate
 
     for it in range(config.max_iters):
-        rng = np.random.default_rng(iter_seeds[it])
+        rng = np.random.default_rng(seed_seq.spawn(1)[0])
         users = rng.choice(train.n_users, size=n_user_sample, replace=False)
         loss_sum = 0.0
         n_updates = 0

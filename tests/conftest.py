@@ -50,8 +50,8 @@ def movielens_like_lines(n_users=900, n_items=1200, mean_ratings=130, seed=2024,
 def matrix_from(triples):
     """A matrix of (user id, item id, rating) triples, in the order given."""
     triples = list(triples)
-    columns = pr.RatingColumns([u for u, _, _ in triples], [i for _, i, _ in triples],
-                               np.array([r for _, _, r in triples], dtype=float))
+    columns = pr.RatingColumns.from_ids([u for u, _, _ in triples], [i for _, i, _ in triples],
+                                        [r for _, _, r in triples])
     return pr.build_matrix(columns)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,19 @@ class TestClassicMf:
         with pytest.raises(DivergenceError):
             pr.train_classic_mf(m, n_factors=2, learning_rate=50.0, epochs=200, seed=1)
 
+    def test_divergence_before_later_epochs_are_seeded(self):
+        # each epoch's seed is spawned as it starts, so 10**5 epochs cost nothing
+        # up front when the first one diverges
+        m = matrix_from([("a", "x", 5), ("a", "y", 1), ("b", "x", 3), ("b", "y", 4)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DivergenceError, match="at epoch 1;"):
+                pr.train_classic_mf(m, n_factors=2, learning_rate=1e308, epochs=10**5, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_deterministic(self):
         m = matrix_from([("a", "x", 4), ("a", "y", 2), ("b", "x", 5), ("b", "y", 3)])
         a, la = pr.train_classic_mf(m, n_factors=2, epochs=4, seed=2)
@@ -168,11 +182,11 @@ def reference_train_classic_mf(train, n_factors, learning_rate, reg, epochs, see
     model = pr.init_model(train.n_users, train.n_items, n_factors, seed)
     U, V = model.U, model.V
     users, items, ratings = train.entry_users(), train.indices, train.ratings
-    epoch_seeds = np.random.SeedSequence(seed).spawn(epochs)
+    seed_seq = np.random.SeedSequence(seed)
     losses = []
     with np.errstate(over="ignore", invalid="ignore"):
         for ep in range(epochs):
-            rng = np.random.default_rng(epoch_seeds[ep])
+            rng = np.random.default_rng(seed_seq.spawn(1)[0])
             for pos in rng.permutation(train.n_entries):
                 u_row = U[users[pos]]
                 v_row = V[items[pos]]

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,12 +15,18 @@ from paretorank import dataio
 from paretorank.errors import ConfigError, DataError, LineParseError
 
 
+def observations(cols):
+    """The columns' (user id, item id, rating) triples, in order, rebuilt from the codes."""
+    return list(zip([cols.user_ids[c] for c in cols.users.tolist()],
+                    [cols.item_ids[c] for c in cols.items.tolist()], cols.ratings.tolist()))
+
+
 class TestParseMovielens:
     def test_wellformed_line(self):
         res = pr.parse_movielens(io.BytesIO(b"1::1193::5::978300760\n"))
         assert res.skipped == 0
         cols = res.records
-        assert (cols.user_ids, cols.item_ids, cols.ratings.tolist()) == (["1"], ["1193"], [5.0])
+        assert observations(cols) == [("1", "1193", 5.0)]
 
     def test_empty_stream(self):
         assert len(pr.parse_movielens(io.BytesIO(b"")).records) == 0
@@ -44,12 +51,12 @@ class TestParseMovielens:
 
     def test_crlf_and_text_lines(self):
         res = pr.parse_movielens(io.BytesIO(b"1::2::4::9\r\n3::4::2::8\n"))
-        assert res.records.user_ids == ["1", "3"]
+        assert [u for u, _, _ in observations(res.records)] == ["1", "3"]
 
     def test_file_order_preserved(self):
         data = b"9::1::5::1\n2::7::1::2\n"
         res = pr.parse_movielens(io.BytesIO(data))
-        assert list(zip(res.records.user_ids, res.records.item_ids)) == [("9", "1"), ("2", "7")]
+        assert [(u, i) for u, i, _ in observations(res.records)] == [("9", "1"), ("2", "7")]
 
     def test_non_finite_rating_rejected(self):
         with pytest.raises(LineParseError):
@@ -66,14 +73,14 @@ class TestParseMovielens:
         with mock.patch.object(dataio, "_split_lines", side_effect=AssertionError("string path")):
             cols = pr.parse_movielens(io.BytesIO(data)).records
         assert cols.ratings.tobytes() == np.array([float(t) for t in texts]).tobytes()
-        assert cols.item_ids == [f"i{n}" for n in range(len(texts))]
+        assert [i for _, i, _ in observations(cols)] == [f"i{n}" for n in range(len(texts))]
 
 
 class TestParseCsv:
     def test_row_with_extra_columns(self):
         data = b"userID,itemID,rating,mood\n15,22,4,happy\n"
         cols = pr.parse_csv(io.BytesIO(data)).records
-        assert (cols.user_ids, cols.item_ids, cols.ratings.tolist()) == (["15"], ["22"], [4.0])
+        assert observations(cols) == [("15", "22", 4.0)]
 
     def test_absent_header_is_config_error(self):
         data = b"user,item,score\n1,2,3\n"
@@ -90,7 +97,7 @@ class TestParseCsv:
     def test_custom_columns_and_delimiter(self):
         data = b"u;r;i\n7;3.5;9\n"
         cols = pr.parse_csv(io.BytesIO(data), columns=("u", "i", "r"), delimiter=";").records
-        assert (cols.user_ids, cols.item_ids, cols.ratings.tolist()) == (["7"], ["9"], [3.5])
+        assert observations(cols) == [("7", "9", 3.5)]
 
     def test_skip_policy(self):
         data = b"userID,itemID,rating\n1,2,5\n3,4\n5,6,bad\n7,8,2\n"
@@ -105,7 +112,7 @@ class TestParseCsv:
     def test_rows_of_different_widths_keep_file_order(self):
         data = b"userID,itemID,rating\n1,2,3,x\n4,5,1\n6,7,2,y,z\n8,9,4\n"
         cols = pr.parse_csv(io.BytesIO(data)).records
-        assert list(zip(cols.user_ids, cols.item_ids, cols.ratings.tolist())) == [
+        assert observations(cols) == [
             ("1", "2", 3.0), ("4", "5", 1.0), ("6", "7", 2.0), ("8", "9", 4.0)]
 
 
@@ -140,10 +147,27 @@ class TestBuildMatrix:
         assert items_of(m, 0)[0] == 3.0  # last wins
 
     def test_mismatched_columns_rejected(self):
-        with pytest.raises(ValueError, match="2 user ids, 1 item ids and ratings of shape \\(2,\\)"):
-            pr.build_matrix(pr.RatingColumns(["a", "b"], ["x"], np.array([1.0, 2.0])))
-        with pytest.raises(ValueError, match="1 user ids, 1 item ids and ratings of shape \\(1, 1\\)"):
-            pr.RatingColumns(["a"], ["x"], np.array([[1.0]]))
+        shapes = r"user codes of shape \(2,\), item codes of shape \(1,\) and ratings of shape \(2,\)"
+        with pytest.raises(ValueError, match=shapes):
+            pr.RatingColumns.from_ids(["a", "b"], ["x"], [1.0, 2.0])
+        with pytest.raises(ValueError, match=r"ratings of shape \(1, 1\)"):
+            pr.RatingColumns.from_ids(["a"], ["x"], [[1.0]])
+        for kind, users, items in (("user", [1], [0]), ("user", [-1], [0]), ("item", [0], [1]),
+                                   ("user", [0.0], [0])):
+            with pytest.raises(ValueError, match=fr"{kind} codes must be integers in \[0, 1\)"):
+                pr.RatingColumns(["a"], ["x"], np.array(users), np.array(items), np.array([1.0]))
+
+    def test_non_finite_rating_names_both_ids(self):
+        with pytest.raises(DataError, match="non-finite rating for user 'b', item 'y'"):
+            matrix_from([("a", "x", 3), ("b", "x", 4), ("b", "y", math.inf)])
+
+    def test_codes_are_the_indices(self):
+        # columns made by hand keep their ids and codes, first-appearance order or not
+        cols = pr.RatingColumns(["b", "a"], ["y", "x"], np.array([1, 0, 1], dtype=np.int8),
+                                np.array([1, 1, 0], dtype=np.uint8), np.array([3.0, 4.0, 5.0]))
+        m = pr.build_matrix(cols)
+        assert (m.user_ids, m.item_ids) == (["b", "a"], ["y", "x"])
+        assert entry_triples(m) == [(0, 1, 4.0), (1, 1, 3.0), (1, 0, 5.0)]
 
     def test_row_is_array_view(self):
         m = matrix_from([("a", "x", 3), ("a", "y", 4), ("b", "x", 5)])
@@ -151,6 +175,26 @@ class TestBuildMatrix:
         assert items_of(m, 1) == {0: 5.0}
         items, ratings = m.row(0)
         assert np.shares_memory(items, m.indices) and np.shares_memory(ratings, m.ratings)
+
+
+class TestParseMemory:
+    def test_ids_are_codes_once_their_block_is_read(self, ml_like_path):
+        # a parse keeps int64 codes per observation, not id strings: with blocks of 64 KiB,
+        # parse plus build of the tier-1 corpus stays below 120 traced bytes a line
+        data = ml_like_path.read_bytes()
+        with mock.patch.object(dataio, "_BLOCK_BYTES", 1 << 16):
+            tracemalloc.start()
+            try:
+                with open(ml_like_path, "rb") as fp:
+                    cols = pr.parse_movielens(fp).records
+                pr.build_matrix(cols)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 120 * data.count(b"\n")
+        fields = [line.split(b"::") for line in data.splitlines()]
+        assert len(cols.user_ids) == len({f[0] for f in fields})
+        assert len(cols.item_ids) == len({f[1] for f in fields})
 
 
 class TestSplit:
@@ -403,8 +447,13 @@ def columnar(parse):
         res = parse(source, **kwargs)
         cols = res.records
         assert isinstance(cols, pr.RatingColumns)
+        assert cols.users.dtype == cols.items.dtype == np.int64
         assert cols.ratings.dtype == np.float64
-        return (cols.user_ids, cols.item_ids, cols.ratings.tobytes()), res.skipped
+        users = [cols.user_ids[c] for c in cols.users.tolist()]
+        items = [cols.item_ids[c] for c in cols.items.tolist()]
+        # the ids are the distinct observed ids in first-appearance order
+        assert (cols.user_ids, cols.item_ids) == (list(dict.fromkeys(users)), list(dict.fromkeys(items)))
+        return (users, items, cols.ratings.tobytes()), res.skipped
     return run
 
 
@@ -541,7 +590,7 @@ class TestFramingErrors:
         assert exc.value.line_no == 2
         assert "not valid UTF-8" in str(exc.value)
         res = pr.parse_movielens(io.BytesIO(data), errors="skip")
-        assert res.records.user_ids == ["1", "3"] and res.skipped == 1
+        assert [u for u, _, _ in observations(res.records)] == ["1", "3"] and res.skipped == 1
 
     def test_undecodable_csv_header_raises_under_skip(self):
         with pytest.raises(LineParseError) as exc:

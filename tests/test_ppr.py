@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,6 +293,20 @@ class TestTrainPpr:
         with pytest.raises(DivergenceError):
             pr.train_ppr(m, cfg)
 
+    def test_divergence_before_later_iterations_are_seeded(self):
+        # each iteration's seed is spawned as it starts, so 10**5 iterations cost
+        # nothing up front when the first one diverges
+        m = matrix_from([("a", "x", 5), ("a", "y", 3), ("a", "z", 1)])
+        cfg = pr.TrainConfig(learning_rate=1e308, n_factors=2, max_iters=10**5, seed=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DivergenceError, match="at iteration 1;"):
+                pr.train_ppr(m, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_stats_csv_layout(self):
         m = matrix_from([("a", "A", 5), ("a", "B", 3)])
         cfg = pr.TrainConfig(n_factors=2, max_iters=2, seed=3)
@@ -344,11 +359,11 @@ def reference_train_ppr(train, config, on_pair=None):
         raise DataError(NO_PAIRS)
     model = pr.init_model(train.n_users, train.n_items, config.n_factors, config.seed)
     stats = pr.TrainStats()
-    iter_seeds = np.random.SeedSequence(config.seed).spawn(config.max_iters)
+    seed_seq = np.random.SeedSequence(config.seed)
     n_user_sample = min(config.user_sample_size, train.n_users)
 
     for it in range(config.max_iters):
-        rng = np.random.default_rng(iter_seeds[it])
+        rng = np.random.default_rng(seed_seq.spawn(1)[0])
         users = rng.choice(train.n_users, size=n_user_sample, replace=False)
         loss_sum = 0.0
         n_updates = 0
