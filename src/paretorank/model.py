@@ -12,6 +12,12 @@ import numpy as np
 from .dataio import RatingMatrix
 
 
+def check_user(user: int, n_users: int) -> None:
+    """Raise IndexError unless 0 <= user < n_users, the users every scorer serves."""
+    if not 0 <= user < n_users:
+        raise IndexError(f"user index {user} out of range [0, {n_users})")
+
+
 @dataclass
 class FactorModel:
     """User factors U (n_users x d) and item factors V (n_items x d)."""
@@ -33,8 +39,7 @@ class FactorModel:
 
     def score_row(self, user: int) -> np.ndarray:
         """Raw affinities of one user for every item: the user's factor row dotted with each item's."""
-        if not 0 <= user < self.n_users:
-            raise IndexError(f"user index {user} out of range [0, {self.n_users})")
+        check_user(user, self.n_users)
         return self.U[user] @ self.V.T
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,27 @@ from hypothesis import strategies as st
 import paretorank as pr
 from conftest import matrix_from
 from paretorank.errors import DivergenceError
+
+
+class OneGeneratorPerRow:
+    """The random baseline's definition, one default_rng((seed, user)) per row: the oracle."""
+
+    def __init__(self, n_users, n_items, seed):
+        self.n_users, self.n_items, self.seed = n_users, n_items, seed
+
+    def score_row(self, user):
+        return np.random.default_rng((self.seed, user)).random(self.n_items)
+
+
+def assert_rows_match_oracle(scorer, users):
+    oracle = OneGeneratorPerRow(scorer.n_users, scorer.n_items, scorer.seed)
+    for u in users:
+        assert scorer.score_row(u).tobytes() == oracle.score_row(u).tobytes(), u
+
+
+ORACLE_SEEDS = [0, 1, 12, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 5]
+# chunk edges, the last user, and the users where the key grows to two words
+EDGE_USERS = [0, 4095, 4096, 8191, 2**33 - 1, 2**32 - 1, 2**32]
 
 
 class TestRandomScorer:
@@ -29,6 +51,76 @@ class TestRandomScorer:
         grid_a = np.array([a.score_row(u) for u in range(10)])
         grid_b = np.array([b.score_row(u) for u in range(10)])
         assert (grid_a != grid_b).any()
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_matches_one_generator_per_row(self, seed):
+        users = EDGE_USERS + [1, 5000, 2**32 + 4095, 2**32 + 4096]
+        shuffled = list(users)
+        random.Random(seed).shuffle(shuffled)
+        for order in (sorted(users), sorted(users, reverse=True), shuffled):
+            assert_rows_match_oracle(pr.RandomScorer(2**33, 7, seed), order)
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_one_item_rows(self, seed):
+        assert_rows_match_oracle(pr.RandomScorer(2**33, 1, seed), EDGE_USERS)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n_users=st.integers(1, 2**70), n_items=st.integers(1, 40),
+           seed=st.integers(0, 2**160))
+    def test_matches_one_generator_per_row_property(self, data, n_users, n_items, seed):
+        users = data.draw(st.lists(st.integers(0, n_users - 1), min_size=1, max_size=8))
+        assert_rows_match_oracle(pr.RandomScorer(n_users, n_items, seed), users)
+
+    def test_memory_does_not_grow_with_users(self):
+        scorer = pr.RandomScorer(2**40, 3, 1)
+        tracemalloc.start()
+        try:
+            row = scorer.score_row(2**40 - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row.tobytes() == np.random.default_rng((1, 2**40 - 1)).random(3).tobytes()
+        assert peak < 2**20
+
+    def test_walk_over_several_chunks_matches_oracle(self):
+        rng = np.random.default_rng(9)
+        n_users, n_items = 2 * 4096 + 300, 30
+        users = np.repeat(np.arange(n_users), 4)
+        items = np.concatenate([rng.choice(n_items, size=4, replace=False) for _ in range(n_users)])
+        columns = pr.RatingColumns.from_ids(users.tolist(), items.tolist(),
+                                            rng.integers(1, 6, size=users.size).tolist())
+        sp = pr.split(pr.build_matrix(columns), 0.25, 5)
+        scorer = pr.RandomScorer(n_users, n_items, seed=12)
+        assert scorer.n_users == sp.train.n_users == sp.test.n_users
+        recs, raw = pr.score_and_select(scorer, sp.train, 5, sp.test)
+        want_recs, want_raw = pr.score_and_select(OneGeneratorPerRow(n_users, n_items, 12),
+                                                  sp.train, 5, sp.test)
+        assert [r.tolist() for r in recs.items] == [r.tolist() for r in want_recs.items]
+        assert raw.tobytes() == want_raw.tobytes()
+
+    def test_report_matches_oracle_on_test_corpus(self, ml_like_split):
+        train, test = ml_like_split.train, ml_like_split.test
+        kwargs = dict(k=10, algorithm="random", dataset="d", seed=12, test_ratio=0.2)
+        got = pr.evaluate_scorer(pr.RandomScorer(train.n_users, train.n_items, 12),
+                                 train, test, **kwargs)
+        want = pr.evaluate_scorer(OneGeneratorPerRow(train.n_users, train.n_items, 12),
+                                  train, test, **kwargs)
+        assert got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("user", [-1, 5, 10, 2**64])
+    def test_user_out_of_range(self, user):
+        with pytest.raises(IndexError, match="out of range"):
+            pr.RandomScorer(5, 7, 3).score_row(user)
+
+    @pytest.mark.parametrize("seed", [-1, -2**40, True, False, 1.0, "3", None])
+    def test_bad_seed_rejected_at_construction(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            pr.RandomScorer(5, 7, seed)
+
+    def test_numpy_integer_seed(self):
+        a = pr.RandomScorer(5, 7, np.int64(3))
+        assert a.seed == 3 and type(a.seed) is int
+        assert a.score_row(4).tobytes() == pr.RandomScorer(5, 7, 3).score_row(4).tobytes()
 
 
 class TestPopularityTable:
@@ -76,6 +168,21 @@ class TestZipfScorer:
         m = matrix_from([("a", "x", 5), ("b", "y", 3)])
         scorer = pr.ZipfScorer(pr.PopularityTable.from_matrix(m), m.n_users)
         assert scorer.score_row(0).tolist() == scorer.score_row(1).tolist()
+
+    def test_row_is_read_only(self):
+        m = matrix_from([("a", "x", 5), ("b", "y", 3)])
+        scorer = pr.ZipfScorer(pr.PopularityTable.from_matrix(m), m.n_users)
+        row = scorer.score_row(0)
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 42.0
+        assert scorer.score_row(1).tolist() == [1.0, 0.5]
+
+    @pytest.mark.parametrize("user", [-1, 2, 3])
+    def test_user_out_of_range(self, user):
+        m = matrix_from([("a", "x", 5), ("b", "y", 3)])
+        scorer = pr.ZipfScorer(pr.PopularityTable.from_matrix(m), m.n_users)
+        with pytest.raises(IndexError, match=rf"user index {user} out of range \[0, 2\)"):
+            scorer.score_row(user)
 
     def test_ordering_matches_popularity(self):
         rng = np.random.default_rng(4)
