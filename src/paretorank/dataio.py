@@ -15,12 +15,14 @@ order, so no per-line id string outlives the block it was read from.
 
 The stream is read in blocks of whole lines, each in one of two ways. A
 MovieLens block whose every line is plain (see :func:`_plain_movielens`; a
-CRLF end is plain) is read on its bytes: one numpy pass finds its
-separators and line breaks, and its columns are cut from them at once. Any
-other block, and every CSV block, is read line by line by the format's line
-validator, which alone defines a well-formed line; a malformed line's error
-names the line and the reason. A MovieLens timestamp is checked (an integer
-that fits in 64 bits) but not kept.
+CRLF end is plain) is read on its bytes: numpy passes find its separators
+and line breaks and check its fields, each id is keyed by its bytes and its
+length in one uint64, and only the block's distinct ids are decoded and
+coded, so no string is made for a line. Any other block, and every CSV
+block, is read line by line by the format's line validator, which alone
+defines a well-formed line; a malformed line's error names the line and the
+reason. A MovieLens timestamp is checked (an integer that fits in 64 bits)
+but not kept.
 
 :func:`build_matrix` takes columns and returns a :class:`RatingMatrix` over
 their ids, with their codes as indices. Its CSR arrays fix the entry order
@@ -172,23 +174,26 @@ def _byte_blocks(fp) -> Iterator[bytes]:
     """The stream's bytes in blocks of whole lines of about ``_BLOCK_BYTES``.
 
     ``fp`` is a binary stream. Every block but the stream's last ends in a
-    line break.
+    line break. A line longer than a block is gathered chunk by chunk, and
+    only each new chunk is searched for a line break, so the time to read a
+    line is linear in its length.
     """
     read = getattr(fp, "read", None)
     if read is None or not isinstance(read(0), bytes):
         raise TypeError(f'parsers read a binary stream, got {type(fp).__name__}; '
                         'open the file with "rb"')
-    rest = b""
-    while True:
-        chunk = fp.read(_BLOCK_BYTES)
-        data = rest + chunk
-        # at the end of the stream what is left is the last line, with no line break
-        cut = data.rfind(b"\n") + 1 if chunk else len(data)
-        data, rest = data[:cut], data[cut:]
-        if data:
-            yield data
-        if not chunk:
-            return
+    pending: list[bytes] = []  # the chunks of a line not yet ended
+    while chunk := fp.read(_BLOCK_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            pending.append(chunk[:cut])
+            yield b"".join(pending)
+            pending = [chunk[cut:]]
+        else:
+            pending.append(chunk)
+    # at the end of the stream what is left is the last line, with no line break
+    if rest := b"".join(pending):
+        yield rest
 
 
 def _line_blocks(fp) -> Iterator[tuple[int, list[str], dict[int, LineParseError]]]:
@@ -258,7 +263,7 @@ class _IdCodes(dict):
 class _Columns:
     """Columns gathered block by block; a block's malformed lines raise or are counted.
 
-    Each block's ids become codes as the block is kept, so no id string
+    Each block's ids become codes as the block is read, so no id string
     outlives its block but the first of each distinct id.
     """
 
@@ -271,10 +276,10 @@ class _Columns:
         self.ratings: list[np.ndarray] = []
         self.skipped = 0
 
-    def keep(self, users: list[str], items: list[str], ratings: np.ndarray):
-        """Append a block's columns, already known to be valid, with its ids as codes."""
-        self.users.append(self.user_codes.encode(users))
-        self.items.append(self.item_codes.encode(items))
+    def keep(self, users: np.ndarray, items: np.ndarray, ratings: np.ndarray):
+        """Append a block's columns, already known to be valid, its ids as codes."""
+        self.users.append(users)
+        self.items.append(items)
         self.ratings.append(ratings)
 
     def read(self, line_no: int, lines: list[str], framing: dict[int, LineParseError],
@@ -302,7 +307,8 @@ class _Columns:
                 add_rating(rating)
             elif n in framing:
                 self._reject(framing[n])
-        self.keep(users, items, np.array(ratings, dtype=np.float64))
+        self.keep(self.user_codes.encode(users), self.item_codes.encode(items),
+                  np.array(ratings, dtype=np.float64))
 
     def _reject(self, error: LineParseError):
         if self.errors == "raise":
@@ -310,11 +316,15 @@ class _Columns:
         self.skipped += 1
 
     def result(self) -> ParseResult:
-        users, items = (np.concatenate([np.empty(0, np.int64), *codes])
-                        for codes in (self.users, self.items))
-        ratings = np.concatenate([np.empty(0), *self.ratings])
-        return ParseResult(RatingColumns(list(self.user_codes), list(self.item_codes),
-                                         users, items, ratings), self.skipped)
+        columns = []
+        for blocks, dtype in ((self.users, np.int64), (self.items, np.int64),
+                              (self.ratings, np.float64)):
+            # a column's blocks are dropped once it is joined, so the blocks and the joined
+            # columns are never all held at once
+            columns.append(np.concatenate([np.empty(0, dtype), *blocks]))
+            blocks.clear()
+        return ParseResult(RatingColumns(list(self.user_codes), list(self.item_codes), *columns),
+                           self.skipped)
 
 
 # -- the two formats ---------------------------------------------------------------
@@ -338,8 +348,10 @@ def parse_movielens(source, errors: str = "raise") -> ParseResult:
     for data in _byte_blocks(source):
         plain = _plain_movielens(data)
         if plain is not None:
-            out.keep(*plain)
-            line_no += len(plain[2])
+            (user_ids, users), (item_ids, items), ratings = plain
+            out.keep(out.user_codes.encode(user_ids)[users], out.item_codes.encode(item_ids)[items],
+                     ratings)
+            line_no += len(ratings)
             continue
         lines, framing = _split_lines(data, line_no)
         out.read(line_no, lines, framing, _parse_movielens_line)
@@ -347,65 +359,106 @@ def parse_movielens(source, errors: str = "raise") -> ParseResult:
     return out.result()
 
 
-_SEP = 0xFF  # a marked "::"; valid UTF-8 never holds the byte 0xFF
-_PLAIN_MARKS = np.array([_SEP, _SEP, _SEP, ord("\n")], dtype=np.uint8)
-_RUN_KINDS = np.array([1, 0, 2, 0], dtype=np.int8)
+_ID_BYTES = 7  # an id of up to 7 bytes and its length fit in one uint64 key
 _STAMP_DIGITS = 18  # every number of up to 18 digits fits in int64
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(_ID_BYTES + 1)], dtype=np.uint64)
+_LENGTH_BYTE = np.arange(_ID_BYTES + 1, dtype=np.uint64) << np.uint64(56)
 
 
-def _plain_movielens(data: bytes) -> Optional[tuple[list[str], list[str], np.ndarray]]:
-    """The columns of a block of whole MovieLens lines read on its bytes, or None unless all are plain.
+def _plain_movielens(data: bytes) -> Optional[tuple[tuple[list[str], np.ndarray],
+                                                    tuple[list[str], np.ndarray], np.ndarray]]:
+    """A block of whole MovieLens lines read on its bytes, or None unless every line is plain.
 
-    A plain line has three ``::`` separators, non-empty ids, a rating of one
-    digit or of ``d.d``, a timestamp of 1 to 18 ASCII digits, and an LF or
-    CRLF end; the block must be valid UTF-8, hold no other CR and no byte
-    order mark, and end in a line break. A plain line is well formed and
-    gives the columns the line validator gives it, so the way a block is read
-    changes no result.
+    A plain line has three ``::`` separators and no other colon, ids of 1 to
+    ``_ID_BYTES`` bytes, a rating of one digit or of ``d.d``, a timestamp of
+    1 to ``_STAMP_DIGITS`` ASCII digits, and an LF or CRLF end; the block
+    must be valid UTF-8, hold no other CR and no byte order mark, and end in
+    a line break. A plain line is well formed and gives the columns the line
+    validator gives it, so the way a block is read changes no result.
+
+    Returns (user ids, users), (item ids, items) and the ratings: the ids are
+    the block's distinct ids in first-appearance order, and ``users[n]``
+    indexes line ``n``'s user among them (items alike). No string is made
+    for a line; only the distinct ids are decoded.
     """
     if b"\r" in data:  # a scan for one byte is far cheaper than replace's scan for two
         # a CRLF end is stripped as _split_lines strips it; any other CR sends the block line by line
         data = data.replace(b"\r\n", b"\n")
-    if not data.endswith(b"\n") or b"\r" in data or b"\xef\xbb\xbf" in data:
+    if not data.endswith(b"\n") or b"\r" in data:
         return None
-    if not data.isascii():
+    if not data.isascii():  # an ASCII block is valid UTF-8 and holds no byte order mark
+        if b"\xef\xbb\xbf" in data:
+            return None
         try:
             data.decode("utf-8")
         except UnicodeDecodeError:
             return None
-    # bytes.replace takes "::" left to right as str.split does, ":::" runs included
-    buf = np.frombuffer(data.replace(b"::", b"\xff"), dtype=np.uint8)
-    marks = np.flatnonzero((buf == _SEP) | (buf == ord("\n")))
-    if len(marks) % 4 or not (buf[marks].reshape(-1, 4) == _PLAIN_MARKS).all():
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # colons and line breaks are among the bytes that are not ASCII digits (uint8 differences
+    # below 10); ``at`` indexes the colons and line breaks among the non-digits
+    nondigit = np.flatnonzero(buf - ord("0") > 9)
+    kinds = buf[nondigit]
+    line_break = kinds == ord("\n")
+    at = np.flatnonzero((kinds == ord(":")) | line_break)
+    # seven marks a line: six colons, then the line break
+    if len(at) % 7 or np.count_nonzero(line_break) != len(at) // 7 or not line_break[at[6::7]].all():
         return None
-    user_end, item_end, rating_end, line_end = marks.reshape(-1, 4).T
+    at = at.reshape(-1, 7)
+    stamp_digits = at[:, 6] == at[:, 5] + 1  # no non-digit between the last colon and the line break
+    user_end, item_start, item_end, rating_start, rating_end, stamp_start, line_end = nondigit[at.T]
+    del nondigit, kinds, line_break, at  # the block's largest arrays, dropped before the columns
+    item_start += 1
+    rating_start += 1
+    stamp_start += 1
     starts = np.concatenate(([0], line_end[:-1] + 1))
-    rating_len = rating_end - item_end - 1
-    stamp_len = line_end - rating_end - 1
-    # uint8 differences: below 10 only for an ASCII digit
-    units = buf[item_end + 1] - ord("0")
-    tenths = buf.take(item_end + 3, mode="clip") - ord("0")  # past the end only when not d.d
-    point = (rating_len == 3) & (buf[item_end + 2] == ord(".")) & (tenths < 10)
-    if not ((units < 10) & ((rating_len == 1) | point) & (user_end > starts)
-            & (item_end > user_end + 1) & (stamp_len >= 1) & (stamp_len <= _STAMP_DIGITS)).all():
+    user_len = user_end - starts
+    item_len = item_end - item_start
+    rating_len = rating_end - rating_start
+    stamp_len = line_end - stamp_start
+    # uint8 differences: below 10 only for an ASCII digit; rating_start + 2 is at most line_end
+    units = buf[rating_start] - ord("0")
+    tenths = buf[rating_start + 2] - ord("0")
+    point = (rating_len == 3) & (buf[rating_start + 1] == ord(".")) & (tenths < 10)
+    if not ((item_start == user_end + 2) & (rating_start == item_end + 2)
+            & (stamp_start == rating_end + 2) & stamp_digits
+            & (user_len >= 1) & (user_len <= _ID_BYTES) & (item_len >= 1) & (item_len <= _ID_BYTES)
+            & (units < 10) & ((rating_len == 1) | point)
+            & (stamp_len >= 1) & (stamp_len <= _STAMP_DIGITS)).all():
         return None
-    # each line is four runs of bytes: "user::item::" (1), "rating::" (0), the timestamp (2)
-    # and the line break (0)
-    runs = np.empty((len(starts), 4), dtype=np.intp)
-    runs[:, 0] = item_end + 1 - starts
-    runs[:, 1] = rating_end - item_end
-    runs[:, 2] = stamp_len
-    runs[:, 3] = 1
-    region = np.repeat(np.tile(_RUN_KINDS, len(starts)), runs.ravel())
-    if not buf[region == 2].tobytes().isdigit():
-        return None
-    ids = buf[region == 1]
-    ids[ids == _SEP] = ord("\n")
-    names = ids.tobytes().decode("utf-8").split("\n")
+    # the 8 bytes from every offset, as little-endian uint64s (a view, not a copy); every id has 8
+    # bytes from its start, as a plain line has 11 or more
+    words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
     whole = units.astype(np.float64)
     # float("d.e") and (10d + e) / 10 both round the one real number d.e once, to the same double
     ratings = np.where(point, (10 * whole + tenths) / 10, whole)
-    return names[0:-1:2], names[1::2], ratings
+    return (_distinct_ids(data, words, starts, user_len),
+            _distinct_ids(data, words, item_start, item_len), ratings)
+
+
+def _distinct_ids(data: bytes, words: np.ndarray, starts: np.ndarray,
+                  lengths: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct ids ``data[start:start + length]`` in first-appearance order, and where each id is.
+
+    ``words`` is ``data``'s uint64 view at every byte offset. An id of 1 to
+    ``_ID_BYTES`` bytes is keyed by its bytes and, in the top byte, its
+    length, so two ids share a key only when they are equal.
+    """
+    keys = (words[starts] & _LOW_BYTES[lengths]) | _LENGTH_BYTE[lengths]
+    by_key = np.argsort(keys)
+    keys = keys[by_key]
+    new = np.empty(len(keys), dtype=bool)  # the first of each run of one key, in key order
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    first = np.minimum.reduceat(by_key, np.flatnonzero(new))  # each key's first line
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    where = np.empty(len(by_key), dtype=np.intp)
+    where[by_key] = rank[np.cumsum(new) - 1]
+    first = first[order]
+    ids = [data[start:start + length].decode("utf-8")
+           for start, length in zip(starts[first].tolist(), lengths[first].tolist())]
+    return ids, where
 
 
 def _parse_movielens_line(line: str) -> tuple[str, str, float]:

@@ -377,7 +377,8 @@ def reference_parse_csv(source, columns=("userID", "itemID", "rating"), delimite
 
 # -- the columnar parsers against the references ---------------------------------------
 
-IDS = ["1", "42", "u7", "é", "x y", " 3", "", "\ufeff9", "a:b", "\x00", "a\x00b", "7:"]
+IDS = ["1", "42", "u7", "é", "x y", " 3", "", "\ufeff9", "a:b", "\x00", "a\x00b", "7:", "7", "07", "007",
+       "a\x00", "\x00a", "1234567", "12345678", "日本", "日本語"]
 RATINGS = ["1", "4.5", "-2", "1e3", " 3 ", "1_0", "nan", "inf", "-Infinity", "abc", "", "1e999", "٣", "0x1",
            "0", "10", "3.5", "0.5", ".5", "5.", "3.55", "4.x", "-"]
 STAMPS = ["978300760", "0", "-5", "+7", "1_000", " 12", "x", "", "1.5", "٣",
@@ -541,6 +542,56 @@ class TestColumnarParsersMatchReference:
         cols = pr.parse_movielens(io.BytesIO(data)).records
         records, _ = reference_parse_movielens(io.BytesIO(data))
         assert matrix_arrays(pr.build_matrix, cols) == matrix_arrays(matrix_from, records)
+
+
+class TestBytePath:
+    @pytest.mark.parametrize("field", [0, 1], ids=["user", "item"])
+    @pytest.mark.parametrize("id_, line_by_line", [
+        ("1234567", False), ("日本", False), ("\x00a", False), ("a\x00", False),
+        ("12345678", True), ("日本語", True), ("a:b", True), ("7:", True)])
+    def test_id_of_up_to_7_bytes_without_colon_stays_on_the_bytes(self, field, id_, line_by_line):
+        # an id longer than _ID_BYTES bytes, or one holding a colon, sends its block line by line
+        assert (len(id_.encode()) > dataio._ID_BYTES or ":" in id_) == line_by_line
+        odd = ["1", "2", "3", "978300760"]
+        odd[field] = id_
+        raw = ("1::2::3::978300760\n" + "::".join(odd) + "\n7::2::4.5::978300761\n").encode()
+        for errors in ("raise", "skip"):
+            with mock.patch.object(dataio, "_split_lines", wraps=dataio._split_lines) as spy:
+                got = outcome(columnar(pr.parse_movielens), io.BytesIO(raw), errors=errors)
+            assert spy.call_count == line_by_line
+            assert got == outcome(per_line(reference_parse_movielens), io.BytesIO(raw), errors=errors)
+
+    def test_only_a_blocks_distinct_ids_are_coded(self, ml_like_path):
+        # each plain block hands its id tables only its distinct ids, in first-appearance order
+        data = ml_like_path.read_bytes()
+        coded = []
+        encode = dataio._IdCodes.encode
+
+        def spy(codes, ids):
+            coded.append(list(ids))
+            return encode(codes, ids)
+
+        with mock.patch.object(dataio, "_BLOCK_BYTES", 1 << 16):
+            blocks = list(dataio._byte_blocks(io.BytesIO(data)))
+            with mock.patch.object(dataio._IdCodes, "encode", spy), \
+                    mock.patch.object(dataio, "_split_lines", side_effect=AssertionError("string path")):
+                got = outcome(columnar(pr.parse_movielens), io.BytesIO(data))
+        want = []
+        for block in blocks:
+            fields = [line.decode().split("::") for line in block.splitlines()]
+            want += [list(dict.fromkeys(f[0] for f in fields)), list(dict.fromkeys(f[1] for f in fields))]
+        assert len(blocks) > 1 and coded == want
+        assert got == outcome(per_line(reference_parse_movielens), io.BytesIO(data))
+
+
+class TestByteBlocks:
+    def test_line_longer_than_three_blocks_is_one_unchanged_block(self):
+        line = b"1::2::3::978300760\r" * 11  # CR ends only: one line of 209 bytes
+        with mock.patch.object(dataio, "_BLOCK_BYTES", 64):
+            assert list(dataio._byte_blocks(io.BytesIO(line))) == [line]
+            assert list(dataio._byte_blocks(io.BytesIO(line + b"\n"))) == [line + b"\n"]
+            blocks = list(dataio._byte_blocks(io.BytesIO(line + b"\n" + line)))
+        assert blocks == [line + b"\n", line]
 
 
 class TestCrlfBlocks:

@@ -1,9 +1,10 @@
-"""The README's library example and artifact list, checked against the tiny test corpus."""
+"""The README's library example, artifact list and plain-line definition, checked against the code."""
 
 import math
 import re
 from pathlib import Path
 
+from paretorank import dataio
 from paretorank.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -43,3 +44,11 @@ def test_artifacts_section_names_every_csv_header(tiny_path, tmp_path, monkeypat
     for name in commands:
         header = Path(name).read_text(encoding="utf-8").splitlines()[1]
         assert f"`{header}`" in section, name
+
+
+def test_plain_line_definition_states_the_byte_path_caps():
+    text = README.read_text(encoding="utf-8")
+    paragraph = text[text.index("Input is read in blocks"):].split("\n\n", 1)[0]
+    paragraph = " ".join(paragraph.split())
+    assert f"ids of 1 to {dataio._ID_BYTES} bytes" in paragraph
+    assert f"a timestamp of 1 to {dataio._STAMP_DIGITS} ASCII digits" in paragraph
