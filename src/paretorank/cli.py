@@ -110,18 +110,20 @@ def build_parser() -> _Parser:
 def _read_config_file(path) -> list[str]:
     flags = []
     try:
-        fp = open(path, "r", encoding="utf-8")
+        with open(path, "r", encoding="utf-8-sig") as fp:
+            lines = fp.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot open config file: {exc}") from None
-    with fp:
-        for line_no, line in enumerate(fp, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            flags += ["--" + key.strip().replace("_", "-"), value.strip()]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid UTF-8 ({exc.reason})") from None
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        flags += ["--" + key.strip().replace("_", "-"), value.strip()]
     return flags
 
 

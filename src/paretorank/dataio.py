@@ -21,8 +21,9 @@ length in one uint64, and only the block's distinct ids are decoded and
 coded, so no string is made for a line. Any other block, and every CSV
 block, is read line by line by the format's line validator, which alone
 defines a well-formed line; a malformed line's error names the line and the
-reason. A MovieLens timestamp is checked (an integer that fits in 64 bits)
-but not kept.
+reason. Both ways end in one :class:`_Columns`, which alone numbers the
+lines: a CSV header is line 1 and its rows start at line 2. A MovieLens
+timestamp is checked (an integer that fits in 64 bits) but not kept.
 
 :func:`build_matrix` takes columns and returns a :class:`RatingMatrix` over
 their ids, with their codes as indices. Its CSR arrays fix the entry order
@@ -196,24 +197,13 @@ def _byte_blocks(fp) -> Iterator[bytes]:
         yield rest
 
 
-def _line_blocks(fp) -> Iterator[tuple[int, list[str], dict[int, LineParseError]]]:
-    """The stream's lines in blocks: (1-based number of the first line, lines, framing errors).
-
-    See :func:`_byte_blocks` and :func:`_split_lines`.
-    """
-    line_no = 1
-    for data in _byte_blocks(fp):
-        lines, framing = _split_lines(data, line_no)
-        yield line_no, lines, framing
-        line_no += len(lines)
-
-
 def _split_lines(data: bytes, line_no: int) -> tuple[list[str], dict[int, LineParseError]]:
     """Decode whole lines of bytes and split them, as each line's own utf-8-sig decoding would.
 
-    Line ends are stripped, and each line loses one leading byte order mark.
-    A line that is not valid UTF-8 is a framing error keyed by its index in
-    the block; its place in the lines holds "".
+    Line ends are stripped, each line loses one leading byte order mark, and
+    no bytes hold no line. A line that is not valid UTF-8 is a framing error
+    keyed by its index in the block; its place in the lines holds "". The
+    block's first line is ``line_no``, which only :class:`_Columns` keeps.
     """
     framing = {}
     try:
@@ -233,7 +223,7 @@ def _split_lines(data: bytes, line_no: int) -> tuple[list[str], dict[int, LinePa
     if "\ufeff" in text:
         text = text.removeprefix("\ufeff").replace("\n\ufeff", "\n")
     lines = text.split("\n")
-    if data.endswith(b"\n"):
+    if not data or data.endswith(b"\n"):
         lines.pop()
     if "\r" in text:
         lines = list(map(str.rstrip, lines, repeat("\r")))
@@ -241,11 +231,6 @@ def _split_lines(data: bytes, line_no: int) -> tuple[list[str], dict[int, LinePa
 
 
 # -- lines to columns --------------------------------------------------------------
-
-
-def _check_policy(errors: str):
-    if errors not in ("raise", "skip"):
-        raise ConfigError(f"unknown error policy {errors!r}; use 'raise' or 'skip'")
 
 
 class _IdCodes(dict):
@@ -263,12 +248,17 @@ class _IdCodes(dict):
 class _Columns:
     """Columns gathered block by block; a block's malformed lines raise or are counted.
 
-    Each block's ids become codes as the block is read, so no id string
-    outlives its block but the first of each distinct id.
+    ``line_no`` is the number of the next block's first line: only
+    ``_Columns`` numbers lines, whichever way a block is read. Each block's
+    ids become codes as the block is read, so no id string outlives its
+    block but the first of each distinct id.
     """
 
-    def __init__(self, errors: str):
+    def __init__(self, errors: str, first_line: int):
+        if errors not in ("raise", "skip"):
+            raise ConfigError(f"unknown error policy {errors!r}; use 'raise' or 'skip'")
         self.errors = errors
+        self.line_no = first_line
         self.user_codes = _IdCodes()
         self.item_codes = _IdCodes()
         self.users: list[np.ndarray] = []
@@ -276,29 +266,37 @@ class _Columns:
         self.ratings: list[np.ndarray] = []
         self.skipped = 0
 
-    def keep(self, users: np.ndarray, items: np.ndarray, ratings: np.ndarray):
-        """Append a block's columns, already known to be valid, its ids as codes."""
-        self.users.append(users)
-        self.items.append(items)
-        self.ratings.append(ratings)
+    def keep(self, users: tuple[list[str], np.ndarray], items: tuple[list[str], np.ndarray],
+             ratings: np.ndarray):
+        """Append a block read on its bytes, one well-formed line per rating.
 
-    def read(self, line_no: int, lines: list[str], framing: dict[int, LineParseError],
-             parse_line, *args):
-        """Keep what ``parse_line(line, *args)`` reads from each line; reject every other line.
-
-        ``parse_line`` gives (user, item, rating), None for a line passed over,
-        or raises ValueError with the reason the line is malformed. A line in
-        ``framing`` is malformed whatever it holds; it holds "", which is never
-        read as a rating, so ``framing`` is looked up only for lines that give
-        none.
+        ``users`` is the block's distinct user ids and each line's index
+        among them (``items`` alike), as :func:`_plain_movielens` gives them.
         """
+        (user_ids, user_at), (item_ids, item_at) = users, items
+        self.users.append(self.user_codes.encode(user_ids)[user_at])
+        self.items.append(self.item_codes.encode(item_ids)[item_at])
+        self.ratings.append(ratings)
+        self.line_no += len(ratings)
+
+    def read(self, data: bytes, parse_line, *args):
+        """Keep what ``parse_line(line, *args)`` reads from each line of a block; reject the rest.
+
+        ``data`` is whole lines of bytes, split by :func:`_split_lines`.
+        ``parse_line`` gives (user, item, rating), None for a line passed over,
+        or raises ValueError with the reason the line is malformed. A line that
+        is not valid UTF-8 is malformed whatever it holds; it holds "", which
+        is never read as a rating, so its framing error is looked up only for
+        lines that give none.
+        """
+        lines, framing = _split_lines(data, self.line_no)
         users, items, ratings = [], [], []
         add_user, add_item, add_rating = users.append, items.append, ratings.append
         for n, line in enumerate(lines):
             try:
                 row = parse_line(line, *args)
             except ValueError as exc:
-                self._reject(framing.get(n) or LineParseError(line_no + n, line, str(exc)))
+                self._reject(framing.get(n) or LineParseError(self.line_no + n, line, str(exc)))
                 continue
             if row is not None:
                 user, item, rating = row
@@ -307,8 +305,10 @@ class _Columns:
                 add_rating(rating)
             elif n in framing:
                 self._reject(framing[n])
-        self.keep(self.user_codes.encode(users), self.item_codes.encode(items),
-                  np.array(ratings, dtype=np.float64))
+        self.users.append(self.user_codes.encode(users))
+        self.items.append(self.item_codes.encode(items))
+        self.ratings.append(np.array(ratings, dtype=np.float64))
+        self.line_no += len(lines)
 
     def _reject(self, error: LineParseError):
         if self.errors == "raise":
@@ -342,20 +342,13 @@ def parse_movielens(source, errors: str = "raise") -> ParseResult:
         ParseResult whose columns hold one observation per well-formed line,
         in file order.
     """
-    _check_policy(errors)
-    out = _Columns(errors)
-    line_no = 1
+    out = _Columns(errors, first_line=1)
     for data in _byte_blocks(source):
         plain = _plain_movielens(data)
-        if plain is not None:
-            (user_ids, users), (item_ids, items), ratings = plain
-            out.keep(out.user_codes.encode(user_ids)[users], out.item_codes.encode(item_ids)[items],
-                     ratings)
-            line_no += len(ratings)
-            continue
-        lines, framing = _split_lines(data, line_no)
-        out.read(line_no, lines, framing, _parse_movielens_line)
-        line_no += len(lines)
+        if plain is None:
+            out.read(data, _parse_movielens_line)
+        else:
+            out.keep(*plain)
     return out.result()
 
 
@@ -495,26 +488,25 @@ def parse_csv(
     break, is a configuration error; a bad row is a data error subject to
     the same raise/skip policy as :func:`parse_movielens`.
     """
-    _check_policy(errors)
+    out = _Columns(errors, first_line=2)
     if not delimiter or "\n" in delimiter:
         raise ConfigError(f"delimiter {delimiter!r} must be non-empty and hold no line break")
-    blocks = _line_blocks(source)
-    try:
-        line_no, lines, framing = next(blocks)
-    except StopIteration:
-        raise DataError("empty input: no header row") from None
-    if 0 in framing:
+    blocks = _byte_blocks(source)
+    first = next(blocks, None)
+    if first is None:
+        raise DataError("empty input: no header row")
+    cut = first.find(b"\n") + 1 or len(first)
+    (header,), framing = _split_lines(first[:cut], 1)
+    if framing:
         raise framing[0]
-    header = lines[0].split(delimiter)
+    header = header.split(delimiter)
     try:
         cols = tuple(header.index(name) for name in columns)
     except ValueError:
         missing = [name for name in columns if name not in header]
         raise ConfigError(f"column(s) {missing} not found in header {header}") from None
-    out = _Columns(errors)
-    first = (line_no + 1, lines[1:], {n - 1: exc for n, exc in framing.items()})
-    for line_no, lines, framing in chain([first], blocks):
-        out.read(line_no, lines, framing, _parse_csv_row, delimiter, cols)
+    for data in chain([first[cut:]], blocks):
+        out.read(data, _parse_csv_row, delimiter, cols)
     return out.result()
 
 

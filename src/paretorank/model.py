@@ -2,7 +2,8 @@
 
 Every algorithm in the package exposes the same scorer surface — ``n_users``,
 ``n_items`` and ``score_row(user)`` — so evaluation flows through one path
-regardless of how scores are produced.
+regardless of how scores are produced: the blocked walk behind ``top_k``,
+``score_entries`` and ``score_and_select``, which concordance shares.
 """
 
 from dataclasses import dataclass

@@ -32,7 +32,7 @@ import numpy as np
 
 from .dataio import RatingMatrix
 from .errors import DataError, DivergenceError
-from .model import FactorModel, init_model
+from .model import FactorModel, init_model, score_entries
 
 STEP_NORM_CAP = 1.0
 # the smallest margin a step touches: it keeps -ln(m) and 1/m finite
@@ -246,15 +246,15 @@ def pairwise_concordance(scorer, test: RatingMatrix) -> float:
     """Fraction of within-user test preference pairs the scorer orders correctly.
 
     Over all pairs with R[i,j] > R[i,k], counts 1 when score(i,j) > score(i,k)
-    and 0.5 on a score tie.
+    and 0.5 on a score tie. The test entries are scored by one walk
+    (:func:`~paretorank.model.score_entries`), and each user's pairs are
+    counted on that user's slice of the scores, in user order.
     """
+    scores = score_entries(scorer, test)
     num = 0.0
     den = 0
-    for u in range(test.n_users):
-        items, r = test.row(u)
-        if len(items) < 2:
-            continue
-        s = scorer.score_row(u)[items]
+    for lo, hi in zip(test.indptr[:-1].tolist(), test.indptr[1:].tolist()):
+        r, s = test.ratings[lo:hi], scores[lo:hi]
         prefer = r[:, None] > r[None, :]
         n_pairs = int(prefer.sum())
         if n_pairs == 0:

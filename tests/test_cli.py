@@ -690,3 +690,23 @@ class TestConfigFile:
         assert code == 1
         assert capsys.readouterr().err.startswith("config error: cannot open config file:")
         assert not (tmp_path / "m.bin").exists()
+
+    def test_config_file_may_start_with_a_byte_order_mark(self, tiny_path, tmp_path):
+        pairs = b"seed=9\nmax_iters=2\nuser_sample_size=30\nitem_sample_size=8\n"
+        models = []
+        for name, data in (("plain", pairs), ("bom", b"\xef\xbb\xbf" + pairs)):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_bytes(data)
+            models.append(tmp_path / f"{name}.bin")
+            assert run("train", "--data", tiny_path, "--algo", "ppr", "--config", cfg,
+                       "--model-out", models[-1]) == 0
+        assert models[0].read_bytes() == models[1].read_bytes()
+
+    def test_undecodable_config_file_is_config_error(self, tiny_path, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"max_iters=2\n\xff=1\n")
+        code = run("train", "--data", tiny_path, "--config", cfg, "--model-out", tmp_path / "m.bin")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(cfg) in err
+        assert not (tmp_path / "m.bin").exists()

@@ -552,3 +552,75 @@ class TestPairwiseConcordance:
         model = pr.init_model(2, 2, 2, seed=0)
         with pytest.raises(DataError):
             pr.pairwise_concordance(model, test)
+
+
+def reference_pairwise_concordance(scorer, test):
+    """The per-user concordance loop: one ``score_row`` call per user with two or more entries."""
+    num = 0.0
+    den = 0
+    for u in range(test.n_users):
+        items, r = test.row(u)
+        if len(items) < 2:
+            continue
+        s = scorer.score_row(u)[items]
+        prefer = r[:, None] > r[None, :]
+        n_pairs = int(prefer.sum())
+        if n_pairs == 0:
+            continue
+        concordant = (s[:, None] > s[None, :])[prefer].sum()
+        tied = (s[:, None] == s[None, :])[prefer].sum()
+        num += concordant + 0.5 * tied
+        den += n_pairs
+    if den == 0:
+        raise DataError("no admissible preference pairs in the test matrix")
+    return num / den
+
+
+class TableScorer:
+    """A scorer whose ``score_row(u)`` is row ``u`` of a table."""
+
+    def __init__(self, table):
+        self.table = table
+        self.n_users, self.n_items = table.shape
+
+    def score_row(self, user):
+        return self.table[user]
+
+
+@st.composite
+def scored_test_matrices(draw):
+    """(scorer, test): few rating and score values, so both tie; rows of 0, 1 or more entries."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    held = draw(hnp.arrays(bool, shape))
+    ratings = draw(hnp.arrays(np.float64, shape, elements=st.sampled_from([1.0, 2.0, 3.0])))
+    table = draw(hnp.arrays(np.float64, shape,
+                            elements=st.sampled_from([-math.inf, -1.0, 0.0, 0.5, math.nan])))
+    users, items = np.nonzero(held)
+    indptr = np.concatenate(([0], np.cumsum(held.sum(axis=1))))
+    test = pr.RatingMatrix([f"u{u}" for u in range(shape[0])], [f"i{i}" for i in range(shape[1])],
+                           indptr, items, ratings[users, items], 1.0, 3.0)
+    return TableScorer(table), test
+
+
+class TestPairwiseConcordanceReference:
+    @settings(max_examples=300, deadline=None)
+    @given(scored_test_matrices())
+    def test_matches_reference(self, scored):
+        scorer, test = scored
+        try:
+            expected = reference_pairwise_concordance(scorer, test)
+        except DataError:
+            with pytest.raises(DataError):
+                pr.pairwise_concordance(scorer, test)
+            return
+        assert pr.pairwise_concordance(scorer, test) == expected
+
+    def test_matches_reference_on_test_corpus(self, ml_like_split):
+        train, test = ml_like_split.train, ml_like_split.test
+        ppr_model, _ = pr.train_ppr(train, pr.TrainConfig(max_iters=2, user_sample_size=128,
+                                                           seed=12))
+        mf_model, _ = pr.train_classic_mf(train, n_factors=8, epochs=2, seed=12)
+        random_ = pr.RandomScorer(train.n_users, train.n_items, 12)
+        for scorer in (ppr_model, mf_model, random_):
+            assert pr.pairwise_concordance(scorer, test) == reference_pairwise_concordance(scorer,
+                                                                                          test)
