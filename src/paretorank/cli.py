@@ -23,6 +23,13 @@ DEFAULT_SEED = 42
 DEFAULT_TEST_RATIO = 0.2
 DEFAULT_K = 10
 
+# each run setting's test and the rule it states, for flags and for values echoed in a model
+_RANGES = {
+    "seed": (lambda v: v >= 0, ">= 0"),
+    "test_ratio": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "k": (lambda v: v >= 1, ">= 1"),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -61,14 +68,15 @@ def _hyper_parent() -> argparse.ArgumentParser:
     return p
 
 
-def build_parser() -> _Parser:
+def build_parser(add_help: bool = True) -> _Parser:
     parser = _Parser(prog="paretorank",
                      description="Pairwise-ranking recommender trainer and fairness harness")
     sub = parser.add_subparsers(dest="command", required=True)
     data = _data_parent()
     hyper = _hyper_parent()
 
-    train = sub.add_parser("train", parents=[data, hyper], help="train one algorithm")
+    train = sub.add_parser("train", parents=[data, hyper], add_help=add_help,
+                           help="train one algorithm")
     train.add_argument("--algo", choices=ALGOS, default="ppr")
     train.add_argument("--test-ratio", type=float, default=DEFAULT_TEST_RATIO)
     train.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -77,7 +85,8 @@ def build_parser() -> _Parser:
                        help="per-iteration training stats CSV (ppr and mf only)")
     train.set_defaults(func=cmd_train)
 
-    ev = sub.add_parser("evaluate", parents=[data], help="evaluate a trained model artifact")
+    ev = sub.add_parser("evaluate", parents=[data], add_help=add_help,
+                        help="evaluate a trained model artifact")
     ev.add_argument("--model", default="model.bin")
     ev.add_argument("--k", type=int, default=DEFAULT_K, help="list length")
     ev.add_argument("--test-ratio", type=float, default=None,
@@ -89,9 +98,9 @@ def build_parser() -> _Parser:
                     help="also write the fairness fit points as plot-ready CSV")
     ev.set_defaults(func=cmd_evaluate)
 
-    cmp_ = sub.add_parser("compare", parents=[data, hyper],
+    cmp_ = sub.add_parser("compare", parents=[data, hyper], add_help=add_help,
                           help="train+evaluate several algorithms on one split")
-    cmp_.add_argument("--algos", default="mf,ppr,random,zipf",
+    cmp_.add_argument("--algos", default=",".join(ALGOS),
                       help="comma-separated algorithm tags")
     cmp_.add_argument("--test-ratio", type=float, default=DEFAULT_TEST_RATIO)
     cmp_.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -100,7 +109,7 @@ def build_parser() -> _Parser:
     cmp_.add_argument("--report-dir", default=None, help="also write per-algorithm report JSON")
     cmp_.set_defaults(func=cmd_compare)
 
-    pl = sub.add_parser("analyze-powerlaw", parents=[data],
+    pl = sub.add_parser("analyze-powerlaw", parents=[data], add_help=add_help,
                         help="histogram of positive within-user rating differences")
     pl.add_argument("--out", default="powerlaw.csv", help="plot-ready CSV path")
     pl.set_defaults(func=cmd_analyze_powerlaw)
@@ -128,12 +137,16 @@ def _read_config_file(path) -> list[str]:
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if getattr(args, "config", None):
-        # re-parse with file pairs injected before the explicit flags, so flags win
+        # re-parse with file pairs injected before the explicit flags, so flags win;
+        # without --help, a help key is an unrecognized argument, not a usage exit 0
         injected = argv[:1] + _read_config_file(args.config) + argv[1:]
-        args = parser.parse_args(injected)
+        args = build_parser(add_help=False).parse_args(injected)
+    for name, (ok, rule) in _RANGES.items():
+        value = getattr(args, name, None)
+        if value is not None and not ok(value):
+            raise ConfigError(f"{name.replace('_', '-')} must be {rule}, got {value}")
     return args
 
 
@@ -167,18 +180,8 @@ def _hyper_echo(args) -> dict:
     return {name: getattr(args, name) for name in vars(_hyper_parent().parse_args([]))}
 
 
-def _check_ratio(test_ratio: float):
-    if not 0.0 <= test_ratio <= 1.0:
-        raise ConfigError(f"test-ratio must be in [0, 1], got {test_ratio}")
-
-
-def _check_seed(seed: int):
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-
-
 def _trainer(algo: str, args):
-    """Check one algorithm tag's hyperparameters before any data is read.
+    """Check the hyperparameters of `algo`, one of ALGOS, before any data is read.
 
     Returns a function of the training matrix that gives (scorer, stats
     rows or None).
@@ -205,7 +208,6 @@ def _trainer(algo: str, args):
             table = baselines.PopularityTable.from_matrix(train)
             return baselines.ZipfScorer(table, train.n_users), None
         return zipf
-    raise ConfigError(f"unknown algorithm {algo!r}")
 
 
 # header and rows of each algorithm's training stats CSV; an algorithm without
@@ -231,11 +233,15 @@ def _csv(echo: dict, header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _distinct_outputs(*paths: str | None) -> None:
-    """Refuse two outputs of one command that name the same file; None is no output."""
+def _distinct_outputs(args, *paths: str | None) -> None:
+    """Refuse an output that names an input file or another output; None is no output."""
+    inputs = {os.path.realpath(getattr(args, flag)): flag
+              for flag in ("data", "model", "config") if getattr(args, flag, None)}
     seen = {}
     for path in filter(None, paths):
         real = os.path.realpath(path)
+        if real in inputs:
+            raise ConfigError(f"output {path} names the --{inputs[real]} input file")
         if real in seen:
             raise ConfigError(f"outputs {seen[real]} and {path} name the same file")
         seen[real] = path
@@ -279,9 +285,7 @@ def _write_outputs(outputs: dict, new_dir: str | None = None) -> None:
 def cmd_train(args) -> None:
     if args.stats_out and args.algo not in STATS_LAYOUTS:
         raise ConfigError(f"algorithm {args.algo!r} produces no training stats")
-    _distinct_outputs(args.model_out, args.stats_out)
-    _check_seed(args.seed)
-    _check_ratio(args.test_ratio)
+    _distinct_outputs(args, args.model_out, args.stats_out)
     trainer = _trainer(args.algo, args)
     matrix = _load_matrix(args)
     sp = dataio.split(matrix, args.test_ratio, args.seed)
@@ -303,27 +307,22 @@ def cmd_train(args) -> None:
 
 
 def cmd_evaluate(args) -> None:
-    _distinct_outputs(args.report_out, args.dme_points_out)
+    _distinct_outputs(args, args.report_out, args.dme_points_out)
     scorer, header = store.load_model(args.model)
     trained = header["config"]
-    # a bad value echoed from the artifact is a data error; as a flag, a config error
-    seed = args.seed
-    if seed is None:
-        seed = trained.get("seed", DEFAULT_SEED)
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise DataError(f"{args.model}: echoed seed {seed!r} is not a non-negative integer")
-    else:
-        _check_seed(seed)
-    test_ratio = args.test_ratio
-    if test_ratio is None:
-        test_ratio = trained.get("test_ratio", DEFAULT_TEST_RATIO)
-        if (isinstance(test_ratio, bool) or not isinstance(test_ratio, (int, float))
-                or not 0.0 <= test_ratio <= 1.0):
-            raise DataError(
-                f"{args.model}: echoed test_ratio {test_ratio!r} is not a number in [0, 1]")
-    if args.k < 1:
-        raise ConfigError(f"k must be >= 1, got {args.k}")
-    _check_ratio(test_ratio)
+    # an unset --seed or --test-ratio takes the value echoed in the artifact; a bad one exits 2
+    echoed = (("seed", DEFAULT_SEED, int, "an integer"),
+              ("test_ratio", DEFAULT_TEST_RATIO, (int, float), "a number"))
+    for name, default, kinds, noun in echoed:
+        if getattr(args, name) is None:
+            value = trained.get(name, default)
+            ok, rule = _RANGES[name]
+            if isinstance(value, bool) or not isinstance(value, kinds) or not ok(value):
+                raise DataError(f"{args.model}: echoed {name} {value!r} is not {noun} {rule}")
+            setattr(args, name, value)
+    algorithm = trained.get("algo", header["kind"])
+    if not isinstance(algorithm, str):
+        raise DataError(f"{args.model}: echoed algo {algorithm!r} is not a string")
     matrix = _load_matrix(args)
     if (scorer.n_users, scorer.n_items) != (matrix.n_users, matrix.n_items):
         raise DataError(
@@ -334,17 +333,16 @@ def cmd_evaluate(args) -> None:
     if "data_sha256" in trained and trained["data_sha256"] != matrix.sha256():
         raise DataError(f"{args.data} is not the data {args.model} was trained on: "
                         "its sha256 differs from the one in the model")
-    sp = dataio.split(matrix, test_ratio, seed)
-    algorithm = trained.get("algo", header.get("kind", "unknown"))
-    echo = {**_data_echo(args), "k": args.k, "seed": seed, "test_ratio": test_ratio,
+    sp = dataio.split(matrix, args.test_ratio, args.seed)
+    echo = {**_data_echo(args), "k": args.k, "seed": args.seed, "test_ratio": args.test_ratio,
             "trained_with": trained}
     recs, raw = model.score_and_select(scorer, sp.train, args.k, sp.test)
     report = metrics.summarize(
         recs, raw, sp.train, sp.test,
         algorithm=algorithm,
         dataset=os.path.basename(args.data),
-        seed=seed,
-        test_ratio=test_ratio,
+        seed=args.seed,
+        test_ratio=args.test_ratio,
         config=echo,
     )
     outputs = {args.report_out: report.to_json()}
@@ -367,12 +365,8 @@ def cmd_compare(args) -> None:
     for a in algos:
         if a not in ALGOS:
             raise ConfigError(f"unknown algorithm {a!r}; choose from {', '.join(ALGOS)}")
-    if args.k < 1:
-        raise ConfigError(f"k must be >= 1, got {args.k}")
-    _check_seed(args.seed)
-    _check_ratio(args.test_ratio)
     report_paths = {a: os.path.join(args.report_dir, f"{a}.json") for a in algos if args.report_dir}
-    _distinct_outputs(args.out, *report_paths.values())
+    _distinct_outputs(args, args.out, *report_paths.values())
     trainers = {algo: _trainer(algo, args) for algo in sorted(algos)}
     matrix = _load_matrix(args)
     sp = dataio.split(matrix, args.test_ratio, args.seed)
@@ -406,6 +400,7 @@ def cmd_compare(args) -> None:
 
 
 def cmd_analyze_powerlaw(args) -> None:
+    _distinct_outputs(args, args.out)
     matrix = _load_matrix(args)
     hist = metrics.rating_diff_histogram(matrix)
     rows = ((v, c, math.log(v), math.log(c)) for v, c in sorted(hist.counts.items()))

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import RatingMatrix
+from .errors import ConfigError
 
 
 def check_user(user: int, n_users: int) -> None:
@@ -62,7 +63,11 @@ def init_model(n_users: int, n_items: int, n_factors: int, seed: int) -> FactorM
     if n_factors < 1:
         raise ValueError(f"n_factors must be >= 1, got {n_factors}")
     rng = np.random.default_rng(seed)
-    return FactorModel(U=rng.random((n_users, n_factors)), V=rng.random((n_items, n_factors)))
+    try:
+        return FactorModel(U=rng.random((n_users, n_factors)), V=rng.random((n_items, n_factors)))
+    except MemoryError:  # a setting, not a fault: the CLI exits 1 naming it
+        raise ConfigError(f"n_factors {n_factors} is too large: cannot allocate factor arrays of "
+                          f"shape {n_users}x{n_factors} and {n_items}x{n_factors}") from None
 
 
 def scale_scores(scores, scale: tuple[float, float]) -> np.ndarray:

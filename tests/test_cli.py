@@ -1,14 +1,20 @@
+import argparse
 import collections
+import contextlib
 import dataclasses
 import inspect
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import paretorank as pr
 from paretorank import baselines, cli, store
@@ -21,6 +27,14 @@ NO_DIR = "No such file or directory"
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def exit_code(*argv):
+    """run's exit code, or the code of a SystemExit it raised (argparse's --help exits 0)."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def rejects(err, flag):
@@ -131,6 +145,19 @@ class TestTrain:
         assert capsys.readouterr().err == f"data error: cannot write {model_out}: {NO_DIR}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.dat"]
 
+    @pytest.mark.parametrize("algo", ["ppr", "mf"])
+    def test_unallocatable_n_factors_is_config_error(self, tiny_path, tmp_path, capsys, algo):
+        # 2**45 factors for 60 users is about 15 PiB, past any address space: the
+        # allocation fails at once
+        model_out = tmp_path / "m.bin"
+        code = run("train", "--data", tiny_path, "--algo", algo, "--n-factors", 2**45,
+                   "--model-out", model_out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: n_factors {2**45} is too large")
+        assert f"60x{2**45}" in err and err.count("\n") == 1
+        assert not model_out.exists()
+
     def test_unopenable_stats_path_keeps_existing_model(self, tiny_path, tmp_path):
         model_out = tmp_path / "m.bin"
         model_out.write_bytes(b"an earlier model")
@@ -196,6 +223,7 @@ MALFORMED_HEADERS = {
     "echoed-seed-negative": lambda h: {**h, "config": {**h["config"], "seed": -1}},
     "echoed-test-ratio-above-one": lambda h: {**h, "config": {**h["config"], "test_ratio": 1.5}},
     "echoed-test-ratio-negative": lambda h: {**h, "config": {**h["config"], "test_ratio": -0.1}},
+    "echoed-algo-list": lambda h: {**h, "config": {**h["config"], "algo": ["x"]}},
 }
 
 
@@ -501,6 +529,34 @@ def test_shared_output_path_is_config_error(tmp_path, monkeypatch, capsys, argv)
     assert list(tmp_path.iterdir()) == []
 
 
+# outputs that name an input file; data.dat, model.bin and run.cfg exist
+INPUT_OUTPUTS = {
+    "train-model-out-data": ["train", "--algo", "zipf", "--model-out", "data.dat"],
+    "train-stats-out-config": ["train", "--config", "run.cfg", "--stats-out", "run.cfg"],
+    "evaluate-report-out-model": ["evaluate", "--model", "model.bin", "--report-out", "model.bin"],
+    "evaluate-points-out-data": ["evaluate", "--model", "model.bin", "--dme-points-out", "data.dat"],
+    "compare-out-config": ["compare", "--algos", "random,zipf", "--config", "run.cfg",
+                           "--out", "./run.cfg"],
+    "compare-report-dir-data": ["compare", "--algos", "mf,zipf", "--report-dir", ".",
+                                "--data", "zipf.json"],
+    "analyze-powerlaw-out-data": ["analyze-powerlaw", "--out", "data.dat"],
+}
+
+
+@pytest.mark.parametrize("argv", INPUT_OUTPUTS.values(), ids=INPUT_OUTPUTS.keys())
+def test_output_naming_an_input_is_config_error(tiny_path, tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    inputs = {"data.dat": tiny_path.read_bytes(), "model.bin": b"not read", "run.cfg": b"seed=3\n",
+              "zipf.json": tiny_path.read_bytes()}
+    for name, data in inputs.items():
+        (tmp_path / name).write_bytes(data)
+    # an explicit --data in argv comes later and wins
+    assert run(argv[0], "--data", "data.dat", *argv[1:]) == 1
+    assert capsys.readouterr().err.startswith("config error: output ")
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert after == {**inputs, "tiny.dat": inputs["data.dat"]}
+
+
 # every user's ratings are tied or single: 5,5 / 3,3 / 4
 NO_PAIR_LINES = ["1::1::5::0", "1::2::5::0", "2::1::3::0", "2::3::3::0", "3::2::4::0"]
 NO_PAIR_RUNS = {
@@ -702,6 +758,15 @@ class TestConfigFile:
                        "--model-out", models[-1]) == 0
         assert models[0].read_bytes() == models[1].read_bytes()
 
+    @pytest.mark.parametrize("key", ["help", "h", "he"])
+    def test_help_key_is_config_error(self, tiny_path, tmp_path, capsys, key):
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(f"{key}=1\n")
+        model_out = tmp_path / "m.bin"
+        assert exit_code("train", "--data", tiny_path, "--config", cfg, "--model-out", model_out) == 1
+        assert capsys.readouterr() == ("", f"config error: unrecognized arguments: --{key} 1\n")
+        assert not model_out.exists()
+
     def test_undecodable_config_file_is_config_error(self, tiny_path, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes(b"max_iters=2\n\xff=1\n")
@@ -710,3 +775,51 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(cfg) in err
         assert not (tmp_path / "m.bin").exists()
+
+
+def _option_strings():
+    """Each command's option strings, without -h/--help."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return {name: sorted(flag for action in sub._actions for flag in action.option_strings
+                         if flag not in ("-h", "--help"))
+            for name, sub in commands.items()}
+
+
+COMMAND_FLAGS = _option_strings()
+# hostile values: bad numbers, an empty string, and paths that clash with an
+# output, the missing data file or the config file
+HOSTILE = ["-1", "-2.5", str(2**63), "nan", "inf", "-inf", "", "clash.out", "nope.dat", "run.cfg"]
+
+
+@st.composite
+def hostile_runs(draw):
+    """A command, (flag, value) pairs for it, and key=value config lines or None."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    pairs = st.tuples(st.sampled_from(COMMAND_FLAGS[command]), st.sampled_from(HOSTILE))
+    keys = [flag.removeprefix("--") for flag in COMMAND_FLAGS[command]] + ["help", "h"]
+    lines = st.lists(st.tuples(st.sampled_from(keys), st.sampled_from(HOSTILE)), max_size=4)
+    return (command, draw(st.lists(pairs, max_size=6)),
+            draw(st.none() | lines.map(lambda kv: [f"{k}={v}" for k, v in kv])))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(hostile_runs())
+@example(("train", [], ["help=1"]))
+def test_hostile_flags_end_in_one_error_line(tmp_path, monkeypatch, hostile):
+    # --data names a missing file, so no draw reads data, trains or writes
+    command, pairs, config = hostile
+    work = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
+    monkeypatch.chdir(work)
+    argv = [command, *(part for pair in pairs for part in pair)]
+    if config is not None:
+        (work / "run.cfg").write_text("\n".join(config) + "\n")
+        argv += ["--config", "run.cfg"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = exit_code(*argv, "--data", "nope.dat")
+    assert code in (1, 2), (code, out.getvalue())
+    assert err.getvalue().startswith(("config error:", "data error:"))
+    assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    assert os.listdir(work) == ([] if config is None else ["run.cfg"])
