@@ -12,7 +12,7 @@ import numpy as np
 
 from .dataio import RatingMatrix
 from .errors import DataError, DivergenceError
-from .model import FactorModel, check_user, init_model
+from .model import FactorModel, check_user, init_model, is_integer
 
 
 class PopularityTable:
@@ -126,7 +126,7 @@ class RandomScorer:
     """
 
     def __init__(self, n_users: int, n_items: int, seed: int):
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        if not (is_integer(seed) and seed >= 0):
             raise ValueError(f"random seed must be an integer >= 0, got {seed!r}")
         self.n_users = n_users
         self.n_items = n_items
@@ -187,13 +187,14 @@ def check_mf_hyperparameters(n_factors: int, learning_rate: float, reg: float,
                              epochs: int) -> None:
     """Raise ValueError unless the MF hyperparameters can be trained with.
 
-    n_factors and epochs must be >= 1 and below 2**63, numpy's integer
-    range; learning_rate and reg must be finite and >= 0. A zero learning
-    rate is allowed and leaves the model at its init.
+    n_factors and epochs must be integers (Python or numpy, not bool) >= 1
+    and below 2**63, numpy's integer range; learning_rate and reg must be
+    finite and >= 0. A zero learning rate is allowed and leaves the model at
+    its init.
     """
     for name, value in (("n_factors", n_factors), ("epochs", epochs)):
-        if not 1 <= value < 2**63:
-            raise ValueError(f"MF {name} must be >= 1 and < 2**63, got {value}")
+        if not (is_integer(value) and 1 <= value < 2**63):
+            raise ValueError(f"MF {name} must be an integer >= 1 and < 2**63, got {value!r}")
     if not (math.isfinite(learning_rate) and learning_rate >= 0):
         raise ValueError(f"MF learning_rate must be finite and >= 0, got {learning_rate}")
     if not (math.isfinite(reg) and reg >= 0):
@@ -279,11 +280,14 @@ def train_classic_mf(
     0.070-0.085 s -> 0.13-0.14 s).
 
     Raises:
-        ValueError: if n_factors or epochs is < 1 or >= 2**63, or learning_rate or reg is
-            negative or not finite. A zero learning rate leaves the model at its init.
+        ValueError: if n_factors or epochs is not an integer >= 1 and < 2**63, learning_rate
+            or reg is negative or not finite, or seed is not an integer >= 0. A zero learning
+            rate leaves the model at its init.
         DivergenceError: if factors or the objective go non-finite.
     """
     check_mf_hyperparameters(n_factors, learning_rate, reg, epochs)
+    if not (is_integer(seed) and seed >= 0):
+        raise ValueError(f"MF seed must be an integer >= 0, got {seed!r}")
     if train.n_entries == 0:
         raise DataError("cannot train on an empty rating matrix")
     model = init_model(train.n_users, train.n_items, n_factors, seed)

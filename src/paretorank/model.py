@@ -20,6 +20,11 @@ def check_user(user: int, n_users: int) -> None:
         raise IndexError(f"user index {user} out of range [0, {n_users})")
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not a count or a seed."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class FactorModel:
     """User factors U (n_users x d) and item factors V (n_items x d)."""

@@ -17,12 +17,16 @@ using a snapshot of the three rows so the updates are simultaneous:
     V_j += lr * U_i_old / m
     V_k -= lr * U_i_old / m
 
-One private kernel, ``_step``, does that arithmetic on three row views in
-place; ``train_ppr`` calls it for every pair and ``pair_update`` wraps it, so
-the single-pair tests check the trainer's own arithmetic. The trainer stays a
-sequential per-pair loop and is bit-reproducible: each user's pairs chain on
-its row ``U_i`` and popular items chain users together, so there is no batch
-of independent pairs to apply at once.
+One private kernel, ``_pair_chain``, does that arithmetic for a whole chain
+of one user's pairs, in place. It copies ``U_i`` into row 1 of a (2, d)
+buffer whose row 0 takes each pair's ``V_j - V_k``, so one multiply makes
+both step rows and one ``np.vecdot`` both their norms: 8 numpy calls per
+update and no Python call per pair. ``train_ppr`` runs it once per sampled
+user and ``pair_update`` on a one-pair chain, so the single-pair tests check
+the trainer's own arithmetic. The trainer stays a sequential per-pair loop
+and is bit-reproducible: each user's pairs chain on its row ``U_i`` and
+popular items chain users together, so there is no batch of independent
+pairs to apply at once.
 """
 
 import math
@@ -32,7 +36,7 @@ import numpy as np
 
 from .dataio import RatingMatrix
 from .errors import DataError, DivergenceError
-from .model import FactorModel, init_model, score_entries
+from .model import FactorModel, check_user, init_model, is_integer, score_entries
 
 STEP_NORM_CAP = 1.0
 # the smallest margin a step touches: it keeps -ln(m) and 1/m finite
@@ -45,8 +49,9 @@ class TrainConfig:
 
     user_sample_size / item_sample_size cap how many users are visited per
     iteration and how many rated items are sampled per visited user; both
-    are clamped to what the data offers. The counts must be below 2**63,
-    numpy's integer range.
+    are clamped to what the data offers. The counts and the seed must be
+    integers (Python or numpy, not bool), the counts below 2**63, numpy's
+    integer range.
     """
 
     learning_rate: float = 0.01
@@ -61,10 +66,10 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         for name in ("n_factors", "max_iters", "user_sample_size", "item_sample_size"):
             value = getattr(self, name)
-            if not 1 <= value < 2**63:
-                raise ValueError(f"{name} must be >= 1 and < 2**63, got {value}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            if not (is_integer(value) and 1 <= value < 2**63):
+                raise ValueError(f"{name} must be an integer >= 1 and < 2**63, got {value!r}")
+        if not (is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass
@@ -105,44 +110,85 @@ def pair_update(model: FactorModel, pair: PairSample, learning_rate: float) -> P
     exceed MIN_MARGIN the model is left untouched and a skip is reported.
     Each row delta is norm-clipped at STEP_NORM_CAP so a barely-admissible
     margin cannot blow the step up; a clipped step is flagged in the result.
-    This is the trainer's own step (``_step``) on one pair.
+    This runs the trainer's own kernel (``_pair_chain``) on a one-pair chain.
+
+    Raises:
+        IndexError: if the user or an item is outside [0, n_users) or
+            [0, n_items); checked before the model is touched.
+        ValueError: if learning_rate is not finite and >= 0. A zero rate
+            applies a step that changes nothing.
     """
-    margin, applied, clipped = _step(
-        model.U[pair.user], model.V[pair.preferred], model.V[pair.other], learning_rate)
-    return PairUpdateResult(applied=applied, clipped=clipped, margin=margin)
+    check_user(pair.user, model.n_users)
+    for item in (pair.preferred, pair.other):
+        if not 0 <= item < model.n_items:
+            raise IndexError(f"item index {item} out of range [0, {model.n_items})")
+    if not (math.isfinite(learning_rate) and learning_rate >= 0):
+        raise ValueError(f"learning_rate must be finite and >= 0, got {learning_rate}")
+    results = []
+    _pair_chain(model.U, model.V, pair.user, [pair.preferred], [pair.other], learning_rate,
+                [0.0, 0, 0, 0], lambda _it, _pair, result: results.append(result))
+    return results[0]
 
 
-def _step(u: np.ndarray, vj: np.ndarray, vk: np.ndarray,
-          learning_rate: float) -> tuple[float, bool, bool]:
-    """The pair step on row views u = U_i, vj = V_j, vk = V_k, in place.
+def _pair_chain(U: np.ndarray, rows, user: int, js: list[int], ks: list[int],
+                learning_rate: float, tally: list, on_pair, it: int = 0) -> None:
+    """The pair step, over user's pairs (js[p], ks[p]) in order, in place: the one kernel.
 
-    Returns (margin, applied, clipped).
-    The dots stay in numpy (``ndarray.dot``, the same BLAS ddot as ``@``):
-    a Python-float sum rounds differently, and the trainer is chaotic
-    enough that one rounding change moves the trained factors.
+    U's row ``user`` is copied into row 1 of a (2, d) buffer before the
+    first pair and written back after the last, so the chain updates it
+    without a row view per pair. ``rows[j]`` is item j's row of V, a view
+    the step writes through. Per pair, row 0 takes V_j - V_k, one multiply
+    of the whole buffer by lr / margin gives both step rows,
+    ``du = coef * dv`` and ``dvj = coef * u``, and one ``np.vecdot`` both
+    their squared norms. The dots stay in numpy (``ndarray.dot`` and
+    ``np.vecdot`` run the same BLAS ddot as ``@``): a Python-float sum
+    rounds differently, and the trainer is chaotic enough that one rounding
+    change moves the trained factors.
+
+    tally is [loss_sum, updates, skips, clips]; the chain continues it in
+    pair order and stores it back, so sums over many users round as one
+    running sum. on_pair, unless None, is called as
+    ``on_pair(it, PairSample, PairUpdateResult)`` after each pair.
     """
-    dv = vj - vk
-    # with one factor, ndarray.dot returns the bare product, where @ adds it
-    # to 0.0: the + 0.0 turns its -0.0 into @'s 0.0 and changes nothing else
-    margin = float(u.dot(dv)) + 0.0
-    if margin <= MIN_MARGIN:
-        return margin, False, False
-    coef = learning_rate / margin
-    du = coef * dv
-    dvj = coef * u  # copy of the pre-update user row, scaled
-    clipped = False
-    nu = math.sqrt(du.dot(du))
-    if nu > STEP_NORM_CAP:
-        du *= STEP_NORM_CAP / nu
-        clipped = True
-    nv = math.sqrt(dvj.dot(dvj))
-    if nv > STEP_NORM_CAP:
-        dvj *= STEP_NORM_CAP / nv
-        clipped = True
-    u += du
-    vj += dvj
-    vk -= dvj
-    return margin, True, clipped
+    buf = np.empty((2, U.shape[1]))
+    step = np.empty_like(buf)
+    dv, u = buf
+    du, dvj = step
+    u[:] = U[user]
+    loss_sum, n_updates, n_skips, n_clips = tally
+    for j, k in zip(js, ks):
+        vj = rows[j]
+        vk = rows[k]
+        np.subtract(vj, vk, dv)
+        # with one factor, ndarray.dot returns the bare product, where @ adds it
+        # to 0.0: the + 0.0 turns its -0.0 into @'s 0.0 and changes nothing else
+        margin = float(u.dot(dv)) + 0.0
+        if margin <= MIN_MARGIN:
+            applied = clipped = False
+            n_skips += 1
+        else:
+            applied = True
+            clipped = False
+            np.multiply(buf, learning_rate / margin, step)
+            nu2, nv2 = np.vecdot(step, step).tolist()
+            nu = math.sqrt(nu2)
+            if nu > STEP_NORM_CAP:
+                du *= STEP_NORM_CAP / nu
+                clipped = True
+            nv = math.sqrt(nv2)
+            if nv > STEP_NORM_CAP:
+                dvj *= STEP_NORM_CAP / nv
+                clipped = True
+            u += du
+            vj += dvj
+            vk -= dvj
+            n_updates += 1
+            n_clips += clipped
+            loss_sum -= math.log(margin)
+        if on_pair is not None:
+            on_pair(it, PairSample(user, j, k), PairUpdateResult(applied, clipped, margin))
+    U[user] = u
+    tally[:] = loss_sum, n_updates, n_skips, n_clips
 
 
 # overflow is tolerated mid-iteration; the iteration-end check raises DivergenceError
@@ -157,12 +203,18 @@ def train_ppr(
     Per iteration: sample users without replacement, sample each user's rated
     items without replacement, sort the sample by decreasing rating, and walk
     every ordered position pair, updating where the earlier rating strictly
-    exceeds the later one. Each update is one ``_step``, the kernel
-    ``pair_update`` also runs. A user's pairs come from one comparison of
-    the sorted sample's ratings: they descend, so a pair's preferred position
+    exceeds the later one. A user's pairs come from one comparison of the
+    sorted sample's ratings: they descend, so a pair's preferred position
     always precedes the other, and ``np.nonzero`` lists the pairs row by row,
-    the order of the nested position loop. Identical (train, config) inputs
-    give bit-identical results.
+    the order of the nested position loop. Each sampled user's pairs then run
+    as one chain of the kernel ``pair_update`` also runs (``_pair_chain``),
+    on the user's row copied into a (2, d) buffer and on views of V's rows
+    taken once per call. Identical (train, config) inputs give bit-identical
+    results.
+
+    Cost: on the tier-1 test corpus (1 x 512 users, 129,026 updates and
+    46,902 skips) training takes about 3.3 us per visited pair on a 2-vCPU
+    Xeon host (best of 24 runs).
 
     Args:
         train: training ratings; some user must have rated two items
@@ -171,9 +223,10 @@ def train_ppr(
             ``config.seed`` before the iteration loop.
         on_pair: optional instrumentation hook called as
             ``on_pair(iteration, pair, result)`` for every admissible pair
-            visited, right after its step, in visiting order.
-            ``PairSample``/``PairUpdateResult`` objects are built only when
-            it is given.
+            visited, right after its step, in visiting order. V is current
+            when it is called; the user's row of U is written back after the
+            user's last pair. ``PairSample``/``PairUpdateResult`` objects are
+            built only when it is given.
 
     Returns:
         The trained model and per-iteration TrainStats.
@@ -196,16 +249,14 @@ def train_ppr(
     # one child seed per iteration, spawned as it starts: the ones spawn(max_iters) would give
     seed_seq = np.random.SeedSequence(config.seed)
     n_user_sample = min(config.user_sample_size, train.n_users)
-    U, V = model.U, model.V
+    U = model.U
+    rows = list(model.V)  # item rows as views, taken once, not one V[j] per pair
     learning_rate = config.learning_rate
 
     for it in range(config.max_iters):
         rng = np.random.default_rng(seed_seq.spawn(1)[0])
         users = rng.choice(train.n_users, size=n_user_sample, replace=False)
-        loss_sum = 0.0
-        n_updates = 0
-        n_skips = 0
-        n_clips = 0
+        tally = [0.0, 0, 0, 0]
         for user in users.tolist():
             items, item_ratings = train.row(user)
             if len(items) < 2:
@@ -220,17 +271,9 @@ def train_ppr(
             # ratings descend, so a > b never holds below the diagonal, and
             # nonzero walks the grid row-major: the nested (a, b > a) order
             a, b = np.nonzero(ratings[:, None] > ratings[None, :])
-            u = U[user]
-            for j, k in zip(sampled[a].tolist(), sampled[b].tolist()):
-                margin, applied, clipped = _step(u, V[j], V[k], learning_rate)
-                if on_pair is not None:
-                    on_pair(it, PairSample(user, j, k), PairUpdateResult(applied, clipped, margin))
-                if applied:
-                    n_updates += 1
-                    n_clips += clipped
-                    loss_sum -= math.log(margin)
-                else:
-                    n_skips += 1
+            _pair_chain(U, rows, user, sampled[a].tolist(), sampled[b].tolist(), learning_rate,
+                        tally, on_pair, it)
+        loss_sum, n_updates, n_skips, n_clips = tally
         stats.mean_loss.append(loss_sum / n_updates if n_updates else math.nan)
         stats.updates.append(n_updates)
         stats.skips.append(n_skips)

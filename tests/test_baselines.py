@@ -276,6 +276,32 @@ class TestClassicMf:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    @pytest.mark.parametrize("name", ["n_factors", "epochs"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "3", None])
+    def test_non_integer_count_rejected(self, name, value):
+        counts = {"n_factors": 2, "epochs": 2, name: value}
+        with pytest.raises(ValueError, match=f"^MF {name} must be an integer"):
+            pr.baselines.check_mf_hyperparameters(counts["n_factors"], 0.01, 0.0,
+                                                  counts["epochs"])
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, -1, "3", None])
+    def test_bad_seed_rejected_before_training(self, monkeypatch, seed):
+        def refuse(*args):
+            raise AssertionError("model initialized with a bad seed")
+
+        m = matrix_from([("a", "x", 4), ("a", "y", 2)])
+        monkeypatch.setattr(pr.baselines, "init_model", refuse)
+        with pytest.raises(ValueError, match="^MF seed must be an integer >= 0"):
+            pr.train_classic_mf(m, n_factors=2, epochs=1, seed=seed)
+
+    def test_numpy_integer_counts_and_seed(self):
+        m = matrix_from([("a", "x", 4), ("a", "y", 2), ("b", "x", 5), ("b", "y", 3)])
+        a, la = pr.train_classic_mf(m, n_factors=np.int64(2), epochs=np.int32(3),
+                                    seed=np.uint16(2))
+        b, lb = pr.train_classic_mf(m, n_factors=2, epochs=3, seed=2)
+        assert a.U.tobytes() == b.U.tobytes() and a.V.tobytes() == b.V.tobytes()
+        assert la == lb
+
     def test_deterministic(self):
         m = matrix_from([("a", "x", 4), ("a", "y", 2), ("b", "x", 5), ("b", "y", 3)])
         a, la = pr.train_classic_mf(m, n_factors=2, epochs=4, seed=2)

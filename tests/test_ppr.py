@@ -53,6 +53,17 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             pr.TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["n_factors", "max_iters", "user_sample_size",
+                                      "item_sample_size", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "3", None])
+    def test_non_integer_count_or_seed_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            pr.TrainConfig(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = pr.TrainConfig(n_factors=np.int64(3), max_iters=np.int32(2), seed=np.uint8(7))
+        assert (cfg.n_factors, cfg.max_iters, cfg.seed) == (3, 2, 7)
+
 
 class TestPairLoss:
     def test_hand_arithmetic(self):
@@ -93,6 +104,28 @@ class TestPairUpdate:
         result = pr.pair_update(m, PAIR, learning_rate=0.0)
         assert result.applied
         assert (m.U[0, 0], m.V[0, 0], m.V[1, 0]) == (2.0, 3.0, 1.0)
+
+    @pytest.mark.parametrize("pair,message", [
+        (pr.PairSample(-1, 0, 1), r"^user index -1 out of range \[0, 1\)$"),
+        (pr.PairSample(1, 0, 1), r"^user index 1 out of range \[0, 1\)$"),
+        (pr.PairSample(0, -4, 1), r"^item index -4 out of range \[0, 4\)$"),
+        (pr.PairSample(0, 0, 4), r"^item index 4 out of range \[0, 4\)$"),
+    ], ids=["user--1", "user-n", "item--4", "item-n"])
+    def test_index_out_of_range_rejected_untouched(self, pair, message):
+        m = pr.FactorModel(U=np.array([[2.0, 1.0]]),
+                           V=np.array([[3.0, 1.0], [1.0, 0.0], [0.5, 0.5], [4.0, 2.0]]))
+        before = (m.U.tobytes(), m.V.tobytes())
+        with pytest.raises(IndexError, match=message):
+            pr.pair_update(m, pair, learning_rate=0.1)
+        assert (m.U.tobytes(), m.V.tobytes()) == before
+
+    @pytest.mark.parametrize("learning_rate", [math.nan, math.inf, -math.inf, -0.1])
+    def test_bad_learning_rate_rejected_untouched(self, learning_rate):
+        m = model_1d(2.0, 3.0, 1.0)
+        before = (m.U.tobytes(), m.V.tobytes())
+        with pytest.raises(ValueError, match="^learning_rate must be finite and >= 0"):
+            pr.pair_update(m, PAIR, learning_rate)
+        assert (m.U.tobytes(), m.V.tobytes()) == before
 
     def test_clipping_caps_step_norm(self):
         m = model_1d(1.0, 1.0 + 5e-6, 1.0)  # margin = 5e-6, just above the guard
@@ -322,7 +355,7 @@ class TestTrainPpr:
 
 
 def reference_pair_update(model, pair, learning_rate):
-    """One pair step with ``@`` dots and fresh row views: the reference for ``ppr._step``."""
+    """One pair step with ``@`` dots and fresh row views: the reference for ``ppr._pair_chain``."""
     U = model.U
     V = model.V
     u = U[pair.user]
@@ -486,6 +519,14 @@ class TestTrainPprMatchesPerPairLoop:
         assert len(expected[1]) > 10_000
         assert ppr_outcome(pr.train_ppr, ml_like_split.train, config) == expected
 
+    def test_test_corpus_128_users_clip_heavy(self, ml_like_split):
+        # at this rate about one update in 17 clips (1,875 of 32,495), so the
+        # norm and clip path runs at corpus scale
+        config = pr.TrainConfig(learning_rate=2.0, max_iters=1, user_sample_size=128, seed=12)
+        expected = ppr_outcome(reference_train_ppr, ml_like_split.train, config)
+        assert sum(expected[0][4]) > 1_000
+        assert ppr_outcome(pr.train_ppr, ml_like_split.train, config) == expected
+
 
 def special_or_scaled():
     """Zeros, infinities and finite magnitudes from 1e-300 to 1e300, either sign."""
@@ -509,7 +550,7 @@ class TestDotKernel:
     )
     @example(vectors=(np.array([0.0]), np.array([-0.0])))
     def test_ndarray_dot_is_matmul_bit_for_bit(self, vectors):
-        # _step takes its margins and norms with ndarray.dot; @ was the original
+        # the kernel takes its margins with ndarray.dot; @ was the original
         a, b = vectors
         with np.errstate(all="ignore"):
             if a.size > 1:
@@ -519,6 +560,16 @@ class TestDotKernel:
             assert np.float64(float(a.dot(b)) + 0.0).tobytes() == (a @ b).tobytes()
             # the norms' form
             assert a.dot(a).tobytes() == (a @ a).tobytes()
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(1, 16).flatmap(
+        lambda n: hnp.arrays(np.float64, (2, n), elements=special_or_scaled())))
+    def test_vecdot_of_stack_is_matmul_bit_for_bit(self, stack):
+        # the kernel takes both step norms with one np.vecdot of the (2, d) step
+        with np.errstate(all="ignore"):
+            norms = np.vecdot(stack, stack)
+            for i in range(2):
+                assert norms[i].tobytes() == (stack[i] @ stack[i]).tobytes()
 
 
 class TestPairwiseConcordance:
