@@ -7,6 +7,7 @@ evaluation path as the pairwise trainer.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -34,131 +35,45 @@ class PopularityTable:
         return cls(np.bincount(train.indices, minlength=train.n_items))
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
-# 32-bit words, hashmix constants A and B, mix multipliers L and R
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_MASK32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-# users whose seed words are hashed in one array pass; a power of two, so an
-# aligned chunk never straddles 2**32 and its users all have as many words
-_SEED_CHUNK = 4096
-
-
-def _words32(n: int) -> list[int]:
-    """n's 32-bit words, least significant first; [0] for 0, as SeedSequence splits ints."""
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
-
-
-def _hashmix(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
-    """SeedSequence's hash of uint32 words, and the hash constant it moves on to."""
-    const_next = const * mult & _MASK32
-    value = (value ^ const) * const_next
-    return value ^ (value >> _XSHIFT), const_next
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x * _MIX_L - y * _MIX_R
-    return r ^ (r >> _XSHIFT)
-
-
-def _seed_words(entropy: list[np.ndarray]) -> np.ndarray:
-    """``SeedSequence(key).generate_state(4, np.uint64)`` of many keys at once.
-
-    ``entropy[j]`` holds word j of every key (all keys have as many words);
-    row r of the result is key r's four state words. uint32 arrays wrap as
-    the C hash does.
-    """
-    n = entropy[0].shape[0]
-    const = _INIT_A
-    pool = []
-    for j in range(_POOL):
-        word = entropy[j] if j < len(entropy) else np.zeros(n, dtype=np.uint32)
-        hashed, const = _hashmix(word, const, _MULT_A)
-        pool.append(hashed)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                hashed, const = _hashmix(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], hashed)
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            hashed, const = _hashmix(word, const, _MULT_A)
-            pool[dst] = _mix(pool[dst], hashed)
-    const = _INIT_B
-    out = []
-    for j in range(2 * _POOL):
-        hashed, const = _hashmix(pool[j % _POOL], const, _MULT_B)
-        out.append(hashed.astype(np.uint64))
-    # uint64 word k is uint32 words 2k (low) and 2k + 1 (high)
-    return np.stack([out[2 * k] | out[2 * k + 1] << 32 for k in range(_POOL)], axis=1)
-
-
 class RandomScorer:
-    """Seeded uniform-random scores, reproducible without an n x m matrix.
+    """Seeded uniform-random scores: row u of one table that is never built.
 
-    ``score_row(user)`` is ``np.random.default_rng((seed, user)).random(n_items)``
-    bit for bit: the first n_items doubles of a PCG64 generator seeded by
-    ``SeedSequence((seed, user))``, so every (seed, user, item) triple pins
-    down one value. No generator is built per row. The seed words of an
-    aligned chunk of 4,096 users are hashed in one numpy pass, and one
-    reused PCG64 is set to each user's state as PCG64's seeding derives it:
-    with ``w = SeedSequence((seed, user)).generate_state(4, np.uint64)``,
-    ``inc = (w[2] << 64 | w[3]) << 1 | 1`` and
-    ``state = (inc + (w[0] << 64 | w[1])) * M + inc`` modulo 2**128, M
-    being PCG64's multiplier. Only the latest chunk is kept, so memory does
-    not grow with n_users, and a walk in ascending user order hashes each
-    chunk once. An instance holds generator state: it is not for
-    concurrent use.
+    ``score_row(user)`` is row ``user`` of
+    ``np.random.default_rng(seed).random((n_users, n_items))`` bit for bit,
+    so every (seed, user, item) triple pins down one value. The scorer holds
+    the PCG64 generator that ``default_rng(seed)`` wraps. Each double takes
+    exactly one 64-bit output, so a row starts ``user * n_items`` outputs
+    into the stream: the next user in order is drawn straight on, and any
+    other user is reached by resetting the generator and advancing it that
+    far. Memory does not grow with n_users. An instance holds generator
+    state: it is not for concurrent use.
 
     Raises:
-        ValueError: if seed is not an integer >= 0 (bools are not seeds).
+        ValueError: if n_users or n_items is not an integer >= 1, or seed is
+            not an integer >= 0 (bools are neither counts nor seeds).
     """
 
     def __init__(self, n_users: int, n_items: int, seed: int):
+        for name, value in (("n_users", n_users), ("n_items", n_items)):
+            if not (is_integer(value) and value >= 1):
+                raise ValueError(f"random {name} must be an integer >= 1, got {value!r}")
         if not (is_integer(seed) and seed >= 0):
             raise ValueError(f"random seed must be an integer >= 0, got {seed!r}")
-        self.n_users = n_users
-        self.n_items = n_items
+        # Python ints, so user * n_items cannot wrap as int64 would
+        self.n_users = int(n_users)
+        self.n_items = int(n_items)
         self.seed = int(seed)
-        self._seed_key = _words32(self.seed)
-        self._bitgen = np.random.PCG64(0)
+        self._bitgen = np.random.PCG64(self.seed)
+        self._start = self._bitgen.state
         self._rng = np.random.Generator(self._bitgen)
-        self._chunk = None
-        self._words = None
-
-    def _chunk_words(self, chunk: int) -> np.ndarray:
-        """The PCG64 seed words of the users in [chunk * 4096, (chunk + 1) * 4096) below n_users."""
-        base = chunk * _SEED_CHUNK
-        n = min(_SEED_CHUNK, self.n_users - base)
-        key = [np.full(n, w, dtype=np.uint32) for w in self._seed_key]
-        # the user's words: the low one varies over the chunk, the rest do not
-        key.append((base & _MASK32) + np.arange(n, dtype=np.uint32))
-        if base >> 32:
-            key += [np.full(n, w, dtype=np.uint32) for w in _words32(base >> 32)]
-        return _seed_words(key)
+        self._next_user = 0
 
     def score_row(self, user: int) -> np.ndarray:
         check_user(user, self.n_users)
-        chunk = user // _SEED_CHUNK
-        if chunk != self._chunk:
-            self._words = self._chunk_words(chunk)
-            self._chunk = chunk
-        w0, w1, w2, w3 = self._words[user - chunk * _SEED_CHUNK].tolist()
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
-        self._bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                              "has_uint32": 0, "uinteger": 0}
+        if user != self._next_user:
+            self._bitgen.state = self._start
+            self._bitgen.advance(operator.index(user) * self.n_items)
+        self._next_user = user + 1
         return self._rng.random(self.n_items)
 
 
@@ -293,14 +208,14 @@ def train_classic_mf(
     model = init_model(train.n_users, train.n_items, n_factors, seed)
     U, V = model.U, model.V
     users, items, ratings = train.entry_users(), train.indices, train.ratings
-    # one child seed per epoch, spawned as it starts: the ones spawn(epochs) would give
-    seed_seq = np.random.SeedSequence(seed)
+    # one child generator per epoch, spawned as it starts: the ones spawn(epochs) would give
+    parent = np.random.default_rng(seed)
     losses = []
     # overflow to inf is tolerated mid-epoch; the epoch-end check converts it
     # into a DivergenceError instead of a warning storm
     with np.errstate(over="ignore", invalid="ignore"):
         for ep in range(epochs):
-            rng = np.random.default_rng(seed_seq.spawn(1)[0])
+            rng = parent.spawn(1)[0]
             _sgd_epoch(model, users, items, ratings, rng.permutation(train.n_entries),
                        learning_rate, reg)
             sq = ratings - np.einsum("ij,ij->i", U[users], V[items])

@@ -246,15 +246,15 @@ def train_ppr(
         raise DataError("no user rated two items differently: there is no pair to train on")
     model = init_model(train.n_users, train.n_items, config.n_factors, config.seed)
     stats = TrainStats()
-    # one child seed per iteration, spawned as it starts: the ones spawn(max_iters) would give
-    seed_seq = np.random.SeedSequence(config.seed)
+    # one child generator per iteration, spawned as it starts: the ones spawn(max_iters) would give
+    parent = np.random.default_rng(config.seed)
     n_user_sample = min(config.user_sample_size, train.n_users)
     U = model.U
     rows = list(model.V)  # item rows as views, taken once, not one V[j] per pair
     learning_rate = config.learning_rate
 
     for it in range(config.max_iters):
-        rng = np.random.default_rng(seed_seq.spawn(1)[0])
+        rng = parent.spawn(1)[0]
         users = rng.choice(train.n_users, size=n_user_sample, replace=False)
         tally = [0.0, 0, 0, 0]
         for user in users.tolist():

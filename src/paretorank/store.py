@@ -3,8 +3,9 @@
 An artifact is one file: a JSON header line describing the model kind,
 dimensions, seed and run configuration, followed by the raw little-endian
 bytes of each array named in the header. Factor models store U then V;
-Zipf scorers store their popularity counts; random scorers need no payload.
-Round-trips are bit-exact.
+Zipf scorers store their popularity counts; a random scorer is a header
+only, since its shape and seed pin down its whole score table. Round-trips
+are bit-exact. A header of any other format version is refused.
 """
 
 import json
@@ -70,9 +71,12 @@ def save_model(scorer, path, seed: int, config: dict | None = None):
 
 
 def _check_header(header, path):
-    """Raise DataError unless the header describes a supported kind with valid counts and arrays."""
+    """Raise DataError unless the header's version, kind, counts and arrays are all valid."""
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise DataError(f"{path}: not a {FORMAT_NAME} artifact header")
+    version = header.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise DataError(f"{path}: header version must be {FORMAT_VERSION}, got {version!r}")
     kind = header.get("kind")
     if kind not in ("factors", "random", "zipf"):
         raise DataError(f"{path}: unknown model kind {kind!r}")

@@ -12,25 +12,43 @@ from conftest import matrix_from
 from paretorank.errors import DivergenceError
 
 
-class OneGeneratorPerRow:
-    """The random baseline's definition, one default_rng((seed, user)) per row: the oracle."""
+# tables of at most this many cells are built whole by the oracle
+_TABLE_CELLS = 2**21
+
+
+class Table:
+    """The oracle: the random baseline's definition, row u of
+    ``default_rng(seed).random((n_users, n_items))``.
+
+    A table past _TABLE_CELLS is not built; its row u is read from a fresh
+    PCG64(seed) advanced by u * n_items, which test_doubles_take_one_output_each
+    pins to the table.
+    """
 
     def __init__(self, n_users, n_items, seed):
         self.n_users, self.n_items, self.seed = n_users, n_items, seed
+        self.table = (np.random.default_rng(seed).random((n_users, n_items))
+                      if n_users * n_items <= _TABLE_CELLS else None)
 
     def score_row(self, user):
-        return np.random.default_rng((self.seed, user)).random(self.n_items)
+        if self.table is not None:
+            return self.table[user]
+        bitgen = np.random.PCG64(self.seed)
+        bitgen.advance(user * self.n_items)
+        return np.random.Generator(bitgen).random(self.n_items)
 
 
 def assert_rows_match_oracle(scorer, users):
-    oracle = OneGeneratorPerRow(scorer.n_users, scorer.n_items, scorer.seed)
+    oracle = Table(scorer.n_users, scorer.n_items, scorer.seed)
     for u in users:
         assert scorer.score_row(u).tobytes() == oracle.score_row(u).tobytes(), u
 
 
 ORACLE_SEEDS = [0, 1, 12, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 5]
-# chunk edges, the last user, and the users where the key grows to two words
-EDGE_USERS = [0, 4095, 4096, 8191, 2**33 - 1, 2**32 - 1, 2**32]
+N_EDGE_USERS = 2**70
+# an in-order walk from the first user, two users whose rows start past the
+# 2**64th draw, the last user, and a jump back to user 0
+EDGE_USERS = [0, 1, 2, 2**64 + 1, 2**64 + 2, N_EDGE_USERS - 1, 0]
 
 
 class TestRandomScorer:
@@ -54,15 +72,18 @@ class TestRandomScorer:
 
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     def test_matches_one_generator_per_row(self, seed):
-        users = EDGE_USERS + [1, 5000, 2**32 + 4095, 2**32 + 4096]
-        shuffled = list(users)
-        random.Random(seed).shuffle(shuffled)
-        for order in (sorted(users), sorted(users, reverse=True), shuffled):
-            assert_rows_match_oracle(pr.RandomScorer(2**33, 7, seed), order)
+        # the table's rows in every order: ascending, descending, repeated, shuffled
+        users = list(range(30)) + [29, 29, 0]
+        random.Random(seed).shuffle(shuffled := list(range(30)))
+        for order in (users, users[::-1], shuffled):
+            assert_rows_match_oracle(pr.RandomScorer(30, 7, seed), order)
+        assert_rows_match_oracle(pr.RandomScorer(N_EDGE_USERS, 7, seed), EDGE_USERS)
+        assert_rows_match_oracle(pr.RandomScorer(2**33, 7, seed), [0, 1, 2**32, 2**33 - 1, 0])
 
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     def test_one_item_rows(self, seed):
-        assert_rows_match_oracle(pr.RandomScorer(2**33, 1, seed), EDGE_USERS)
+        assert_rows_match_oracle(pr.RandomScorer(30, 1, seed), [0, 1, 2, 29, 0, 17])
+        assert_rows_match_oracle(pr.RandomScorer(N_EDGE_USERS, 1, seed), EDGE_USERS)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), n_users=st.integers(1, 2**70), n_items=st.integers(1, 40),
@@ -79,7 +100,7 @@ class TestRandomScorer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert row.tobytes() == np.random.default_rng((1, 2**40 - 1)).random(3).tobytes()
+        assert row.tobytes() == Table(2**40, 3, 1).score_row(2**40 - 1).tobytes()
         assert peak < 2**20
 
     def test_walk_over_several_chunks_matches_oracle(self):
@@ -93,7 +114,7 @@ class TestRandomScorer:
         scorer = pr.RandomScorer(n_users, n_items, seed=12)
         assert scorer.n_users == sp.train.n_users == sp.test.n_users
         recs, raw = pr.score_and_select(scorer, sp.train, 5, sp.test)
-        want_recs, want_raw = pr.score_and_select(OneGeneratorPerRow(n_users, n_items, 12),
+        want_recs, want_raw = pr.score_and_select(Table(n_users, n_items, 12),
                                                   sp.train, 5, sp.test)
         assert [r.tolist() for r in recs.items] == [r.tolist() for r in want_recs.items]
         assert raw.tobytes() == want_raw.tobytes()
@@ -103,7 +124,7 @@ class TestRandomScorer:
         kwargs = dict(k=10, algorithm="random", dataset="d", seed=12, test_ratio=0.2)
         got = pr.evaluate_scorer(pr.RandomScorer(train.n_users, train.n_items, 12),
                                  train, test, **kwargs)
-        want = pr.evaluate_scorer(OneGeneratorPerRow(train.n_users, train.n_items, 12),
+        want = pr.evaluate_scorer(Table(train.n_users, train.n_items, 12),
                                   train, test, **kwargs)
         assert got.to_json() == want.to_json()
 
@@ -116,6 +137,37 @@ class TestRandomScorer:
     def test_bad_seed_rejected_at_construction(self, seed):
         with pytest.raises(ValueError, match="seed"):
             pr.RandomScorer(5, 7, seed)
+
+    @pytest.mark.parametrize("n_users,n_items", [(-3, 7), (0, 7), (5, 0), (5, -1), (True, 7),
+                                                 (5, True), (5.0, 7), (5, 7.0), ("5", 7), (5, None)])
+    def test_bad_shape_rejected_at_construction(self, n_users, n_items):
+        with pytest.raises(ValueError, match="n_users|n_items"):
+            pr.RandomScorer(n_users, n_items, 3)
+
+    def test_numpy_integer_shape(self):
+        # u * n_items past 2**63 would wrap if n_items stayed an int64
+        s = pr.RandomScorer(np.int64(2**62 + 1), np.int64(7), 3)
+        assert type(s.n_users) is int and type(s.n_items) is int
+        assert_rows_match_oracle(s, [2**62, 0])
+
+    @settings(max_examples=30, deadline=None)
+    @given(a=st.integers(0, 300), b=st.integers(0, 300), n=st.integers(0, 2**130),
+           seed=st.integers(0, 2**70))
+    def test_doubles_take_one_output_each(self, a, b, n, seed):
+        # the definition rests on numpy's stream: consecutive draws continue one stream of
+        # doubles, and advancing by n outputs skips exactly n doubles
+        def generator(advance=0):
+            bitgen = np.random.PCG64(seed)
+            bitgen.advance(advance)
+            return np.random.Generator(bitgen)
+
+        rng = generator()
+        parts = np.concatenate([rng.random(a), rng.random(b)])
+        assert parts.tobytes() == generator().random(a + b).tobytes()
+        skip = n % 300
+        for start in (0, n - skip):
+            skipped = generator(start + skip).random(b)
+            assert skipped.tobytes() == generator(start).random(skip + b)[skip:].tobytes()
 
     def test_numpy_integer_seed(self):
         a = pr.RandomScorer(5, 7, np.int64(3))

@@ -218,6 +218,10 @@ MALFORMED_HEADERS = {
     "random-no-n_users": lambda h: {**{k: v for k, v in h.items() if k != "n_users"},
                                     "kind": "random", "arrays": []},
     "list-header": lambda h: [1, 2],
+    "version-99": lambda h: {**h, "version": 99},
+    "version-string": lambda h: {**h, "version": "x"},
+    "version-null": lambda h: {**h, "version": None},
+    "version-true": lambda h: {**h, "version": True},
     "config-list": lambda h: {**h, "config": [1]},
     "echoed-seed-string": lambda h: {**h, "config": {**h["config"], "seed": "7"}},
     "echoed-seed-negative": lambda h: {**h, "config": {**h["config"], "seed": -1}},

@@ -1,4 +1,4 @@
-"""The README's library example, artifact list and plain-line definition, checked against the code."""
+"""The README's library example, artifact list and definitions, checked against the code."""
 
 import math
 import re
@@ -52,3 +52,9 @@ def test_plain_line_definition_states_the_byte_path_caps():
     paragraph = " ".join(paragraph.split())
     assert f"ids of 1 to {dataio._ID_BYTES} bytes" in paragraph
     assert f"a timestamp of 1 to {dataio._STAMP_DIGITS} ASCII digits" in paragraph
+
+
+def test_random_definition_names_the_table():
+    text = README.read_text(encoding="utf-8")
+    bullet = text[text.index("- `random` - "):].split("\n- ", 1)[0]
+    assert "`np.random.default_rng(seed).random((n_users, n_items))`" in " ".join(bullet.split())

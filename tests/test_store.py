@@ -79,7 +79,8 @@ def saved_header(tmp_path, scorer):
     return json.loads(path.read_bytes().split(b"\n", 1)[0])
 
 
-@pytest.mark.parametrize("drop", ["arrays", "n_users", "n_items", "seed", "d", "config", "kind"])
+@pytest.mark.parametrize("drop", ["arrays", "n_users", "n_items", "seed", "d", "config", "kind",
+                                  "version"])
 def test_missing_header_key(tmp_path, drop):
     header = saved_header(tmp_path, pr.init_model(3, 4, 2, seed=1))
     del header[drop]
@@ -147,7 +148,8 @@ def test_fuzzed_headers_raise_only_data_error(tmp_path, kind, dims, dropped, rep
     header = {k: v for k, v in header.items() if k not in dropped} | replaced
     path = write_artifact(tmp_path / "fuzz.bin", header if whole is None else whole, payload)
     try:
-        scorer, _ = pr.load_model(path)
+        scorer, loaded = pr.load_model(path)
     except DataError:
         return
     assert scorer.n_users >= 1 and scorer.n_items >= 1
+    assert type(loaded["version"]) is int and loaded["version"] == 1
