@@ -81,11 +81,16 @@ class ZipfScorer:
     """Popularity-rank scores 1/rank, identical for every user.
 
     Every call returns the same read-only row.
+
+    Raises:
+        ValueError: if n_users is not an integer >= 1.
     """
 
     def __init__(self, popularity: PopularityTable, n_users: int):
+        if not (is_integer(n_users) and n_users >= 1):
+            raise ValueError(f"zipf n_users must be an integer >= 1, got {n_users!r}")
         self.popularity = popularity
-        self.n_users = n_users
+        self.n_users = int(n_users)
         self.n_items = popularity.ranks.shape[0]
         self._row = 1.0 / popularity.ranks
         self._row.flags.writeable = False

@@ -15,7 +15,15 @@ from .errors import ConfigError
 
 
 def check_user(user: int, n_users: int) -> None:
-    """Raise IndexError unless 0 <= user < n_users, the users every scorer serves."""
+    """Check a user index against the users every scorer serves.
+
+    Raises:
+        TypeError: if user is not an integer (see ``is_integer``).
+        IndexError: unless 0 <= user < n_users.
+    """
+    # the type test first: a Python int, as a walk passes it, skips is_integer's call
+    if type(user) is not int and not is_integer(user):
+        raise TypeError(f"user index must be an integer, got {user!r}")
     if not 0 <= user < n_users:
         raise IndexError(f"user index {user} out of range [0, {n_users})")
 

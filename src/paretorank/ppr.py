@@ -19,14 +19,17 @@ using a snapshot of the three rows so the updates are simultaneous:
 
 One private kernel, ``_pair_chain``, does that arithmetic for a whole chain
 of one user's pairs, in place. It copies ``U_i`` into row 1 of a (2, d)
-buffer whose row 0 takes each pair's ``V_j - V_k``, so one multiply makes
-both step rows and one ``np.vecdot`` both their norms: 8 numpy calls per
-update and no Python call per pair. ``train_ppr`` runs it once per sampled
-user and ``pair_update`` on a one-pair chain, so the single-pair tests check
-the trainer's own arithmetic. The trainer stays a sequential per-pair loop
-and is bit-reproducible: each user's pairs chain on its row ``U_i`` and
-popular items chain users together, so there is no batch of independent
-pairs to apply at once.
+buffer whose row 0 takes each pair's ``V_j - V_k``. One ``np.vecdot`` of
+the buffer's rows with each other gives the margin and both squared row
+norms, from which the step norms follow as ``lr / m`` times a square root;
+one multiply makes both step rows. Only a step norm near the cap is taken
+again exactly, so the clips are the exact norms' own. An update makes 7
+numpy calls and no Python call. ``train_ppr`` runs the kernel once per
+sampled user, on buffers made once per call, and ``pair_update`` on a
+one-pair chain, so the single-pair tests check the trainer's own arithmetic.
+The trainer stays a sequential per-pair loop and is bit-reproducible: each
+user's pairs chain on its row ``U_i`` and popular items chain users together,
+so there is no batch of independent pairs to apply at once.
 """
 
 import math
@@ -41,6 +44,10 @@ from .model import FactorModel, check_user, init_model, is_integer, score_entrie
 STEP_NORM_CAP = 1.0
 # the smallest margin a step touches: it keeps -ln(m) and 1/m finite
 MIN_MARGIN = 1e-6
+# a step norm taken from the Gram entries is within (d + 8) * 2**-53 of the
+# exact one, relatively: the exact norm decides from this share below the cap
+# (or from (d + 8) * 2**-52, should that be larger)
+_NEAR_CAP_SLACK = 1e-9
 
 
 @dataclass
@@ -113,6 +120,7 @@ def pair_update(model: FactorModel, pair: PairSample, learning_rate: float) -> P
     This runs the trainer's own kernel (``_pair_chain``) on a one-pair chain.
 
     Raises:
+        TypeError: if the user is not an integer.
         IndexError: if the user or an item is outside [0, n_users) or
             [0, n_items); checked before the model is touched.
         ValueError: if learning_rate is not finite and >= 0. A zero rate
@@ -126,65 +134,96 @@ def pair_update(model: FactorModel, pair: PairSample, learning_rate: float) -> P
         raise ValueError(f"learning_rate must be finite and >= 0, got {learning_rate}")
     results = []
     _pair_chain(model.U, model.V, pair.user, [pair.preferred], [pair.other], learning_rate,
-                [0.0, 0, 0, 0], lambda _it, _pair, result: results.append(result))
+                [0.0, 0, 0, 0], lambda _it, _pair, result: results.append(result), 0,
+                _chain_buffers(model.n_factors))
     return results[0]
 
 
+def _chain_buffers(d: int) -> tuple:
+    """The kernel's buffers and views for d factors, made once per trainer or ``pair_update`` call.
+
+    ``buf`` stacks (V_j - V_k, U_i) and ``step`` takes its scaled copy.
+    ``np.vecdot(col, row, gram)`` writes the four dots of buf's rows with
+    each other into ``gram``, a (2, 2) view of ``flat``. ``near_cap`` is the
+    step norm, taken from those dots, at which the exact norm takes over.
+    """
+    buf = np.empty((2, d))
+    flat = np.empty(4)
+    near_cap = STEP_NORM_CAP * (1 - max(_NEAR_CAP_SLACK, (d + 8) * 2.0**-52))
+    return (buf, np.empty_like(buf), flat, flat.reshape(2, 2), buf[:, None, :], buf[None, :, :],
+            near_cap)
+
+
 def _pair_chain(U: np.ndarray, rows, user: int, js: list[int], ks: list[int],
-                learning_rate: float, tally: list, on_pair, it: int = 0) -> None:
+                learning_rate: float, tally: list, on_pair, it: int, buffers: tuple) -> None:
     """The pair step, over user's pairs (js[p], ks[p]) in order, in place: the one kernel.
 
-    U's row ``user`` is copied into row 1 of a (2, d) buffer before the
+    U's row ``user`` is copied into row 1 of the (2, d) buffer before the
     first pair and written back after the last, so the chain updates it
     without a row view per pair. ``rows[j]`` is item j's row of V, a view
-    the step writes through. Per pair, row 0 takes V_j - V_k, one multiply
-    of the whole buffer by lr / margin gives both step rows,
-    ``du = coef * dv`` and ``dvj = coef * u``, and one ``np.vecdot`` both
-    their squared norms. The dots stay in numpy (``ndarray.dot`` and
-    ``np.vecdot`` run the same BLAS ddot as ``@``): a Python-float sum
-    rounds differently, and the trainer is chaotic enough that one rounding
-    change moves the trained factors.
+    the step writes through. Per pair, row 0 takes dv = V_j - V_k, and one
+    ``np.vecdot`` gives the Gram entries of (dv, u): the margin u.dv, with
+    u first as in ``u @ dv``, and the squared norms dv.dv and u.u.
+    One multiply of the whole buffer by coef = lr / margin gives both step
+    rows, ``du = coef * dv`` and ``dvj = coef * u``. Their norms are taken
+    as coef * sqrt(dv.dv) and coef * sqrt(u.u), which lie within
+    (d + 8) * 2**-53 of the exact norms, relatively; only when one of them
+    is at or above ``near_cap``, or NaN, does the chain take the exact
+    ``np.vecdot`` of the step and clip on it. The clip decisions are thus
+    the exact norms' own. An update away from the cap makes 7 numpy calls
+    (9 near it), a skip 3, and no Python call is made per pair. The dots
+    stay in numpy (``np.vecdot`` runs the same BLAS ddot as ``@``): a
+    Python-float sum rounds differently, and the trainer is chaotic enough
+    that one rounding change moves the trained factors.
 
     tally is [loss_sum, updates, skips, clips]; the chain continues it in
     pair order and stores it back, so sums over many users round as one
     running sum. on_pair, unless None, is called as
     ``on_pair(it, PairSample, PairUpdateResult)`` after each pair.
     """
-    buf = np.empty((2, U.shape[1]))
-    step = np.empty_like(buf)
+    buf, step, flat, gram, col, row, near_cap = buffers
     dv, u = buf
     du, dvj = step
+    # bound once: a module attribute looked up per call costs about a tenth of the update
+    add, subtract, multiply, vecdot, sqrt, log = (np.add, np.subtract, np.multiply, np.vecdot,
+                                                  math.sqrt, math.log)
     u[:] = U[user]
     loss_sum, n_updates, n_skips, n_clips = tally
     for j, k in zip(js, ks):
         vj = rows[j]
         vk = rows[k]
-        np.subtract(vj, vk, dv)
-        # with one factor, ndarray.dot returns the bare product, where @ adds it
-        # to 0.0: the + 0.0 turns its -0.0 into @'s 0.0 and changes nothing else
-        margin = float(u.dot(dv)) + 0.0
+        subtract(vj, vk, dv)
+        vecdot(col, row, gram)
+        vv, _, uv, uu = flat.tolist()
+        # the margin as @ gives it: + 0.0 maps a -0.0 dot to @'s 0.0 and changes
+        # nothing else (np.vecdot sums from 0.0 as @ does; ndarray.dot gave a
+        # bare -0.0 product at one factor)
+        margin = uv + 0.0
         if margin <= MIN_MARGIN:
             applied = clipped = False
             n_skips += 1
         else:
             applied = True
             clipped = False
-            np.multiply(buf, learning_rate / margin, step)
-            nu2, nv2 = np.vecdot(step, step).tolist()
-            nu = math.sqrt(nu2)
-            if nu > STEP_NORM_CAP:
-                du *= STEP_NORM_CAP / nu
-                clipped = True
-            nv = math.sqrt(nv2)
-            if nv > STEP_NORM_CAP:
-                dvj *= STEP_NORM_CAP / nv
-                clipped = True
-            u += du
-            vj += dvj
-            vk -= dvj
+            coef = learning_rate / margin
+            multiply(buf, coef, step)
+            if not (coef * sqrt(vv) < near_cap and coef * sqrt(uu) < near_cap):
+                nu2, nv2 = vecdot(step, step).tolist()
+                nu = sqrt(nu2)
+                if nu > STEP_NORM_CAP:
+                    du *= STEP_NORM_CAP / nu
+                    clipped = True
+                nv = sqrt(nv2)
+                if nv > STEP_NORM_CAP:
+                    dvj *= STEP_NORM_CAP / nv
+                    clipped = True
+            # ufunc calls with out=, which skip the in-place operators' keyword path
+            add(u, du, u)
+            add(vj, dvj, vj)
+            subtract(vk, dvj, vk)
             n_updates += 1
             n_clips += clipped
-            loss_sum -= math.log(margin)
+            loss_sum -= log(margin)
         if on_pair is not None:
             on_pair(it, PairSample(user, j, k), PairUpdateResult(applied, clipped, margin))
     U[user] = u
@@ -208,13 +247,14 @@ def train_ppr(
     always precedes the other, and ``np.nonzero`` lists the pairs row by row,
     the order of the nested position loop. Each sampled user's pairs then run
     as one chain of the kernel ``pair_update`` also runs (``_pair_chain``),
-    on the user's row copied into a (2, d) buffer and on views of V's rows
-    taken once per call. Identical (train, config) inputs give bit-identical
-    results.
+    on the user's row copied into a (2, d) buffer; the buffers and the views
+    of V's rows are made once per call. Identical (train, config) inputs give
+    bit-identical results.
 
     Cost: on the tier-1 test corpus (1 x 512 users, 129,026 updates and
-    46,902 skips) training takes about 3.3 us per visited pair on a 2-vCPU
-    Xeon host (best of 24 runs).
+    46,902 skips) training takes about 2.6 us per visited pair on a 2-vCPU
+    Xeon host, against 3.0 us with a separate margin dot and an exact step
+    norm per update (best of 24 interleaved runs each).
 
     Args:
         train: training ratings; some user must have rated two items
@@ -252,6 +292,7 @@ def train_ppr(
     U = model.U
     rows = list(model.V)  # item rows as views, taken once, not one V[j] per pair
     learning_rate = config.learning_rate
+    buffers = _chain_buffers(config.n_factors)
 
     for it in range(config.max_iters):
         rng = parent.spawn(1)[0]
@@ -272,7 +313,7 @@ def train_ppr(
             # nonzero walks the grid row-major: the nested (a, b > a) order
             a, b = np.nonzero(ratings[:, None] > ratings[None, :])
             _pair_chain(U, rows, user, sampled[a].tolist(), sampled[b].tolist(), learning_rate,
-                        tally, on_pair, it)
+                        tally, on_pair, it, buffers)
         loss_sum, n_updates, n_skips, n_clips = tally
         stats.mean_loss.append(loss_sum / n_updates if n_updates else math.nan)
         stats.updates.append(n_updates)

@@ -236,6 +236,16 @@ class TestZipfScorer:
         with pytest.raises(IndexError, match=rf"user index {user} out of range \[0, 2\)"):
             scorer.score_row(user)
 
+    @pytest.mark.parametrize("n_users", [-3, 0, True, 2.0, "2", None])
+    def test_bad_n_users_rejected_at_construction(self, n_users):
+        with pytest.raises(ValueError, match="^zipf n_users must be an integer >= 1, got "):
+            pr.ZipfScorer(pr.PopularityTable(np.array([3, 1])), n_users)
+
+    def test_numpy_integer_n_users(self):
+        scorer = pr.ZipfScorer(pr.PopularityTable(np.array([3, 1])), np.int64(2))
+        assert type(scorer.n_users) is int
+        assert scorer.score_row(np.int64(1)).tolist() == [1.0, 0.5]
+
     def test_ordering_matches_popularity(self):
         rng = np.random.default_rng(4)
         triples = [

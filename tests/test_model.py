@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -56,6 +57,17 @@ class TestScore:
             m.score_row(2)
         with pytest.raises(IndexError):
             m.score_row(-1)
+
+    @pytest.mark.parametrize("make", [
+        lambda: pr.init_model(2, 3, 2, seed=0),
+        lambda: pr.RandomScorer(2, 3, 0),
+        lambda: pr.ZipfScorer(pr.PopularityTable(np.array([3, 1, 2])), 2),
+    ], ids=["factors", "random", "zipf"])
+    @pytest.mark.parametrize("user", [1.5, 0.0, np.float64(1.0), True, "0", None])
+    def test_non_integer_user_rejected(self, make, user):
+        message = f"user index must be an integer, got {user!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            make().score_row(user)
 
     def test_bilinear_in_user_row(self):
         rng = np.random.default_rng(3)

@@ -210,6 +210,27 @@ class TestPairUpdate:
         vk = vj.copy() if same_rows else data.draw(rows)
         self.check_step(u, vj, vk, learning_rate)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("side", ["user", "items"])
+    @pytest.mark.parametrize("norm", [1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0),
+                                      math.inf, math.nan],
+                             ids=["cap", "ulp-above", "ulp-below", "inf", "nan"])
+    def test_step_norm_near_cap(self, d, side, norm):
+        # one side's exact step norm is `norm`, the other's at most about a third of
+        # it: the norms from the Gram entries cannot tell these from the cap, so the
+        # exact norm must decide each clip as the reference does
+        assert pr.ppr.STEP_NORM_CAP == 1.0
+        # margin 4 and coef lr / 4: the side's step is lr times a unit axis; an inf
+        # for the 4 makes the margin inf, coef 0 and that step 0 * inf
+        axis = np.zeros(d)
+        axis[0] = math.inf if math.isnan(norm) else 4.0
+        u, dv = (np.ones(d), axis) if side == "user" else (axis, np.ones(d))
+        learning_rate = 1e308 if math.isinf(norm) else 1.0 if math.isnan(norm) else norm
+        with np.errstate(all="ignore"):
+            step = learning_rate / float(u @ dv) * (dv if side == "user" else u)
+            assert repr(math.sqrt(float(step @ step))) == repr(norm)
+        self.check_step(u, dv, np.zeros(d), learning_rate)
+
     def test_one_factor_zero_margin(self):
         # the margin is a -0.0 product, which @ reads as 0.0
         self.check_step(np.array([-1.0]), np.array([2.0]), np.array([2.0]), 0.5)
@@ -478,7 +499,7 @@ class TestTrainPprMatchesPerPairLoop:
     @settings(max_examples=200, deadline=None)
     @given(
         m=ppr_matrices(),
-        n_factors=st.integers(1, 8),
+        n_factors=st.integers(1, 20),
         learning_rate=st.sampled_from([0.0005, 0.001, 0.01, 0.025, 0.05, 0.5, 1.0, 2.0, 20.0,
                                        5e307, 1e308]),
         user_sample_size=st.integers(1, 9),
@@ -542,34 +563,19 @@ def special_or_scaled():
 
 class TestDotKernel:
     @settings(max_examples=500, deadline=None)
-    @given(
-        st.integers(1, 16).flatmap(lambda n: st.tuples(
-            hnp.arrays(np.float64, n, elements=special_or_scaled()),
-            hnp.arrays(np.float64, n, elements=special_or_scaled()),
-        ))
-    )
-    @example(vectors=(np.array([0.0]), np.array([-0.0])))
-    def test_ndarray_dot_is_matmul_bit_for_bit(self, vectors):
-        # the kernel takes its margins with ndarray.dot; @ was the original
-        a, b = vectors
-        with np.errstate(all="ignore"):
-            if a.size > 1:
-                assert a.dot(b).tobytes() == (a @ b).tobytes()
-            # the margin's form: at length 1, dot gives a bare -0.0 product
-            # where @ gives 0.0
-            assert np.float64(float(a.dot(b)) + 0.0).tobytes() == (a @ b).tobytes()
-            # the norms' form
-            assert a.dot(a).tobytes() == (a @ a).tobytes()
-
-    @settings(max_examples=500, deadline=None)
-    @given(st.integers(1, 16).flatmap(
+    @given(st.integers(1, 40).flatmap(
         lambda n: hnp.arrays(np.float64, (2, n), elements=special_or_scaled())))
-    def test_vecdot_of_stack_is_matmul_bit_for_bit(self, stack):
-        # the kernel takes both step norms with one np.vecdot of the (2, d) step
+    @example(stack=np.array([[0.0], [-0.0]]))
+    def test_gram_of_stack_is_matmul_bit_for_bit(self, stack):
+        # the kernel takes the margin and both squared norms with one np.vecdot of
+        # its (2, d) buffer's rows with each other; d up to 40 runs BLAS ddot's
+        # unrolled blocks (16 elements or more) as well as its tail
+        buf, _, flat, gram, col, row, _ = pr.ppr._chain_buffers(stack.shape[1])
+        buf[:] = stack
         with np.errstate(all="ignore"):
-            norms = np.vecdot(stack, stack)
-            for i in range(2):
-                assert norms[i].tobytes() == (stack[i] @ stack[i]).tobytes()
+            np.vecdot(col, row, gram)
+            for (i, j), entry in zip(itertools.product(range(2), repeat=2), flat.tolist()):
+                assert np.float64(entry).tobytes() == (stack[i] @ stack[j]).tobytes()
 
 
 class TestPairwiseConcordance:
