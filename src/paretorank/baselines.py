@@ -13,7 +13,7 @@ import numpy as np
 
 from .dataio import RatingMatrix
 from .errors import DataError, DivergenceError
-from .model import FactorModel, check_user, init_model, is_integer
+from .model import FactorModel, check_index, init_model, is_integer
 
 
 class PopularityTable:
@@ -69,7 +69,7 @@ class RandomScorer:
         self._next_user = 0
 
     def score_row(self, user: int) -> np.ndarray:
-        check_user(user, self.n_users)
+        check_index(user, self.n_users, "user")
         if user != self._next_user:
             self._bitgen.state = self._start
             self._bitgen.advance(operator.index(user) * self.n_items)
@@ -96,7 +96,7 @@ class ZipfScorer:
         self._row.flags.writeable = False
 
     def score_row(self, user: int) -> np.ndarray:
-        check_user(user, self.n_users)
+        check_index(user, self.n_users, "user")
         return self._row
 
 

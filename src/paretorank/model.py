@@ -14,18 +14,18 @@ from .dataio import RatingMatrix
 from .errors import ConfigError
 
 
-def check_user(user: int, n_users: int) -> None:
-    """Check a user index against the users every scorer serves.
+def check_index(index: int, size: int, what: str) -> None:
+    """Check a user or item index (``what`` names which) against the ``size`` there are.
 
     Raises:
-        TypeError: if user is not an integer (see ``is_integer``).
-        IndexError: unless 0 <= user < n_users.
+        TypeError: if index is not an integer (see ``is_integer``).
+        IndexError: unless 0 <= index < size.
     """
     # the type test first: a Python int, as a walk passes it, skips is_integer's call
-    if type(user) is not int and not is_integer(user):
-        raise TypeError(f"user index must be an integer, got {user!r}")
-    if not 0 <= user < n_users:
-        raise IndexError(f"user index {user} out of range [0, {n_users})")
+    if type(index) is not int and not is_integer(index):
+        raise TypeError(f"{what} index must be an integer, got {index!r}")
+    if not 0 <= index < size:
+        raise IndexError(f"{what} index {index} out of range [0, {size})")
 
 
 def is_integer(value) -> bool:
@@ -54,7 +54,7 @@ class FactorModel:
 
     def score_row(self, user: int) -> np.ndarray:
         """Raw affinities of one user for every item: the user's factor row dotted with each item's."""
-        check_user(user, self.n_users)
+        check_index(user, self.n_users, "user")
         return self.U[user] @ self.V.T
 
 

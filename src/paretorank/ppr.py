@@ -39,7 +39,7 @@ import numpy as np
 
 from .dataio import RatingMatrix
 from .errors import DataError, DivergenceError
-from .model import FactorModel, check_user, init_model, is_integer, score_entries
+from .model import FactorModel, check_index, init_model, is_integer, score_entries
 
 STEP_NORM_CAP = 1.0
 # the smallest margin a step touches: it keeps -ln(m) and 1/m finite
@@ -120,20 +120,19 @@ def pair_update(model: FactorModel, pair: PairSample, learning_rate: float) -> P
     This runs the trainer's own kernel (``_pair_chain``) on a one-pair chain.
 
     Raises:
-        TypeError: if the user is not an integer.
+        TypeError: if the user or an item is not an integer.
         IndexError: if the user or an item is outside [0, n_users) or
-            [0, n_items); checked before the model is touched.
+            [0, n_items); both are checked before the model is touched.
         ValueError: if learning_rate is not finite and >= 0. A zero rate
             applies a step that changes nothing.
     """
-    check_user(pair.user, model.n_users)
-    for item in (pair.preferred, pair.other):
-        if not 0 <= item < model.n_items:
-            raise IndexError(f"item index {item} out of range [0, {model.n_items})")
+    check_index(pair.user, model.n_users, "user")
+    check_index(pair.preferred, model.n_items, "item")
+    check_index(pair.other, model.n_items, "item")
     if not (math.isfinite(learning_rate) and learning_rate >= 0):
         raise ValueError(f"learning_rate must be finite and >= 0, got {learning_rate}")
     results = []
-    _pair_chain(model.U, model.V, pair.user, [pair.preferred], [pair.other], learning_rate,
+    _pair_chain(model.U, model.V, pair.user, [pair.preferred, pair.other], [1, 2], learning_rate,
                 [0.0, 0, 0, 0], lambda _it, _pair, result: results.append(result), 0,
                 _chain_buffers(model.n_factors))
     return results[0]
@@ -154,9 +153,12 @@ def _chain_buffers(d: int) -> tuple:
             near_cap)
 
 
-def _pair_chain(U: np.ndarray, rows, user: int, js: list[int], ks: list[int],
+def _pair_chain(U: np.ndarray, rows, user: int, items: list[int], cuts: list[int],
                 learning_rate: float, tally: list, on_pair, it: int, buffers: tuple) -> None:
-    """The pair step, over user's pairs (js[p], ks[p]) in order, in place: the one kernel.
+    """The pair step over (items[a], items[b]) for each a, b >= cuts[a], in place: the one kernel.
+
+    From ``train_ppr`` the items fall in rating and cuts[a] is the first position rated below
+    a's, so these are the strictly ordered pairs, in the nested (a, b) order.
 
     U's row ``user`` is copied into row 1 of the (2, d) buffer before the
     first pair and written back after the last, so the chain updates it
@@ -189,43 +191,44 @@ def _pair_chain(U: np.ndarray, rows, user: int, js: list[int], ks: list[int],
                                                   math.sqrt, math.log)
     u[:] = U[user]
     loss_sum, n_updates, n_skips, n_clips = tally
-    for j, k in zip(js, ks):
+    for j, cut in zip(items, cuts):
         vj = rows[j]
-        vk = rows[k]
-        subtract(vj, vk, dv)
-        vecdot(col, row, gram)
-        vv, _, uv, uu = flat.tolist()
-        # the margin as @ gives it: + 0.0 maps a -0.0 dot to @'s 0.0 and changes
-        # nothing else (np.vecdot sums from 0.0 as @ does; ndarray.dot gave a
-        # bare -0.0 product at one factor)
-        margin = uv + 0.0
-        if margin <= MIN_MARGIN:
-            applied = clipped = False
-            n_skips += 1
-        else:
-            applied = True
-            clipped = False
-            coef = learning_rate / margin
-            multiply(buf, coef, step)
-            if not (coef * sqrt(vv) < near_cap and coef * sqrt(uu) < near_cap):
-                nu2, nv2 = vecdot(step, step).tolist()
-                nu = sqrt(nu2)
-                if nu > STEP_NORM_CAP:
-                    du *= STEP_NORM_CAP / nu
-                    clipped = True
-                nv = sqrt(nv2)
-                if nv > STEP_NORM_CAP:
-                    dvj *= STEP_NORM_CAP / nv
-                    clipped = True
-            # ufunc calls with out=, which skip the in-place operators' keyword path
-            add(u, du, u)
-            add(vj, dvj, vj)
-            subtract(vk, dvj, vk)
-            n_updates += 1
-            n_clips += clipped
-            loss_sum -= log(margin)
-        if on_pair is not None:
-            on_pair(it, PairSample(user, j, k), PairUpdateResult(applied, clipped, margin))
+        for k in items[cut:]:
+            vk = rows[k]
+            subtract(vj, vk, dv)
+            vecdot(col, row, gram)
+            vv, _, uv, uu = flat.tolist()
+            # the margin as @ gives it: + 0.0 maps a -0.0 dot to @'s 0.0 and changes
+            # nothing else (np.vecdot sums from 0.0 as @ does; ndarray.dot gave a
+            # bare -0.0 product at one factor)
+            margin = uv + 0.0
+            if margin <= MIN_MARGIN:
+                applied = clipped = False
+                n_skips += 1
+            else:
+                applied = True
+                clipped = False
+                coef = learning_rate / margin
+                multiply(buf, coef, step)
+                if not (coef * sqrt(vv) < near_cap and coef * sqrt(uu) < near_cap):
+                    nu2, nv2 = vecdot(step, step).tolist()
+                    nu = sqrt(nu2)
+                    if nu > STEP_NORM_CAP:
+                        du *= STEP_NORM_CAP / nu
+                        clipped = True
+                    nv = sqrt(nv2)
+                    if nv > STEP_NORM_CAP:
+                        dvj *= STEP_NORM_CAP / nv
+                        clipped = True
+                # ufunc calls with out=, which skip the in-place operators' keyword path
+                add(u, du, u)
+                add(vj, dvj, vj)
+                subtract(vk, dvj, vk)
+                n_updates += 1
+                n_clips += clipped
+                loss_sum -= log(margin)
+            if on_pair is not None:
+                on_pair(it, PairSample(user, j, k), PairUpdateResult(applied, clipped, margin))
     U[user] = u
     tally[:] = loss_sum, n_updates, n_skips, n_clips
 
@@ -242,11 +245,10 @@ def train_ppr(
     Per iteration: sample users without replacement, sample each user's rated
     items without replacement, sort the sample by decreasing rating, and walk
     every ordered position pair, updating where the earlier rating strictly
-    exceeds the later one. A user's pairs come from one comparison of the
-    sorted sample's ratings: they descend, so a pair's preferred position
-    always precedes the other, and ``np.nonzero`` lists the pairs row by row,
-    the order of the nested position loop. Each sampled user's pairs then run
-    as one chain of the kernel ``pair_update`` also runs (``_pair_chain``),
+    exceeds the later one. No pair is listed: one ``np.searchsorted`` of the
+    sorted sample's negated ratings into themselves gives each position's cut,
+    the first position rated strictly below it, and each sampled user's pairs
+    run as one chain of the kernel ``pair_update`` also runs (``_pair_chain``),
     on the user's row copied into a (2, d) buffer; the buffers and the views
     of V's rows are made once per call. Identical (train, config) inputs give
     bit-identical results.
@@ -307,12 +309,9 @@ def train_ppr(
             sampled = items[pick]
             ratings = item_ratings[pick]
             order = np.lexsort((sampled, -ratings))
-            sampled = sampled[order]
-            ratings = ratings[order]
-            # ratings descend, so a > b never holds below the diagonal, and
-            # nonzero walks the grid row-major: the nested (a, b > a) order
-            a, b = np.nonzero(ratings[:, None] > ratings[None, :])
-            _pair_chain(U, rows, user, sampled[a].tolist(), sampled[b].tolist(), learning_rate,
+            falling = -ratings[order]
+            _pair_chain(U, rows, user, sampled[order].tolist(),
+                        np.searchsorted(falling, falling, side="right").tolist(), learning_rate,
                         tally, on_pair, it, buffers)
         loss_sum, n_updates, n_skips, n_clips = tally
         stats.mean_loss.append(loss_sum / n_updates if n_updates else math.nan)

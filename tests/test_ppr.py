@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -116,6 +117,19 @@ class TestPairUpdate:
                            V=np.array([[3.0, 1.0], [1.0, 0.0], [0.5, 0.5], [4.0, 2.0]]))
         before = (m.U.tobytes(), m.V.tobytes())
         with pytest.raises(IndexError, match=message):
+            pr.pair_update(m, pair, learning_rate=0.1)
+        assert (m.U.tobytes(), m.V.tobytes()) == before
+
+    @pytest.mark.parametrize("side", ["preferred", "other"])
+    @pytest.mark.parametrize("item", [1.5, np.float64(1.0), True, None],
+                             ids=["float", "numpy-float", "bool", "none"])
+    def test_non_integer_item_rejected_untouched(self, side, item):
+        m = pr.FactorModel(U=np.array([[2.0, 1.0]]), V=np.array([[3.0, 1.0], [1.0, 0.0]]))
+        before = (m.U.tobytes(), m.V.tobytes())
+        pair = pr.PairSample(user=0, preferred=0, other=1)
+        setattr(pair, side, item)
+        message = f"^item index must be an integer, got {re.escape(repr(item))}$"
+        with pytest.raises(TypeError, match=message):
             pr.pair_update(m, pair, learning_rate=0.1)
         assert (m.U.tobytes(), m.V.tobytes()) == before
 
@@ -361,6 +375,20 @@ class TestTrainPpr:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_large_sample_costs_linear_memory(self):
+        # 20,000 sampled items and 19,999 pairs: a per-user grid of rating
+        # comparisons alone would take 400 MB
+        m = matrix_from([("a", f"i{j}", 5.0 if j == 0 else 1.0) for j in range(20_000)])
+        cfg = pr.TrainConfig(max_iters=1, user_sample_size=1, item_sample_size=20_000)
+        tracemalloc.start()
+        try:
+            _, stats = pr.train_ppr(m, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.updates[0] + stats.skips[0] == 19_999
+        assert peak < 32 * 2**20
+
     def test_stats_csv_layout(self):
         m = matrix_from([("a", "A", 5), ("a", "B", 3)])
         cfg = pr.TrainConfig(n_factors=2, max_iters=2, seed=3)
@@ -507,6 +535,17 @@ class TestTrainPprMatchesPerPairLoop:
         max_iters=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
     )
+    # a sample that strictly descends (each cut is the next position), two tied
+    # blocks, and an item sample larger than every row
+    @example(m=matrix_from(("u0", f"i{j}", 5.0 - j) for j in range(5)), n_factors=3,
+             learning_rate=0.05, user_sample_size=1, item_sample_size=5, max_iters=2, seed=1)
+    @example(m=matrix_from(("u0", f"i{j}", r) for j, r in enumerate([5.0, 5.0, 5.0, 1.0, 1.0])),
+             n_factors=2, learning_rate=0.5, user_sample_size=1, item_sample_size=5, max_iters=2,
+             seed=2)
+    @example(m=matrix_from((f"u{u}", f"i{j}", float(1 + (u + j) % 4)) for u in range(3)
+                           for j in range(2 + u)),
+             n_factors=4, learning_rate=0.01, user_sample_size=3, item_sample_size=16,
+             max_iters=3, seed=3)
     def test_random_matrices(self, m, n_factors, learning_rate, user_sample_size,
                              item_sample_size, max_iters, seed):
         config = pr.TrainConfig(
