@@ -106,7 +106,7 @@ def scale_scores(scores, scale: tuple[float, float]) -> np.ndarray:
 _BLOCK_BYTES = 1 << 20
 # The top-K screen takes one maximum per group of at most _GROUP items, and
 # keeps at least _SPREAD * k groups.
-_GROUP = 64
+_GROUP = 16
 _SPREAD = 2
 
 
@@ -119,17 +119,18 @@ def top_k(scorer, train: RatingMatrix, k: int) -> RecommendationSet:
 
     One scoring pass: ``score_row(u)`` is called once per user, in user
     order, and each row is copied into a block of about 1 MiB of score rows
-    (``n_items`` rounded up to a multiple of 64 per row). The memory in use
+    (``n_items`` rounded up to a multiple of 16 per row). The memory in use
     beyond the lists, which are arrays of their own, is a few blocks
     whatever ``n_users``. Each block is screened, not sorted: the rated
     items are masked out and the items are split into ``G`` groups (item
-    ``i`` in group ``i mod G``) of 64 items, halved, down to one item,
+    ``i`` in group ``i mod G``) of 16 items, halved, down to one item,
     while there are fewer than ``2k`` groups. Each row's ``kk``-th largest group
     maximum (``kk = min(k, unrated items)``) bounds its ``kk``-th best
     unrated score from below, because ``kk`` distinct groups each hold an
-    unrated item at or above it. Only the unrated items at or above the
-    bound are sorted: about ``kk`` of them per user, unless many scores tie
-    at the bound.
+    unrated item at or above it. Only the items of the groups whose maximum
+    is at or above the bound are compared with it, and only the unrated
+    items at or above it are sorted: about ``kk`` of them per user, unless
+    many scores tie at the bound.
     """
     return _walk(scorer, np.arange(scorer.n_users), train, k, None)[0]
 
@@ -195,7 +196,7 @@ def _walk(scorer, users: np.ndarray, train: RatingMatrix | None, k: int,
                 rows[r, :n_items] = scorer.score_row(u)
         if entries is not None:
             lo, hi, at = _block_rows(entries.indptr, walked)
-            raw[lo:hi] = rows[at, entries.indices[lo:hi]]
+            raw[lo:hi] = rows.reshape(-1)[at * width + entries.indices[lo:hi]]
         if train is not None:
             items += _select(rows, walked, train, min(k, n_items), n_items)
     recs = RecommendationSet(k=k, items=items) if train is not None else None
@@ -206,34 +207,42 @@ def _select(rows: np.ndarray, users: np.ndarray, train: RatingMatrix, k: int,
             n_items: int) -> list[np.ndarray]:
     """Each row's top-k unrated items, by (score descending, item ascending).
 
-    ``rows`` holds the block's scores in its first ``n_items`` columns and
-    NaN after them, up to a multiple of 64. The rated items are overwritten
-    with NaN, which ``fmax`` skips and no comparison selects, so a rated
-    item is told apart from an unrated ``-inf`` one.
+    ``rows``, a C-contiguous block, holds the scores in its first
+    ``n_items`` columns and NaN after them, up to a multiple of 16. The
+    rated items are overwritten with NaN, which ``fmax`` skips and no
+    comparison selects, so a rated item is told apart from an unrated
+    ``-inf`` one.
     """
+    n_rows, width = rows.shape
+    # flat indices into the block: 2-D fancy indexing costs several times more
+    flat = rows.reshape(-1)
     lo, hi, at = _block_rows(train.indptr, users)
-    rows[at, train.indices[lo:hi]] = np.nan
+    flat[at * width + train.indices[lo:hi]] = np.nan
     kk = np.minimum(k, n_items - (train.indptr[users + 1] - train.indptr[users]))
-    # groups of the widest size (a power of two, at most 64) that leaves at
+    # groups of the widest size (a power of two, at most 16) that leaves at
     # least _SPREAD * k groups: one item per group when k is that large
     size = _GROUP
-    while size > 1 and rows.shape[1] // size < _SPREAD * k:
+    while size > 1 and width // size < _SPREAD * k:
         size //= 2
     # group g holds items g, g + G, g + 2G, ...: the group maxima are one
     # elementwise fmax over the slices of G columns; -inf for a group
     # with no unrated item
-    peaks = np.sort(np.fmax.reduce(rows.reshape(users.size, size, -1), axis=1,
-                                   initial=-np.inf), axis=1)
+    maxima = np.fmax.reduce(rows.reshape(n_rows, size, -1), axis=1, initial=-np.inf)
+    n_groups = maxima.shape[1]
     # the kk-th largest group maximum (kk never exceeds the groups); a row
     # with every item rated (kk = 0) has only -inf maxima and no candidate
-    bound = peaks[np.arange(users.size), peaks.shape[1] - np.maximum(kk, 1)]
-    # the flat index form, because a 2-D nonzero is several times slower;
-    # NaN (rated or padding) passes no comparison
-    r, cand = np.divmod(np.flatnonzero(rows >= bound[:, None]), rows.shape[1])
-    # one stable sort of the block's candidates by row, then by descending
-    # score: each row's candidates come in ascending items, so equal scores
-    # keep that order
-    cand = cand[np.lexsort((-rows[r, cand], r))]
-    starts = np.searchsorted(r, np.arange(users.size))
+    bound = np.sort(maxima, axis=1)[np.arange(n_rows), n_groups - np.maximum(kk, 1)]
+    # an item at or above its row's bound lifts its group's maximum there too,
+    # so only those groups' items are compared; NaN (rated or padding) passes
+    # no comparison
+    r, g = np.divmod(np.flatnonzero(maxima >= bound[:, None]), n_groups)
+    member = g[:, None] + n_groups * np.arange(size)
+    score = flat[(r * width)[:, None] + member]
+    keep = score >= bound[r][:, None]
+    r = np.broadcast_to(r[:, None], keep.shape)[keep]
+    cand = member[keep]
+    cand = cand[np.lexsort((cand, -score[keep], r))]
+    # r still ascends: the lexsort orders within each row
+    starts = np.searchsorted(r, np.arange(n_rows))
     # each row's candidates, in order, start with its list: it has at least kk
     return [cand[s:s + n].copy() for s, n in zip(starts.tolist(), kk.tolist())]

@@ -18,15 +18,19 @@ using a snapshot of the three rows so the updates are simultaneous:
     V_k -= lr * U_i_old / m
 
 One private kernel, ``_pair_chain``, does that arithmetic for a whole chain
-of one user's pairs, in place. It copies ``U_i`` into row 1 of a (2, d)
-buffer whose row 0 takes each pair's ``V_j - V_k``. One ``np.vecdot`` of
-the buffer's rows with each other gives the margin and both squared row
-norms, from which the step norms follow as ``lr / m`` times a square root;
-one multiply makes both step rows. Only a step norm near the cap is taken
-again exactly, so the clips are the exact norms' own. An update makes 7
-numpy calls and no Python call. ``train_ppr`` runs the kernel once per
-sampled user, on buffers made once per call, and ``pair_update`` on a
-one-pair chain, so the single-pair tests check the trainer's own arithmetic.
+of one user's pairs, in place, on one contiguous (3, d) block
+``(V_j - V_k, U_i, V_j)``: ``U_i`` is copied in for the user's chain and
+``V_j`` for each preferred item's pairs, and each is written back after
+its last pair. One ``np.vecdot`` of the block's first two rows with each
+other gives the margin and both squared row norms, from which the step
+norms follow as ``lr / m`` times a square root; one multiply makes both
+step rows, and one add applies them to ``U_i`` and ``V_j``. Only a step
+norm near the cap is taken again exactly, so the clips are the exact
+norms' own. An update makes 6 numpy calls, stores its step factor into a
+0-d array, and makes no Python call.
+``train_ppr`` runs the kernel once per sampled user, on buffers made once
+per call, and ``pair_update`` on a one-pair chain, so the single-pair tests
+check the trainer's own arithmetic.
 The trainer stays a sequential per-pair loop and is bit-reproducible: each
 user's pairs chain on its row ``U_i`` and popular items chain users together,
 so there is no batch of independent pairs to apply at once.
@@ -141,16 +145,20 @@ def pair_update(model: FactorModel, pair: PairSample, learning_rate: float) -> P
 def _chain_buffers(d: int) -> tuple:
     """The kernel's buffers and views for d factors, made once per trainer or ``pair_update`` call.
 
-    ``buf`` stacks (V_j - V_k, U_i) and ``step`` takes its scaled copy.
-    ``np.vecdot(col, row, gram)`` writes the four dots of buf's rows with
-    each other into ``gram``, a (2, 2) view of ``flat``. ``near_cap`` is the
-    step norm, taken from those dots, at which the exact norm takes over.
+    ``buf`` is one C-contiguous (3, d) block that holds (V_j - V_k, U_i, V_j),
+    and ``step`` takes the scaled copy of its first two rows. ``c0`` is a
+    0-d array for the steps' factor, which numpy takes without converting a
+    Python float on each call. ``np.vecdot(col, row, gram)`` writes the four
+    dots of buf's first two rows with each other into ``gram``, a (2, 2) view
+    of ``flat``. ``near_cap`` is the step norm, taken from those dots, at
+    which the exact norm takes over.
     """
-    buf = np.empty((2, d))
+    buf = np.empty((3, d))
+    head = buf[:2]
     flat = np.empty(4)
     near_cap = STEP_NORM_CAP * (1 - max(_NEAR_CAP_SLACK, (d + 8) * 2.0**-52))
-    return (buf, np.empty_like(buf), flat, flat.reshape(2, 2), buf[:, None, :], buf[None, :, :],
-            near_cap)
+    return (buf, np.empty_like(head), np.empty(()), flat, flat.reshape(2, 2), head[:, None, :],
+            head[None, :, :], near_cap)
 
 
 def _pair_chain(U: np.ndarray, rows, user: int, items: list[int], cuts: list[int],
@@ -158,41 +166,51 @@ def _pair_chain(U: np.ndarray, rows, user: int, items: list[int], cuts: list[int
     """The pair step over (items[a], items[b]) for each a, b >= cuts[a], in place: the one kernel.
 
     From ``train_ppr`` the items fall in rating and cuts[a] is the first position rated below
-    a's, so these are the strictly ordered pairs, in the nested (a, b) order.
+    a's, so these are the strictly ordered pairs, in the nested (a, b) order. Cuts never
+    decrease, so the chain ends at the first position whose cut is past the last item.
 
-    U's row ``user`` is copied into row 1 of the (2, d) buffer before the
-    first pair and written back after the last, so the chain updates it
-    without a row view per pair. ``rows[j]`` is item j's row of V, a view
-    the step writes through. Per pair, row 0 takes dv = V_j - V_k, and one
-    ``np.vecdot`` gives the Gram entries of (dv, u): the margin u.dv, with
-    u first as in ``u @ dv``, and the squared norms dv.dv and u.u.
-    One multiply of the whole buffer by coef = lr / margin gives both step
-    rows, ``du = coef * dv`` and ``dvj = coef * u``. Their norms are taken
-    as coef * sqrt(dv.dv) and coef * sqrt(u.u), which lie within
+    The kernel works on one (3, d) block ``buf = (dv, u, vj)``. U's row
+    ``user`` is copied into row 1 before the first pair and written back
+    after the last; item j's row of V (``rows[j]``, a view) is copied into
+    row 2 before position a's first pair and written back after its last.
+    ``rows[k]`` is written through. Per pair, row 0 takes dv = V_j - V_k,
+    and one ``np.vecdot`` gives the Gram entries of (dv, u): the margin
+    u.dv, with u first as in ``u @ dv``, and the squared norms dv.dv and u.u.
+    One multiply of the block's first two rows by coef = lr / margin gives
+    both step rows, ``du = coef * dv`` and ``dvj = coef * u``, and one add
+    of them to the last two rows moves u and vj together. The step norms
+    are taken as coef * sqrt(dv.dv) and coef * sqrt(u.u), which lie within
     (d + 8) * 2**-53 of the exact norms, relatively; only when one of them
     is at or above ``near_cap``, or NaN, does the chain take the exact
     ``np.vecdot`` of the step and clip on it. The clip decisions are thus
-    the exact norms' own. An update away from the cap makes 7 numpy calls
-    (9 near it), a skip 3, and no Python call is made per pair. The dots
-    stay in numpy (``np.vecdot`` runs the same BLAS ddot as ``@``): a
-    Python-float sum rounds differently, and the trainer is chaotic enough
-    that one rounding change moves the trained factors.
+    the exact norms' own. An update away from the cap makes 6 numpy calls
+    (8 near it) and one store of coef into the 0-d array ``c0``, a skip 3,
+    and no Python call is made per pair. The dots stay in numpy
+    (``np.vecdot`` runs the same BLAS ddot as ``@``): a Python-float sum
+    rounds differently, and the trainer is chaotic enough that one rounding
+    change moves the trained factors.
 
     tally is [loss_sum, updates, skips, clips]; the chain continues it in
     pair order and stores it back, so sums over many users round as one
     running sum. on_pair, unless None, is called as
     ``on_pair(it, PairSample, PairUpdateResult)`` after each pair.
     """
-    buf, step, flat, gram, col, row, near_cap = buffers
-    dv, u = buf
+    buf, step, c0, flat, gram, col, row, near_cap = buffers
+    dv, u, vj = buf
+    head, tail = buf[:2], buf[1:]
     du, dvj = step
     # bound once: a module attribute looked up per call costs about a tenth of the update
     add, subtract, multiply, vecdot, sqrt, log = (np.add, np.subtract, np.multiply, np.vecdot,
                                                   math.sqrt, math.log)
-    u[:] = U[user]
+    end = len(items)
+    u[...] = U[user]
     loss_sum, n_updates, n_skips, n_clips = tally
     for j, cut in zip(items, cuts):
-        vj = rows[j]
+        if cut == end:
+            break
+        vj_row = rows[j]
+        # a [...] copy costs about half a [:] one
+        vj[...] = vj_row
         for k in items[cut:]:
             vk = rows[k]
             subtract(vj, vk, dv)
@@ -209,7 +227,8 @@ def _pair_chain(U: np.ndarray, rows, user: int, items: list[int], cuts: list[int
                 applied = True
                 clipped = False
                 coef = learning_rate / margin
-                multiply(buf, coef, step)
+                c0[()] = coef
+                multiply(head, c0, step)
                 if not (coef * sqrt(vv) < near_cap and coef * sqrt(uu) < near_cap):
                     nu2, nv2 = vecdot(step, step).tolist()
                     nu = sqrt(nu2)
@@ -221,14 +240,14 @@ def _pair_chain(U: np.ndarray, rows, user: int, items: list[int], cuts: list[int
                         dvj *= STEP_NORM_CAP / nv
                         clipped = True
                 # ufunc calls with out=, which skip the in-place operators' keyword path
-                add(u, du, u)
-                add(vj, dvj, vj)
+                add(tail, step, tail)
                 subtract(vk, dvj, vk)
                 n_updates += 1
                 n_clips += clipped
                 loss_sum -= log(margin)
             if on_pair is not None:
                 on_pair(it, PairSample(user, j, k), PairUpdateResult(applied, clipped, margin))
+        vj_row[...] = vj
     U[user] = u
     tally[:] = loss_sum, n_updates, n_skips, n_clips
 
@@ -249,14 +268,15 @@ def train_ppr(
     sorted sample's negated ratings into themselves gives each position's cut,
     the first position rated strictly below it, and each sampled user's pairs
     run as one chain of the kernel ``pair_update`` also runs (``_pair_chain``),
-    on the user's row copied into a (2, d) buffer; the buffers and the views
-    of V's rows are made once per call. Identical (train, config) inputs give
-    bit-identical results.
+    on the user's row and each preferred item's row copied into a (3, d)
+    block; the buffers and the views of V's rows are made once per call.
+    Identical (train, config) inputs give bit-identical results.
 
     Cost: on the tier-1 test corpus (1 x 512 users, 129,026 updates and
-    46,902 skips) training takes about 2.6 us per visited pair on a 2-vCPU
-    Xeon host, against 3.0 us with a separate margin dot and an exact step
-    norm per update (best of 24 interleaved runs each).
+    46,902 skips) training takes about 2.2 us per visited pair on a 2-vCPU
+    Xeon host, against 2.5 us with a (2, d) buffer for (V_j - V_k, U_i), a
+    separate add for V_j and a Python-float step factor (best of 24
+    interleaved runs each).
 
     Args:
         train: training ratings; some user must have rated two items
@@ -266,9 +286,10 @@ def train_ppr(
         on_pair: optional instrumentation hook called as
             ``on_pair(iteration, pair, result)`` for every admissible pair
             visited, right after its step, in visiting order. V is current
-            when it is called; the user's row of U is written back after the
-            user's last pair. ``PairSample``/``PairUpdateResult`` objects are
-            built only when it is given.
+            when it is called, except for the pair's preferred item: its row
+            is written back after that item's last pair, as the user's row
+            of U is after the user's last pair. ``PairSample``/
+            ``PairUpdateResult`` objects are built only when it is given.
 
     Returns:
         The trained model and per-iteration TrainStats.
@@ -329,23 +350,47 @@ def pairwise_concordance(scorer, test: RatingMatrix) -> float:
     """Fraction of within-user test preference pairs the scorer orders correctly.
 
     Over all pairs with R[i,j] > R[i,k], counts 1 when score(i,j) > score(i,k)
-    and 0.5 on a score tie. The test entries are scored by one walk
-    (:func:`~paretorank.model.score_entries`), and each user's pairs are
-    counted on that user's slice of the scores, in user order.
+    and 0.5 on a score tie; a pair with a NaN score counts 0. The test entries
+    are scored by one walk (:func:`~paretorank.model.score_entries`), each
+    user's pairs are counted by :func:`_pair_counts`, and the users' shares
+    are summed in user order.
     """
-    scores = score_entries(scorer, test)
+    pairs, concordant, tied = _pair_counts(test, score_entries(scorer, test))
     num = 0.0
-    den = 0
-    for lo, hi in zip(test.indptr[:-1].tolist(), test.indptr[1:].tolist()):
-        r, s = test.ratings[lo:hi], scores[lo:hi]
-        prefer = r[:, None] > r[None, :]
-        n_pairs = int(prefer.sum())
-        if n_pairs == 0:
-            continue
-        concordant = (s[:, None] > s[None, :])[prefer].sum()
-        tied = (s[:, None] == s[None, :])[prefer].sum()
-        num += concordant + 0.5 * tied
-        den += n_pairs
+    for c, t in zip(concordant.tolist(), tied.tolist()):
+        num += c + 0.5 * t
+    den = int(pairs.sum())
     if den == 0:
         raise DataError("no admissible preference pairs in the test matrix")
     return num / den
+
+
+def _pair_counts(test: RatingMatrix, scores: np.ndarray) -> np.ndarray:
+    """Each user's pair, concordant and tied counts: a (3, n_users) int array, in linear memory.
+
+    A user's pairs are the entry pairs (a, b) with r_a > r_b; a pair is
+    concordant when the scores are s_a > s_b and tied when s_a == s_b, so a
+    pair with a NaN score is neither. Each entry is keyed by its user and
+    its score's rank as one sortable integer (NaN ranks last). Per rating
+    level, for all users at once, the level's keys are searched among the
+    sorted keys of the entries rated below it: the span of the entry's user
+    there counts its pairs, ``left`` less the span's start the lower scores,
+    and ``right - left`` the equal ones.
+    """
+    user = np.repeat(np.arange(test.n_users), np.diff(test.indptr))
+    _, level = np.unique(test.ratings, return_inverse=True)
+    _, rank = np.unique(scores, return_inverse=True)
+    n_ranks = int(rank.max(initial=0)) + 1
+    key = user * n_ranks + rank
+    counts = np.zeros((3, test.n_entries), dtype=np.int64)
+    for lv in range(1, int(level.max(initial=0)) + 1):
+        at = np.flatnonzero(level == lv)
+        pool = np.sort(key[level < lv])
+        start, end = (np.searchsorted(pool, (user[at] + d) * n_ranks) for d in (0, 1))
+        left, right = (np.searchsorted(pool, key[at], side) for side in ("left", "right"))
+        counts[:, at] = end - start, left - start, right - left
+    counts[1:, np.isnan(scores)] = 0
+    # running sums from a leading 0: each user's counts are one difference
+    total = np.zeros((3, test.n_entries + 1), dtype=np.int64)
+    np.cumsum(counts, axis=1, out=total[:, 1:])
+    return total[:, test.indptr[1:]] - total[:, test.indptr[:-1]]

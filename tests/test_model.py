@@ -294,7 +294,7 @@ class TestWalk:
     def test_matches_references(self, case):
         table, rated, k, entries, block_rows = case
         train = matrix_with_rated(rated, table.shape[1])
-        width = -(-table.shape[1] // 64) * 64
+        width = -(-table.shape[1] // pr.model._GROUP) * pr.model._GROUP
         want_recs = reference_top_k(_FixedScorer(table), train, k)
         want_raw = [table[u, entries.row(u)[0]] for u in range(entries.n_users)]
         want_raw = np.concatenate([np.empty(0), *want_raw])

@@ -100,6 +100,14 @@ class TestPairUpdate:
         assert not result.applied
         assert (m.U.tobytes(), m.V.tobytes()) == before
 
+    def test_same_item_twice_skips_bit_unchanged(self):
+        # the kernel's block copy of V_j then aliases V_k, the same row of V: dv is 0, a skip
+        m = pr.init_model(2, 3, 4, seed=5)
+        before = (m.U.tobytes(), m.V.tobytes())
+        result = pr.pair_update(m, pr.PairSample(user=1, preferred=2, other=2), learning_rate=0.1)
+        assert (result.applied, result.clipped, result.margin) == (False, False, 0.0)
+        assert (m.U.tobytes(), m.V.tobytes()) == before
+
     def test_zero_learning_rate_changes_nothing(self):
         m = model_1d(2.0, 3.0, 1.0)
         result = pr.pair_update(m, PAIR, learning_rate=0.0)
@@ -536,7 +544,8 @@ class TestTrainPprMatchesPerPairLoop:
         seed=st.integers(0, 2**32 - 1),
     )
     # a sample that strictly descends (each cut is the next position), two tied
-    # blocks, and an item sample larger than every row
+    # blocks, an item sample larger than every row, and one item above a long
+    # tied tail (every later position's cut is past the sample)
     @example(m=matrix_from(("u0", f"i{j}", 5.0 - j) for j in range(5)), n_factors=3,
              learning_rate=0.05, user_sample_size=1, item_sample_size=5, max_iters=2, seed=1)
     @example(m=matrix_from(("u0", f"i{j}", r) for j, r in enumerate([5.0, 5.0, 5.0, 1.0, 1.0])),
@@ -546,6 +555,10 @@ class TestTrainPprMatchesPerPairLoop:
                            for j in range(2 + u)),
              n_factors=4, learning_rate=0.01, user_sample_size=3, item_sample_size=16,
              max_iters=3, seed=3)
+    @example(m=matrix_from((f"u{u}", f"i{j}", 5.0 if j == u else 2.0) for u in range(2)
+                           for j in range(12)),
+             n_factors=3, learning_rate=0.05, user_sample_size=2, item_sample_size=12,
+             max_iters=2, seed=4)
     def test_random_matrices(self, m, n_factors, learning_rate, user_sample_size,
                              item_sample_size, max_iters, seed):
         config = pr.TrainConfig(
@@ -607,10 +620,10 @@ class TestDotKernel:
     @example(stack=np.array([[0.0], [-0.0]]))
     def test_gram_of_stack_is_matmul_bit_for_bit(self, stack):
         # the kernel takes the margin and both squared norms with one np.vecdot of
-        # its (2, d) buffer's rows with each other; d up to 40 runs BLAS ddot's
-        # unrolled blocks (16 elements or more) as well as its tail
-        buf, _, flat, gram, col, row, _ = pr.ppr._chain_buffers(stack.shape[1])
-        buf[:] = stack
+        # the first two rows of its (3, d) block with each other; d up to 40 runs
+        # BLAS ddot's unrolled blocks (16 elements or more) as well as its tail
+        buf, _, _, flat, gram, col, row, _ = pr.ppr._chain_buffers(stack.shape[1])
+        buf[:2] = stack
         with np.errstate(all="ignore"):
             np.vecdot(col, row, gram)
             for (i, j), entry in zip(itertools.product(range(2), repeat=2), flat.tolist()):
@@ -698,7 +711,62 @@ def scored_test_matrices(draw):
     return TableScorer(table), test
 
 
+def grid_pair_counts(test, scores):
+    """Each user's (pairs, concordant, tied) from S x S comparison grids: the reference."""
+    counts = []
+    for lo, hi in zip(test.indptr[:-1], test.indptr[1:]):
+        r, sc = test.ratings[lo:hi], scores[lo:hi]
+        prefer = r[:, None] > r[None, :]
+        counts.append((int(prefer.sum()), int((sc[:, None] > sc[None, :])[prefer].sum()),
+                       int((sc[:, None] == sc[None, :])[prefer].sum())))
+    return counts
+
+
+@st.composite
+def scored_rows(draw):
+    """(test, scores): rows of up to 40 entries over many rating levels, scores that tie,
+    both zeros, infinities and NaN."""
+    sizes = draw(st.lists(st.integers(0, 40), min_size=1, max_size=6))
+    n = sum(sizes)
+    ratings = draw(hnp.arrays(np.float64, n, elements=st.sampled_from(
+        [1.0, 1.5, 2.0, 3.0, 3.5, 4.0, 5.0])))
+    scores = draw(hnp.arrays(np.float64, n, elements=st.one_of(
+        st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 0.25, 2.0, math.inf, math.nan]),
+        st.floats(-3, 3))))
+    n_items = max(sizes) or 1
+    indices = np.concatenate([np.empty(0, dtype=np.intp)]
+                             + [np.arange(size, dtype=np.intp) for size in sizes])
+    test = pr.RatingMatrix([f"u{u}" for u in range(len(sizes))],
+                           [f"i{i}" for i in range(n_items)],
+                           np.concatenate(([0], np.cumsum(sizes))), indices, ratings, 1.0, 5.0)
+    return test, scores
+
+
 class TestPairwiseConcordanceReference:
+    @settings(max_examples=300, deadline=None)
+    @given(scored_rows())
+    def test_pair_counts_match_grids(self, case):
+        test, scores = case
+        counts = pr.ppr._pair_counts(test, scores)
+        assert counts.dtype == np.int64
+        assert [tuple(c) for c in counts.T.tolist()] == grid_pair_counts(test, scores)
+
+    def test_large_user_costs_linear_memory(self):
+        # 20,000 test entries of one user: three S x S grids would take 1.2 GB
+        rng = np.random.default_rng(8)
+        n = 20_000
+        test = pr.RatingMatrix(["u"], [f"i{i}" for i in range(n)], np.array([0, n]),
+                               np.arange(n), rng.integers(1, 6, n).astype(float), 1.0, 5.0)
+        scorer = TableScorer(np.round(rng.standard_normal((1, n)), 2))
+        tracemalloc.start()
+        try:
+            concordance = pr.pairwise_concordance(scorer, test)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 <= concordance <= 1.0
+        assert peak < 8 * 2**20
+
     @settings(max_examples=300, deadline=None)
     @given(scored_test_matrices())
     def test_matches_reference(self, scored):
