@@ -241,7 +241,12 @@ def _select(rows: np.ndarray, users: np.ndarray, train: RatingMatrix, k: int,
     keep = score >= bound[r][:, None]
     r = np.broadcast_to(r[:, None], keep.shape)[keep]
     cand = member[keep]
-    cand = cand[np.lexsort((cand, -score[keep], r))]
+    # the group gather leaves a row's candidates out of item order: one integer
+    # sort by (row, item) first, so the stable 2-key lexsort breaks score ties
+    # by item without a third key
+    by_item = np.argsort(r * width + cand)
+    r, cand, score = r[by_item], cand[by_item], score[keep][by_item]
+    cand = cand[np.lexsort((-score, r))]
     # r still ascends: the lexsort orders within each row
     starts = np.searchsorted(r, np.arange(n_rows))
     # each row's candidates, in order, start with its list: it has at least kk

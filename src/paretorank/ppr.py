@@ -21,13 +21,13 @@ One private kernel, ``_pair_chain``, does that arithmetic for a whole chain
 of one user's pairs, in place, on one contiguous (3, d) block
 ``(V_j - V_k, U_i, V_j)``: ``U_i`` is copied in for the user's chain and
 ``V_j`` for each preferred item's pairs, and each is written back after
-its last pair. One ``np.vecdot`` of the block's first two rows with each
-other gives the margin and both squared row norms, from which the step
-norms follow as ``lr / m`` times a square root; one multiply makes both
-step rows, and one add applies them to ``U_i`` and ``V_j``. Only a step
-norm near the cap is taken again exactly, so the clips are the exact
-norms' own. An update makes 6 numpy calls, stores its step factor into a
-0-d array, and makes no Python call.
+its last pair. One ddot gives the margin; one multiply makes both step
+rows, and one add applies them to ``U_i`` and ``V_j``. No norm is taken per
+pair: the chain keeps running upper bounds on the norms of ``U_i`` and of
+each sampled item's row, and only a step whose bound nears the cap is taken
+again exactly, so the clips are the exact norms' own. An update makes 5
+numpy calls, stores its step factor into a 0-d array, and makes no Python
+call; a skip makes 2.
 ``train_ppr`` runs the kernel once per sampled user, on buffers made once
 per call, and ``pair_update`` on a one-pair chain, so the single-pair tests
 check the trainer's own arithmetic.
@@ -48,9 +48,10 @@ from .model import FactorModel, check_index, init_model, is_integer, score_entri
 STEP_NORM_CAP = 1.0
 # the smallest margin a step touches: it keeps -ln(m) and 1/m finite
 MIN_MARGIN = 1e-6
-# a step norm taken from the Gram entries is within (d + 8) * 2**-53 of the
-# exact one, relatively: the exact norm decides from this share below the cap
-# (or from (d + 8) * 2**-52, should that be larger)
+# a step norm bound from the start norms is at most about (d + 6) * 2**-53
+# below the exact norm, relatively: the exact norm decides from this share below
+# the cap (or from (d + 8) * 2**-52, should that be larger), less a share for
+# long chains (see _pair_chain)
 _NEAR_CAP_SLACK = 1e-9
 
 
@@ -136,90 +137,133 @@ def pair_update(model: FactorModel, pair: PairSample, learning_rate: float) -> P
     if not (math.isfinite(learning_rate) and learning_rate >= 0):
         raise ValueError(f"learning_rate must be finite and >= 0, got {learning_rate}")
     results = []
-    _pair_chain(model.U, model.V, pair.user, [pair.preferred, pair.other], [1, 2], learning_rate,
-                [0.0, 0, 0, 0], lambda _it, _pair, result: results.append(result), 0,
+    _pair_chain(model.U, model.V, model.V, pair.user, np.array([pair.preferred, pair.other], np.intp),
+                [1, 2], learning_rate, [0.0, 0, 0, 0],
+                lambda _it, _pair, result: results.append(result), 0,
                 _chain_buffers(model.n_factors))
     return results[0]
 
 
 def _chain_buffers(d: int) -> tuple:
-    """The kernel's buffers and views for d factors, made once per trainer or ``pair_update`` call.
+    """The kernel's buffers for d factors, made once per trainer or ``pair_update`` call.
 
     ``buf`` is one C-contiguous (3, d) block that holds (V_j - V_k, U_i, V_j),
     and ``step`` takes the scaled copy of its first two rows. ``c0`` is a
     0-d array for the steps' factor, which numpy takes without converting a
-    Python float on each call. ``np.vecdot(col, row, gram)`` writes the four
-    dots of buf's first two rows with each other into ``gram``, a (2, 2) view
-    of ``flat``. ``near_cap`` is the step norm, taken from those dots, at
-    which the exact norm takes over.
+    Python float on each call. ``near_cap`` is the step norm bound at which
+    the exact norm takes over, and ``drift`` the share by which one update
+    may leave a row's norm above its running bound (see ``_pair_chain``).
     """
     buf = np.empty((3, d))
-    head = buf[:2]
-    flat = np.empty(4)
     near_cap = STEP_NORM_CAP * (1 - max(_NEAR_CAP_SLACK, (d + 8) * 2.0**-52))
-    return (buf, np.empty_like(head), np.empty(()), flat, flat.reshape(2, 2), head[:, None, :],
-            head[None, :, :], near_cap)
+    return buf, np.empty_like(buf[:2]), np.empty(()), near_cap, (d + 16) * 2.0**-53
 
 
-def _pair_chain(U: np.ndarray, rows, user: int, items: list[int], cuts: list[int],
-                learning_rate: float, tally: list, on_pair, it: int, buffers: tuple) -> None:
+def _pair_chain(U: np.ndarray, V: np.ndarray, rows, user: int, chain: np.ndarray,
+                cuts: list[int], learning_rate: float, tally: list, on_pair, it: int,
+                buffers: tuple) -> None:
     """The pair step over (items[a], items[b]) for each a, b >= cuts[a], in place: the one kernel.
 
-    From ``train_ppr`` the items fall in rating and cuts[a] is the first position rated below
-    a's, so these are the strictly ordered pairs, in the nested (a, b) order. Cuts never
-    decrease, so the chain ends at the first position whose cut is past the last item.
+    ``chain`` holds the items, an integer array. From ``train_ppr`` they fall in rating and
+    cuts[a] is the first position rated below a's, so these are the strictly ordered pairs, in
+    the nested (a, b) order. Cuts never decrease, so the chain ends at the first position whose
+    cut is past the last item.
 
     The kernel works on one (3, d) block ``buf = (dv, u, vj)``. U's row
     ``user`` is copied into row 1 before the first pair and written back
     after the last; item j's row of V (``rows[j]``, a view) is copied into
     row 2 before position a's first pair and written back after its last.
     ``rows[k]`` is written through. Per pair, row 0 takes dv = V_j - V_k,
-    and one ``np.vecdot`` gives the Gram entries of (dv, u): the margin
-    u.dv, with u first as in ``u @ dv``, and the squared norms dv.dv and u.u.
-    One multiply of the block's first two rows by coef = lr / margin gives
-    both step rows, ``du = coef * dv`` and ``dvj = coef * u``, and one add
-    of them to the last two rows moves u and vj together. The step norms
-    are taken as coef * sqrt(dv.dv) and coef * sqrt(u.u), which lie within
-    (d + 8) * 2**-53 of the exact norms, relatively; only when one of them
-    is at or above ``near_cap``, or NaN, does the chain take the exact
-    ``np.vecdot`` of the step and clip on it. The clip decisions are thus
-    the exact norms' own. An update away from the cap makes 6 numpy calls
-    (8 near it) and one store of coef into the 0-d array ``c0``, a skip 3,
-    and no Python call is made per pair. The dots stay in numpy
-    (``np.vecdot`` runs the same BLAS ddot as ``@``): a Python-float sum
-    rounds differently, and the trainer is chaotic enough that one rounding
-    change moves the trained factors.
+    and one ddot gives the margin u.dv, with u first as in ``u @ dv``. One
+    multiply of the block's first two rows by coef = lr / margin gives both
+    step rows, ``du = coef * dv`` and ``dvj = coef * u``, and one add of
+    them to the last two rows moves u and vj together. An update makes 5
+    numpy calls and one store of coef into the 0-d array ``c0``, a skip 2,
+    and no Python call is made per pair. The margin stays a numpy ddot: a
+    Python-float sum rounds differently, and the trainer is chaotic enough
+    that one rounding change moves the trained factors.
+
+    The clip test takes no norm per pair. The chain keeps a running bound
+    on the norm of U_i and of each sampled item's row, started by one
+    vectorised norm of the sampled rows and one of U_i. The step norms are
+    then at most coef * (b_j + b_k) for du and coef * b_u for dvj, and a
+    step whose two bounds are below the chain's ``limit`` cannot reach the
+    cap. After the step, b_u grows by the first bound and b_j and b_k by
+    the second, since a row's norm grows by at most its step's. Only when a
+    bound is at or above ``limit``, or NaN, does the chain take the exact
+    ``np.vecdot`` of the step, clip on it as the reference does, and grow
+    the bounds by the clipped norms. So the clip decisions are the exact
+    norms' own, provided the bounds are upper bounds, which they are in
+    these cases:
+
+    - Rounding. A start norm, each product and sum of bounds, the step
+      rows and the row updates round by a few units of 2**-53 each.
+      ``near_cap`` sits ``_NEAR_CAP_SLACK`` (or (d + 8) * 2**-52, should
+      that be larger) below the cap. That covers a start norm's rounding,
+      about (d/2 + 1) * 2**-53, plus the gap between a bound product and
+      the norm the reference takes of the step, about (d/2 + 5) * 2**-53,
+      relatively.
+    - Long chains. Each update, on either path, may raise the ratio of a
+      row's norm to its bound by a factor of up to 1 + ``drift``, with
+      drift = (d + 16) * 2**-53. A chain of n items has at most
+      P = n(n - 1)/2 pairs, so no bound has grown more than P - 1 times
+      when a pair tests it, and ``limit`` is ``near_cap`` times
+      (1 - drift)**(P - 1): the same as inflating every bound update by
+      ``drift``. For 32 items at 8 factors that is about 1e-12 below
+      ``near_cap``; for a 20,000-item sample, 5e-7.
+    - Underflow. A square below the normal range is off by up to 2**-1075,
+      so a start norm may miss up to sqrt(d) * 2**-537 outright: 0 for a
+      row whose squares all underflow (step products below the normal
+      range add far less). That miss matters against the slack only for a
+      row shorter than about 1e-152 * sqrt(d), and such a row's step
+      reaches the cap only beside a long other row. The margin is above
+      ``MIN_MARGIN`` and at most the product of the two norms, so the
+      other row is longer than about 1e146 / sqrt(d), and a coef that makes
+      the short row's step reach the cap puts the long row's bound product
+      far past ``limit``: the pair takes the exact path, as it did on the
+      same argument when these norms came from Gram entries.
+    - Infinity and NaN. An infinite or NaN bound, product or coef fails the
+      ``<`` test, so the pair takes the exact path, and a non-finite bound
+      stays non-finite. A row that is not finite makes the margin +-inf or
+      NaN: -inf skips, NaN makes coef NaN, and +inf makes coef 0, whose
+      steps the exact path would not clip either (their norms are 0 or
+      NaN).
 
     tally is [loss_sum, updates, skips, clips]; the chain continues it in
     pair order and stores it back, so sums over many users round as one
     running sum. on_pair, unless None, is called as
     ``on_pair(it, PairSample, PairUpdateResult)`` after each pair.
     """
-    buf, step, c0, flat, gram, col, row, near_cap = buffers
+    buf, step, c0, near_cap, drift = buffers
     dv, u, vj = buf
     head, tail = buf[:2], buf[1:]
     du, dvj = step
     # bound once: a module attribute looked up per call costs about a tenth of the update
-    add, subtract, multiply, vecdot, sqrt, log = (np.add, np.subtract, np.multiply, np.vecdot,
-                                                  math.sqrt, math.log)
+    add, subtract, multiply, vecdot, sqrt, log, dot = (np.add, np.subtract, np.multiply,
+                                                       np.vecdot, math.sqrt, math.log, u.dot)
+    cap = STEP_NORM_CAP
+    items = chain.tolist()
     end = len(items)
+    # a bound has grown at most once per earlier pair when it is tested
+    limit = near_cap * (1 - drift) ** (end * (end - 1) // 2 - 1)
     u[...] = U[user]
+    starts = V[chain]
+    bounds = np.sqrt(vecdot(starts, starts)).tolist()
+    bu = sqrt(dot(u))
     loss_sum, n_updates, n_skips, n_clips = tally
-    for j, cut in zip(items, cuts):
+    for a, (j, cut) in enumerate(zip(items, cuts)):
         if cut == end:
             break
         vj_row = rows[j]
         # a [...] copy costs about half a [:] one
         vj[...] = vj_row
-        for k in items[cut:]:
-            vk = rows[k]
+        bj = bounds[a]
+        for b in range(cut, end):
+            vk = rows[items[b]]
             subtract(vj, vk, dv)
-            vecdot(col, row, gram)
-            vv, _, uv, uu = flat.tolist()
-            # the margin as @ gives it: + 0.0 maps a -0.0 dot to @'s 0.0 and changes
-            # nothing else (np.vecdot sums from 0.0 as @ does; ndarray.dot gave a
-            # bare -0.0 product at one factor)
-            margin = uv + 0.0
+            # the margin as @ gives it: + 0.0 maps the bare -0.0 product that
+            # ndarray.dot gives at one factor to @'s 0.0, and changes nothing else
+            margin = float(dot(dv)) + 0.0
             if margin <= MIN_MARGIN:
                 applied = clipped = False
                 n_skips += 1
@@ -229,25 +273,35 @@ def _pair_chain(U: np.ndarray, rows, user: int, items: list[int], cuts: list[int
                 coef = learning_rate / margin
                 c0[()] = coef
                 multiply(head, c0, step)
-                if not (coef * sqrt(vv) < near_cap and coef * sqrt(uu) < near_cap):
+                bk = bounds[b]
+                nu = coef * (bj + bk)
+                nv = coef * bu
+                if not (nu < limit and nv < limit):
                     nu2, nv2 = vecdot(step, step).tolist()
                     nu = sqrt(nu2)
-                    if nu > STEP_NORM_CAP:
-                        du *= STEP_NORM_CAP / nu
+                    if nu > cap:
+                        du *= cap / nu
+                        nu = cap
                         clipped = True
                     nv = sqrt(nv2)
-                    if nv > STEP_NORM_CAP:
-                        dvj *= STEP_NORM_CAP / nv
+                    if nv > cap:
+                        dvj *= cap / nv
+                        nv = cap
                         clipped = True
                 # ufunc calls with out=, which skip the in-place operators' keyword path
                 add(tail, step, tail)
                 subtract(vk, dvj, vk)
+                bu += nu
+                bj += nv
+                bounds[b] = bk + nv
                 n_updates += 1
                 n_clips += clipped
                 loss_sum -= log(margin)
             if on_pair is not None:
-                on_pair(it, PairSample(user, j, k), PairUpdateResult(applied, clipped, margin))
+                on_pair(it, PairSample(user, j, items[b]),
+                        PairUpdateResult(applied, clipped, margin))
         vj_row[...] = vj
+        bounds[a] = bj
     U[user] = u
     tally[:] = loss_sum, n_updates, n_skips, n_clips
 
@@ -269,14 +323,16 @@ def train_ppr(
     the first position rated strictly below it, and each sampled user's pairs
     run as one chain of the kernel ``pair_update`` also runs (``_pair_chain``),
     on the user's row and each preferred item's row copied into a (3, d)
-    block; the buffers and the views of V's rows are made once per call.
+    block, with running bounds on the rows' norms in place of a norm per
+    pair; the buffers and the views of V's rows are made once per call.
     Identical (train, config) inputs give bit-identical results.
 
     Cost: on the tier-1 test corpus (1 x 512 users, 129,026 updates and
-    46,902 skips) training takes about 2.2 us per visited pair on a 2-vCPU
-    Xeon host, against 2.5 us with a (2, d) buffer for (V_j - V_k, U_i), a
-    separate add for V_j and a Python-float step factor (best of 24
-    interleaved runs each).
+    46,902 skips) training takes about 1.9 us per visited pair on a 2-vCPU
+    Xeon host, against 2.3 us with one Gram ``np.vecdot`` per pair for the
+    margin and both squared row norms (best of 8 runs each).
+    The exact step norm is taken for 789 of those updates, 281 of which
+    clip.
 
     Args:
         train: training ratings; some user must have rated two items
@@ -312,8 +368,8 @@ def train_ppr(
     # one child generator per iteration, spawned as it starts: the ones spawn(max_iters) would give
     parent = np.random.default_rng(config.seed)
     n_user_sample = min(config.user_sample_size, train.n_users)
-    U = model.U
-    rows = list(model.V)  # item rows as views, taken once, not one V[j] per pair
+    U, V = model.U, model.V
+    rows = list(V)  # item rows as views, taken once, not one V[j] per pair
     learning_rate = config.learning_rate
     buffers = _chain_buffers(config.n_factors)
 
@@ -331,7 +387,7 @@ def train_ppr(
             ratings = item_ratings[pick]
             order = np.lexsort((sampled, -ratings))
             falling = -ratings[order]
-            _pair_chain(U, rows, user, sampled[order].tolist(),
+            _pair_chain(U, V, rows, user, sampled[order],
                         np.searchsorted(falling, falling, side="right").tolist(), learning_rate,
                         tally, on_pair, it, buffers)
         loss_sum, n_updates, n_skips, n_clips = tally

@@ -141,6 +141,14 @@ class TestPairUpdate:
             pr.pair_update(m, pair, learning_rate=0.1)
         assert (m.U.tobytes(), m.V.tobytes()) == before
 
+    def test_numpy_integer_items_step_as_python_ints(self):
+        # uint64 beside int64 would make a float array of the two items
+        model = pr.init_model(1, 3, 4, seed=2)
+        want = pr.FactorModel(U=model.U.copy(), V=model.V.copy())
+        got = pr.pair_update(model, pr.PairSample(np.int64(0), np.uint64(2), np.int64(1)), 0.5)
+        assert repr(got) == repr(pr.pair_update(want, pr.PairSample(0, 2, 1), 0.5))
+        assert (model.U.tobytes(), model.V.tobytes()) == (want.U.tobytes(), want.V.tobytes())
+
     @pytest.mark.parametrize("learning_rate", [math.nan, math.inf, -math.inf, -0.1])
     def test_bad_learning_rate_rejected_untouched(self, learning_rate):
         m = model_1d(2.0, 3.0, 1.0)
@@ -252,6 +260,39 @@ class TestPairUpdate:
             step = learning_rate / float(u @ dv) * (dv if side == "user" else u)
             assert repr(math.sqrt(float(step @ step))) == repr(norm)
         self.check_step(u, dv, np.zeros(d), learning_rate)
+
+    @pytest.mark.parametrize("side,u,vj,learning_rate", [
+        ("user", [0.03, 0.68, 0.43], [1.81, 1.18, 0.03], 0.40242874250153293),
+        ("items", [2.72, 3.11, 1.28, 0.79, 2.67], [0.9, 0.03, 0.18, 0.4, 0.4],
+         0.8078554819215948),
+    ])
+    def test_bound_product_below_cap_exact_norm_above(self, side, u, vj, learning_rate):
+        # V_k is 0, so each side's norm bound is its row's own norm. On the given
+        # side, coef times that norm rounds to the largest float below 1 while the
+        # exact norm of the step is the smallest above it, and the reference
+        # clips; the other side's step is far below the cap. Only the slack below
+        # the cap sends this step to the exact norm
+        u, vj = np.array(u), np.array(vj)
+        coef = learning_rate / float(u @ vj)
+        row, other = (vj, u) if side == "user" else (u, vj)
+        exact = math.sqrt(float((coef * row) @ (coef * row)))
+        assert (coef * math.sqrt(float(row @ row)), exact) == (math.nextafter(1.0, 0.0),
+                                                               math.nextafter(1.0, 2.0))
+        assert coef * math.sqrt(float(other @ other)) < 0.5
+        self.check_step(u, vj, np.zeros(len(vj)), learning_rate)
+
+    @pytest.mark.parametrize("u,vj,vk", [
+        ([1e-170, 1e-170], [1e170, 3e169], [0.0, 0.0]),
+        ([1e-160, -2e-161], [1e159, 1e150], [-1e159, 0.0]),
+        ([1e170, 1e170], [3e-170, 1e-170], [1e-170, 0.0]),
+        ([1e-170], [2e164], [0.0]),
+        ([1e-162] * 16, [1e154] * 16, [0.0] * 16),
+    ])
+    def test_squares_below_the_normal_range(self, u, vj, vk):
+        # one side's squares are 0 or subnormal, so its start norm misses part or
+        # all of the row; the other row is long, and its bound sends the pair to
+        # the exact path wherever the short row's step would reach the cap
+        self.check_step(np.array(u), np.array(vj), np.array(vk), 1e308)
 
     def test_one_factor_zero_margin(self):
         # the margin is a -0.0 product, which @ reads as 0.0
@@ -544,8 +585,10 @@ class TestTrainPprMatchesPerPairLoop:
         seed=st.integers(0, 2**32 - 1),
     )
     # a sample that strictly descends (each cut is the next position), two tied
-    # blocks, an item sample larger than every row, and one item above a long
-    # tied tail (every later position's cut is past the sample)
+    # blocks, an item sample larger than every row, one item above a long tied
+    # tail (every later position's cut is past the sample), and a 40-item strictly
+    # descending chain whose first clip is its 596th of 780 pairs, once U_i and the
+    # item rows have grown well past their start norms
     @example(m=matrix_from(("u0", f"i{j}", 5.0 - j) for j in range(5)), n_factors=3,
              learning_rate=0.05, user_sample_size=1, item_sample_size=5, max_iters=2, seed=1)
     @example(m=matrix_from(("u0", f"i{j}", r) for j, r in enumerate([5.0, 5.0, 5.0, 1.0, 1.0])),
@@ -559,6 +602,8 @@ class TestTrainPprMatchesPerPairLoop:
                            for j in range(12)),
              n_factors=3, learning_rate=0.05, user_sample_size=2, item_sample_size=12,
              max_iters=2, seed=4)
+    @example(m=matrix_from(("u0", f"i{j}", 40.0 - j) for j in range(40)), n_factors=3,
+             learning_rate=0.01, user_sample_size=1, item_sample_size=40, max_iters=1, seed=1)
     def test_random_matrices(self, m, n_factors, learning_rate, user_sample_size,
                              item_sample_size, max_iters, seed):
         config = pr.TrainConfig(
@@ -618,16 +663,17 @@ class TestDotKernel:
     @given(st.integers(1, 40).flatmap(
         lambda n: hnp.arrays(np.float64, (2, n), elements=special_or_scaled())))
     @example(stack=np.array([[0.0], [-0.0]]))
-    def test_gram_of_stack_is_matmul_bit_for_bit(self, stack):
-        # the kernel takes the margin and both squared norms with one np.vecdot of
-        # the first two rows of its (3, d) block with each other; d up to 40 runs
-        # BLAS ddot's unrolled blocks (16 elements or more) as well as its tail
-        buf, _, _, flat, gram, col, row, _ = pr.ppr._chain_buffers(stack.shape[1])
-        buf[:2] = stack
+    def test_margin_is_matmul_bit_for_bit(self, stack):
+        # the kernel takes the margin as float(u.dot(dv)) + 0.0, with dv and u rows 0
+        # and 1 of its (3, d) block; d up to 40 runs BLAS ddot's unrolled blocks (16
+        # elements or more) as well as its tail, and the pinned example is the bare
+        # -0.0 product that the + 0.0 maps to @'s 0.0
+        buf = pr.ppr._chain_buffers(stack.shape[1])[0]
+        buf[1], buf[0] = stack
+        dv, u, _ = buf
         with np.errstate(all="ignore"):
-            np.vecdot(col, row, gram)
-            for (i, j), entry in zip(itertools.product(range(2), repeat=2), flat.tolist()):
-                assert np.float64(entry).tobytes() == (stack[i] @ stack[j]).tobytes()
+            margin = float(u.dot(dv)) + 0.0
+            assert np.float64(margin).tobytes() == (stack[0] @ stack[1]).tobytes()
 
 
 class TestPairwiseConcordance:

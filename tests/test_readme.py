@@ -4,7 +4,7 @@ import math
 import re
 from pathlib import Path
 
-from paretorank import dataio
+from paretorank import dataio, ppr
 from paretorank.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -52,6 +52,14 @@ def test_plain_line_definition_states_the_byte_path_caps():
     paragraph = " ".join(paragraph.split())
     assert f"ids of 1 to {dataio._ID_BYTES} bytes" in paragraph
     assert f"a timestamp of 1 to {dataio._STAMP_DIGITS} ASCII digits" in paragraph
+
+
+def test_kernel_paragraph_states_the_near_cap_share():
+    text = README.read_text(encoding="utf-8")
+    paragraph = text[text.index("The trainer stays sequential"):].split("\n\n", 1)[0]
+    mantissa, exponent = f"{ppr._NEAR_CAP_SLACK:e}".split("e")
+    share = f"{float(mantissa):g}e{int(exponent)}"
+    assert f"`1 - {share}` times the cap" in " ".join(paragraph.split())
 
 
 def test_random_definition_names_the_table():
