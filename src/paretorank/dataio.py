@@ -16,14 +16,16 @@ order, so no per-line id string outlives the block it was read from.
 The stream is read in blocks of whole lines, each in one of two ways. A
 MovieLens block whose every line is plain (see :func:`_plain_movielens`; a
 CRLF end is plain) is read on its bytes: numpy passes find its separators
-and line breaks and check its fields, each id is keyed by its bytes and its
-length in one uint64, and only the block's distinct ids are decoded and
-coded, so no string is made for a line. Any other block, and every CSV
-block, is read line by line by the format's line validator, which alone
-defines a well-formed line; a malformed line's error names the line and the
-reason. Both ways end in one :class:`_Columns`, which alone numbers the
-lines: a CSV header is line 1 and its rows start at line 2. A MovieLens
-timestamp is checked (an integer that fits in 64 bits) but not kept.
+and line breaks and check its fields, and each id is keyed by its bytes and
+its length in one uint64. Each id column keeps a sorted table of the keys
+it has coded, so a block decodes and codes only the ids that no earlier
+block held on its bytes, and no string is made for a line. Any other block,
+and every CSV block, is read line by line by the format's line validator,
+which alone defines a well-formed line; a malformed line's error names the
+line and the reason. Both ways end in one :class:`_Columns`, which alone
+numbers the lines: a CSV header is line 1 and its rows start at line 2. A
+MovieLens timestamp is checked (an integer that fits in 64 bits) but not
+kept.
 
 :func:`build_matrix` takes columns and returns a :class:`RatingMatrix` over
 their ids, with their codes as indices. Its CSR arrays fix the entry order
@@ -234,7 +236,18 @@ def _split_lines(data: bytes, line_no: int) -> tuple[list[str], dict[int, LinePa
 
 
 class _IdCodes(dict):
-    """Distinct ids in first-appearance order, each mapped to its code: a new id gets the next."""
+    """Distinct ids in first-appearance order, each mapped to its code: a new id gets the next.
+
+    The dict is the one id -> code map. Beside it, ``known_keys`` holds, sorted,
+    the uint64 key of each id coded from block bytes (see :meth:`encode_bytes`),
+    and ``known_codes`` their codes. The table ends in ``_NO_KEY``, which is
+    above every id's key, so a lookup always lands on a slot of the table.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.known_keys = np.array([_NO_KEY], dtype=np.uint64)
+        self.known_codes = np.array([-1], dtype=np.int64)
 
     def __missing__(self, id_: str) -> int:
         self[id_] = code = len(self)
@@ -243,6 +256,50 @@ class _IdCodes(dict):
     def encode(self, ids: list[str]) -> np.ndarray:
         """The int64 code of each id, in order; new ids join in order of first appearance."""
         return np.fromiter(map(self.__getitem__, ids), np.int64, len(ids))
+
+    def encode_bytes(self, data: bytes, words: np.ndarray, starts: np.ndarray,
+                     lengths: np.ndarray) -> np.ndarray:
+        """The int64 code of each id ``data[start:start + length]``, in order, as :meth:`encode` gives it.
+
+        ``words`` is ``data``'s uint64 view at every byte offset. An id of 1
+        to ``_ID_BYTES`` bytes is keyed by its bytes and, in the top byte,
+        its length, so two ids share a key only when they are equal. A run
+        of lines with one key is looked up once (a user-major file holds
+        each user in one run), and only the distinct keys missing from
+        ``known_keys`` are decoded; :meth:`encode` codes them in
+        first-appearance order, and they join the table.
+        """
+        keys = (words[starts] & _LOW_BYTES[lengths]) | _LENGTH_BYTE[lengths]
+        heads = np.flatnonzero(_run_heads(keys))  # the first line of each run of one key
+        keys = keys[heads]
+        by_key = np.argsort(keys)
+        keys = keys[by_key]
+        new = _run_heads(keys)  # the first run of each key, in key order
+        group = np.flatnonzero(new)
+        distinct = keys[group]
+        slot = np.searchsorted(self.known_keys, distinct)
+        codes = self.known_codes[slot]
+        fresh = np.flatnonzero(self.known_keys[slot] != distinct)
+        if len(fresh):
+            first = np.minimum.reduceat(by_key, group)[fresh]  # each fresh key's first run
+            order = np.argsort(first)
+            lines = heads[first[order]]
+            codes[fresh[order]] = self.encode([
+                data[start:start + length].decode("utf-8")
+                for start, length in zip(starts[lines].tolist(), lengths[lines].tolist())])
+            self.known_keys = np.insert(self.known_keys, slot[fresh], distinct[fresh])
+            self.known_codes = np.insert(self.known_codes, slot[fresh], codes[fresh])
+        run_codes = np.empty(len(by_key), dtype=np.int64)
+        run_codes[by_key] = codes[np.cumsum(new) - 1]
+        return np.repeat(run_codes, np.diff(heads, append=len(starts)))
+
+
+def _run_heads(keys: np.ndarray) -> np.ndarray:
+    """Whether each of the (non-empty) keys starts a run of equal keys."""
+    heads = np.empty(len(keys), dtype=bool)
+    heads[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=heads[1:])
+    return heads
 
 
 class _Columns:
@@ -266,16 +323,14 @@ class _Columns:
         self.ratings: list[np.ndarray] = []
         self.skipped = 0
 
-    def keep(self, users: tuple[list[str], np.ndarray], items: tuple[list[str], np.ndarray],
-             ratings: np.ndarray):
+    def keep(self, users: np.ndarray, items: np.ndarray, ratings: np.ndarray):
         """Append a block read on its bytes, one well-formed line per rating.
 
-        ``users`` is the block's distinct user ids and each line's index
-        among them (``items`` alike), as :func:`_plain_movielens` gives them.
+        ``users`` and ``items`` are each line's codes, as
+        :func:`_plain_movielens` gives them from ``user_codes`` and ``item_codes``.
         """
-        (user_ids, user_at), (item_ids, item_at) = users, items
-        self.users.append(self.user_codes.encode(user_ids)[user_at])
-        self.items.append(self.item_codes.encode(item_ids)[item_at])
+        self.users.append(users)
+        self.items.append(items)
         self.ratings.append(ratings)
         self.line_no += len(ratings)
 
@@ -344,7 +399,7 @@ def parse_movielens(source, errors: str = "raise") -> ParseResult:
     """
     out = _Columns(errors, first_line=1)
     for data in _byte_blocks(source):
-        plain = _plain_movielens(data)
+        plain = _plain_movielens(data, out.user_codes, out.item_codes)
         if plain is None:
             out.read(data, _parse_movielens_line)
         else:
@@ -356,10 +411,11 @@ _ID_BYTES = 7  # an id of up to 7 bytes and its length fit in one uint64 key
 _STAMP_DIGITS = 18  # every number of up to 18 digits fits in int64
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(_ID_BYTES + 1)], dtype=np.uint64)
 _LENGTH_BYTE = np.arange(_ID_BYTES + 1, dtype=np.uint64) << np.uint64(56)
+_NO_KEY = np.uint64(2**64 - 1)  # no id's key: its length byte would be 255
 
 
-def _plain_movielens(data: bytes) -> Optional[tuple[tuple[list[str], np.ndarray],
-                                                    tuple[list[str], np.ndarray], np.ndarray]]:
+def _plain_movielens(data: bytes, user_codes: _IdCodes,
+                     item_codes: _IdCodes) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """A block of whole MovieLens lines read on its bytes, or None unless every line is plain.
 
     A plain line has three ``::`` separators and no other colon, ids of 1 to
@@ -369,10 +425,10 @@ def _plain_movielens(data: bytes) -> Optional[tuple[tuple[list[str], np.ndarray]
     a line break. A plain line is well formed and gives the columns the line
     validator gives it, so the way a block is read changes no result.
 
-    Returns (user ids, users), (item ids, items) and the ratings: the ids are
-    the block's distinct ids in first-appearance order, and ``users[n]``
-    indexes line ``n``'s user among them (items alike). No string is made
-    for a line; only the distinct ids are decoded.
+    Returns each line's user code, from ``user_codes``, its item code, from
+    ``item_codes``, and its rating; the codes are made only once every line
+    is found plain. No string is made for a line; only ids new to the
+    column's key table are decoded (see :meth:`_IdCodes.encode_bytes`).
     """
     if b"\r" in data:  # a scan for one byte is far cheaper than replace's scan for two
         # a CRLF end is stripped as _split_lines strips it; any other CR sends the block line by line
@@ -424,34 +480,11 @@ def _plain_movielens(data: bytes) -> Optional[tuple[tuple[list[str], np.ndarray]
     whole = units.astype(np.float64)
     # float("d.e") and (10d + e) / 10 both round the one real number d.e once, to the same double
     ratings = np.where(point, (10 * whole + tenths) / 10, whole)
-    return (_distinct_ids(data, words, starts, user_len),
-            _distinct_ids(data, words, item_start, item_len), ratings)
-
-
-def _distinct_ids(data: bytes, words: np.ndarray, starts: np.ndarray,
-                  lengths: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The distinct ids ``data[start:start + length]`` in first-appearance order, and where each id is.
-
-    ``words`` is ``data``'s uint64 view at every byte offset. An id of 1 to
-    ``_ID_BYTES`` bytes is keyed by its bytes and, in the top byte, its
-    length, so two ids share a key only when they are equal.
-    """
-    keys = (words[starts] & _LOW_BYTES[lengths]) | _LENGTH_BYTE[lengths]
-    by_key = np.argsort(keys)
-    keys = keys[by_key]
-    new = np.empty(len(keys), dtype=bool)  # the first of each run of one key, in key order
-    new[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    first = np.minimum.reduceat(by_key, np.flatnonzero(new))  # each key's first line
-    order = np.argsort(first)
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.arange(len(order))
-    where = np.empty(len(by_key), dtype=np.intp)
-    where[by_key] = rank[np.cumsum(new) - 1]
-    first = first[order]
-    ids = [data[start:start + length].decode("utf-8")
-           for start, length in zip(starts[first].tolist(), lengths[first].tolist())]
-    return ids, where
+    # the spent field arrays are dropped first, so the codes kept for the block can take their place
+    del user_end, item_end, rating_start, rating_end, stamp_start, line_end, stamp_digits
+    del rating_len, stamp_len, units, tenths, point, whole
+    return (user_codes.encode_bytes(data, words, starts, user_len),
+            item_codes.encode_bytes(data, words, item_start, item_len), ratings)
 
 
 def _parse_movielens_line(line: str) -> tuple[str, str, float]:
@@ -556,22 +589,29 @@ def build_matrix(columns: RatingColumns) -> RatingMatrix:
         bad = int(np.argmin(finite))
         raise DataError(f"non-finite rating for user {columns.user_ids[users[bad]]!r}, "
                         f"item {columns.item_ids[items[bad]]!r}")
-    # one entry per distinct (user, item): a stable sort keeps each key's observations in
-    # file order, so a key's run starts at its first observation and ends at its last.
-    # Spent arrays are dropped at once: this is the peak memory of parse, build and split.
+    # one entry per distinct (user, item): a key's run in key order holds its observations,
+    # and its first and last are the run's smallest and largest positions, in any sort.
+    # Spent arrays are dropped, or reused, at once: this is the peak memory of parse, build
+    # and split.
     key = users * len(columns.item_ids) + items
-    by_key = np.argsort(key, kind="stable")
+    by_key = np.argsort(key)
     key = key[by_key]
-    # bounds[j]: a run starts at j (j < n), and the one before it ends at j - 1 (j > 0)
-    bounds = np.empty(n + 1, dtype=bool)
-    bounds[0] = bounds[n] = True
-    np.not_equal(key[1:], key[:-1], out=bounds[1:n])
+    runs = _run_heads(key)
     del key
-    first, last = by_key[bounds[:-1]], by_key[bounds[1:]]
-    del by_key
+    starts = np.flatnonzero(runs)
+    first = np.minimum.reduceat(by_key, starts)
+    last = np.maximum.reduceat(by_key, starts)
+    del starts
+    # back to file order without a sort: the first observations, marked in the spent run
+    # flags, read back in order, and each one's last found through the spent by_key
+    by_key[first] = last
+    runs[:] = False
+    runs[first] = True
+    del first, last
+    first = np.flatnonzero(runs)
+    last = by_key[first]
+    del runs, by_key
     # entries user-major, and within a user in the order of their first observations
-    order = np.argsort(first)
-    first, last = first[order], last[order]
     order = np.argsort(users[first], kind="stable")
     first, last = first[order], last[order]
     row_sizes = np.bincount(users[first], minlength=len(columns.user_ids))

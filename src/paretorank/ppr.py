@@ -225,9 +225,9 @@ def _pair_chain(U: np.ndarray, V: np.ndarray, rows, user: int, chain: np.ndarray
     - Infinity and NaN. An infinite or NaN bound, product or coef fails the
       ``<`` test, so the pair takes the exact path, and a non-finite bound
       stays non-finite. A row that is not finite makes the margin +-inf or
-      NaN: -inf skips, NaN makes coef NaN, and +inf makes coef 0, whose
-      steps the exact path would not clip either (their norms are 0 or
-      NaN).
+      NaN: -inf and NaN skip, as neither exceeds ``MIN_MARGIN``, and +inf
+      makes coef 0, whose steps the exact path would not clip either (their
+      norms are 0 or NaN).
 
     tally is [loss_sum, updates, skips, clips]; the chain continues it in
     pair order and stores it back, so sums over many users round as one
@@ -264,7 +264,8 @@ def _pair_chain(U: np.ndarray, V: np.ndarray, rows, user: int, chain: np.ndarray
             # the margin as @ gives it: + 0.0 maps the bare -0.0 product that
             # ndarray.dot gives at one factor to @'s 0.0, and changes nothing else
             margin = float(dot(dv)) + 0.0
-            if margin <= MIN_MARGIN:
+            # a NaN margin skips, like one at or below the guard
+            if not margin > MIN_MARGIN:
                 applied = clipped = False
                 n_skips += 1
             else:

@@ -169,6 +169,20 @@ class TestBuildMatrix:
         assert (m.user_ids, m.item_ids) == (["b", "a"], ["y", "x"])
         assert entry_triples(m) == [(0, 1, 4.0), (1, 1, 3.0), (1, 0, 5.0)]
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_many_shuffled_duplicates_match_dict_reference(self, seed):
+        # numpy sorts a few dozen keys by insertion sort, which is stable; 20,000 observations
+        # of 4,000 (user, item) keys, each key's repeats scattered through the file, reach the
+        # unstable sort's other paths
+        rng = np.random.default_rng(seed)
+        n = 20_000
+        users, items, ratings = rng.integers(0, 50, n), rng.integers(0, 80, n), rng.integers(1, 6, n)
+        named = [(f"u{u}", f"i{i}", float(r))
+                 for u, i, r in zip(users.tolist(), items.tolist(), ratings.tolist())]
+        m = matrix_from(named)
+        assert n - m.n_entries > 10_000
+        assert_dict_layout(m, named)
+
     def test_row_is_array_view(self):
         m = matrix_from([("a", "x", 3), ("a", "y", 4), ("b", "x", 5)])
         assert items_of(m, 0) == {0: 3.0, 1: 4.0}
@@ -195,6 +209,25 @@ class TestParseMemory:
         fields = [line.split(b"::") for line in data.splitlines()]
         assert len(cols.user_ids) == len({f[0] for f in fields})
         assert len(cols.item_ids) == len({f[1] for f in fields})
+
+
+def assert_dict_layout(m, named):
+    """Check m against the dict-of-dicts reference of the (user id, item id, rating) triples.
+
+    The reference keeps a duplicate's first position and its last rating.
+    Returns its (user, item, rating) entries, in entry order.
+    """
+    u_index, i_index, rows = {}, {}, []
+    for user_id, item_id, rating in named:
+        u = u_index.setdefault(user_id, len(u_index))
+        if u == len(rows):
+            rows.append({})
+        rows[u][i_index.setdefault(item_id, len(i_index))] = rating
+    reference = [(u, i, r) for u, row in enumerate(rows) for i, r in row.items()]
+    assert m.indptr.tolist() == [0, *itertools.accumulate(len(row) for row in rows)]
+    assert (m.user_ids, m.item_ids) == (list(u_index), list(i_index))
+    assert entry_triples(m) == reference
+    return reference
 
 
 class TestSplit:
@@ -257,20 +290,10 @@ class TestSplit:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_layout_matches_dict_reference(self, triples, ratio, seed):
-        # duplicates and out-of-order ids included: the dict-of-dicts reference
-        # keeps a duplicate's first position and its last rating
+        # duplicates and out-of-order ids included
         named = [(f"u{u}", f"i{i}", float(r)) for u, i, r in triples]
-        u_index, i_index, rows = {}, {}, []
-        for user_id, item_id, rating in named:
-            u = u_index.setdefault(user_id, len(u_index))
-            if u == len(rows):
-                rows.append({})
-            rows[u][i_index.setdefault(item_id, len(i_index))] = rating
-        reference = [(u, i, r) for u, row in enumerate(rows) for i, r in row.items()]
         m = matrix_from(named)
-        assert m.indptr.tolist() == [0, *itertools.accumulate(len(row) for row in rows)]
-        assert (m.user_ids, m.item_ids) == (list(u_index), list(i_index))
-        assert entry_triples(m) == reference
+        reference = assert_dict_layout(m, named)
         test_draws = np.random.default_rng(seed).random(len(reference)) < ratio
         sp = pr.split(m, ratio, seed)
         assert entry_triples(sp.test) == [e for e, t in zip(reference, test_draws) if t]
@@ -561,27 +584,42 @@ class TestBytePath:
             assert spy.call_count == line_by_line
             assert got == outcome(per_line(reference_parse_movielens), io.BytesIO(raw), errors=errors)
 
-    def test_only_a_blocks_distinct_ids_are_coded(self, ml_like_path):
-        # each plain block hands its id tables only its distinct ids, in first-appearance order
+    def test_each_id_is_coded_once_per_parse(self, ml_like_path):
+        # over many plain blocks, each id table's encode sees each distinct id once, in
+        # first-appearance order: a block decodes only the ids no earlier block held
         data = ml_like_path.read_bytes()
-        coded = []
+        coded = {}
         encode = dataio._IdCodes.encode
 
         def spy(codes, ids):
-            coded.append(list(ids))
+            coded.setdefault(id(codes), []).extend(ids)
             return encode(codes, ids)
 
         with mock.patch.object(dataio, "_BLOCK_BYTES", 1 << 16):
-            blocks = list(dataio._byte_blocks(io.BytesIO(data)))
+            n_blocks = sum(1 for _ in dataio._byte_blocks(io.BytesIO(data)))
             with mock.patch.object(dataio._IdCodes, "encode", spy), \
                     mock.patch.object(dataio, "_split_lines", side_effect=AssertionError("string path")):
                 got = outcome(columnar(pr.parse_movielens), io.BytesIO(data))
-        want = []
-        for block in blocks:
-            fields = [line.decode().split("::") for line in block.splitlines()]
-            want += [list(dict.fromkeys(f[0] for f in fields)), list(dict.fromkeys(f[1] for f in fields))]
-        assert len(blocks) > 1 and coded == want
+        fields = [line.decode().split("::") for line in data.splitlines()]
+        want = [list(dict.fromkeys(f[0] for f in fields)), list(dict.fromkeys(f[1] for f in fields))]
+        assert n_blocks > 1 and list(coded.values()) == want
         assert got == outcome(per_line(reference_parse_movielens), io.BytesIO(data))
+
+    def test_ids_cross_between_line_by_line_and_plain_blocks(self):
+        # one line a block; a signed timestamp sends its block line by line. User 10 and
+        # item 20 are first seen line by line, then on the bytes; user 11 and item 21 the
+        # reverse; user 12 is new on the bytes beside item 20, known to the key table
+        lines = [b"10::20::3::+7\n", b"10::20::4::8\n", b"11::21::5::9\n", b"11::21::2::+9\n",
+                 b"10::21::1::+1\n", b"12::20::3.5::3\n", b"11::20::1::4\n", b"12::21::2::+4\n"]
+        raw = b"".join(lines)
+        with mock.patch.object(dataio, "_BLOCK_BYTES", 1):
+            with mock.patch.object(dataio, "_split_lines", wraps=dataio._split_lines) as spy:
+                got = outcome(columnar(pr.parse_movielens), io.BytesIO(raw))
+            cols = pr.parse_movielens(io.BytesIO(raw)).records
+        assert spy.call_count == sum(b"+" in line for line in lines)
+        assert got == outcome(per_line(reference_parse_movielens), io.BytesIO(raw))
+        records, _ = reference_parse_movielens(io.BytesIO(raw))
+        assert matrix_arrays(pr.build_matrix, cols) == matrix_arrays(matrix_from, records)
 
 
 class TestByteBlocks:

@@ -108,6 +108,19 @@ class TestPairUpdate:
         assert (result.applied, result.clipped, result.margin) == (False, False, 0.0)
         assert (m.U.tobytes(), m.V.tobytes()) == before
 
+    def test_nan_margin_skips_bit_unchanged(self):
+        # inf - inf makes dv, and so the margin, NaN, which does not exceed MIN_MARGIN
+        m = pr.FactorModel(U=np.array([[1.0, 2.0]]), V=np.array([[np.inf, 1.0], [0.5, 0.5]]))
+        want = pr.FactorModel(U=m.U.copy(), V=m.V.copy())
+        before = (m.U.tobytes(), m.V.tobytes())
+        pair = pr.PairSample(user=0, preferred=0, other=0)
+        with np.errstate(invalid="ignore"):
+            result = pr.pair_update(m, pair, learning_rate=0.1)
+            ref = reference_pair_update(want, pair, learning_rate=0.1)
+        assert (result.applied, result.clipped, math.isnan(result.margin)) == (False, False, True)
+        assert repr(result) == repr(ref)
+        assert (m.U.tobytes(), m.V.tobytes()) == before == (want.U.tobytes(), want.V.tobytes())
+
     def test_zero_learning_rate_changes_nothing(self):
         m = model_1d(2.0, 3.0, 1.0)
         result = pr.pair_update(m, PAIR, learning_rate=0.0)
@@ -461,7 +474,7 @@ def reference_pair_update(model, pair, learning_rate):
     vk = V[pair.other]
     dv = vj - vk
     margin = float(u @ dv)
-    if margin <= pr.ppr.MIN_MARGIN:
+    if not margin > pr.ppr.MIN_MARGIN:
         return pr.PairUpdateResult(applied=False, clipped=False, margin=margin)
     coef = learning_rate / margin
     du = coef * dv
@@ -656,6 +669,33 @@ def special_or_scaled():
         st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
         st.tuples(magnitude, st.booleans()).map(lambda t: -t[0] if t[1] else t[0]),
     )
+
+
+class TestRatingMapInvariance:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        triples=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 13),
+                                   st.sampled_from([1.0, 2.0, 3.0, 3.5, 4.0, 5.0])),
+                         min_size=1, max_size=80),
+        rating_map=st.sampled_from([lambda r: 2 * r + 7, math.exp]),
+        learning_rate=st.sampled_from([0.01, 0.05, 2.0]),
+        user_sample_size=st.integers(1, 9),
+        item_sample_size=st.integers(2, 16),
+        max_iters=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_strictly_increasing_rating_map_changes_nothing(
+            self, triples, rating_map, learning_rate, user_sample_size, item_sample_size,
+            max_iters, seed):
+        # PPR reads ratings only through their order and ties: the same factor bytes, stats
+        # and pairs visited, or the same error
+        named = [(f"u{u}", f"i{i}", r) for u, i, r in triples]
+        config = pr.TrainConfig(learning_rate=learning_rate, n_factors=4, max_iters=max_iters,
+                                user_sample_size=user_sample_size,
+                                item_sample_size=item_sample_size, seed=seed)
+        mapped = matrix_from((u, i, rating_map(r)) for u, i, r in named)
+        assert ppr_outcome(pr.train_ppr, mapped, config) == ppr_outcome(pr.train_ppr,
+                                                                       matrix_from(named), config)
 
 
 class TestDotKernel:
