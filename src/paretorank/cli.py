@@ -390,9 +390,7 @@ def cmd_compare(args) -> None:
             config=echo,
         ))
     rows = metrics.compare_reports(reports)
-    outputs = {args.out: _csv(
-        echo, "algorithm,mae,mae_rank,dme_slope,dme_abs,fairness_rank",
-        ((r.algorithm, r.mae, r.mae_rank, r.dme_slope, r.dme_abs, r.fairness_rank) for r in rows))}
+    outputs = {args.out: _csv(echo, ",".join(metrics.ComparisonRow._fields), rows)}
     if args.report_dir:
         outputs.update((report_paths[r.algorithm], r.to_json()) for r in reports)
     _write_outputs(outputs, new_dir=args.report_dir)

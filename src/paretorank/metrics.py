@@ -8,8 +8,10 @@ means a few items dominate the lists. Comparisons use the absolute slope,
 smaller is fairer.
 """
 
+import itertools
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +21,19 @@ from .errors import ConfigError, DataError
 from .model import RecommendationSet, scale_scores, score_and_select
 # the benchmark's traced runs wrap metrics.top_k and metrics.score_entries by name
 from .model import score_entries, top_k  # noqa: F401
+
+# each report metric, in the comparison CSV's column order, and the rank column
+# that follows it (ascending value, ties by algorithm name), or None. Every
+# metric must be finite
+REPORT_METRICS = {
+    "mae": "mae_rank",
+    "dme_slope": None,
+    "dme_abs": "fairness_rank",
+}
+
+# one comparison CSV row: the algorithm, then each metric and its rank column
+ComparisonRow = namedtuple(
+    "ComparisonRow", ["algorithm", *filter(None, itertools.chain(*REPORT_METRICS.items()))])
 
 
 @dataclass
@@ -37,7 +52,7 @@ class MetricsReport:
     config: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("mae", "dme_slope", "dme_abs"):
+        for name in REPORT_METRICS:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mae < 0:
@@ -146,44 +161,29 @@ def rating_diff_histogram(matrix: RatingMatrix) -> DiffHistogram:
     return DiffHistogram(counts={v: hist[v] for v in values}, slope=slope)
 
 
-@dataclass
-class ComparisonRow:
-    algorithm: str
-    mae: float
-    mae_rank: int
-    dme_slope: float
-    dme_abs: float
-    fairness_rank: int
-
-
 def compare_reports(reports: list[MetricsReport]) -> list[ComparisonRow]:
-    """Rank algorithms by accuracy and by fairness.
+    """Rank algorithms by each metric of REPORT_METRICS that has a rank column.
 
-    All reports must describe the same dataset, split and k. Returns one row
-    per algorithm (sorted by name) carrying its rank in the ascending-MAE
-    table and in the ascending-|slope| (fairest first) table; ties break
-    lexicographically by algorithm name.
+    All reports must describe the same dataset, split and k, each for a
+    different algorithm. Returns one row per algorithm (sorted by name)
+    carrying its rank in each ascending table (for ``dme_abs``, fairest
+    first); ties break lexicographically by algorithm name.
     """
     if len(reports) < 2:
         raise ConfigError(f"need >= 2 reports to compare, got {len(reports)}")
     ident = {(r.dataset, r.seed, r.test_ratio, r.k) for r in reports}
     if len(ident) != 1:
         raise ConfigError(f"reports describe different runs: {sorted(ident)}")
-    mae_order = sorted(reports, key=lambda r: (r.mae, r.algorithm))
-    fair_order = sorted(reports, key=lambda r: (r.dme_abs, r.algorithm))
-    mae_rank = {r.algorithm: n + 1 for n, r in enumerate(mae_order)}
-    fair_rank = {r.algorithm: n + 1 for n, r in enumerate(fair_order)}
-    return [
-        ComparisonRow(
-            algorithm=r.algorithm,
-            mae=r.mae,
-            mae_rank=mae_rank[r.algorithm],
-            dme_slope=r.dme_slope,
-            dme_abs=r.dme_abs,
-            fairness_rank=fair_rank[r.algorithm],
-        )
-        for r in sorted(reports, key=lambda r: r.algorithm)
-    ]
+    rows = {}
+    for r in reports:
+        if r.algorithm in rows:
+            raise ConfigError(f"more than one report for algorithm {r.algorithm!r}")
+        rows[r.algorithm] = {name: getattr(r, name) for name in REPORT_METRICS}
+    for name, rank_column in REPORT_METRICS.items():
+        if rank_column:
+            for n, algo in enumerate(sorted(rows, key=lambda a: (rows[a][name], a)), start=1):
+                rows[algo][rank_column] = n
+    return [ComparisonRow(algorithm=algo, **rows[algo]) for algo in sorted(rows)]
 
 
 def evaluate_scorer(

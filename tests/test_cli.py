@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import paretorank as pr
+from conftest import movielens_like_lines
 from paretorank import baselines, cli, store
 from paretorank.cli import main
 
@@ -515,6 +516,40 @@ class TestCompare:
             blobs.append(((d / "cmp.csv").read_bytes(), (d / "ppr.json").read_bytes(),
                           (d / "random.json").read_bytes()))
         assert blobs[0] == blobs[1]
+
+    def test_algos_order_changes_no_byte(self, tmp_path):
+        data = tmp_path / "ml.dat"
+        data.write_text("\n".join(movielens_like_lines(n_users=150, n_items=200)) + "\n")
+        blobs = []
+        for algos in ("zipf,random,ppr,mf", "mf,ppr,random,zipf"):
+            d = tmp_path / algos.replace(",", "-")
+            assert run("compare", "--data", data, "--algos", algos, "--out", d / "cmp.csv",
+                       "--report-dir", d, *FAST_PPR, *FAST_MF) == 0
+            blobs.append({p.name: p.read_bytes() for p in d.iterdir()})
+        assert sorted(blobs[0]) == ["cmp.csv", "mf.json", "ppr.json", "random.json", "zipf.json"]
+        assert blobs[0] == blobs[1]
+
+    def test_affine_rating_map_doubles_mae_only(self, tmp_path):
+        lines = movielens_like_lines(n_users=150, n_items=200)
+        mapped = []
+        for line in lines:
+            u, i, r, ts = line.split("::")
+            mapped.append(f"{u}::{i}::{2 * int(r) + 7}::{ts}")
+        rows = []
+        for name, corpus in (("plain", lines), ("mapped", mapped)):
+            data = tmp_path / f"{name}.dat"
+            data.write_text("\n".join(corpus) + "\n")
+            out = tmp_path / f"{name}.csv"
+            assert run("compare", "--data", data, "--algos", "ppr,random,zipf", "--out", out,
+                       *FAST_PPR) == 0
+            header, *body = out.read_text().splitlines()[1:]
+            rows.append([dict(zip(header.split(","), line.split(","))) for line in body])
+        plain, mapped = rows
+        assert [r["algorithm"] for r in plain] == ["ppr", "random", "zipf"]
+        for before, after in zip(plain, mapped):
+            assert float(after.pop("mae")) == pytest.approx(2 * float(before.pop("mae")),
+                                                            rel=1e-12)
+            assert after == before
 
 
 SHARED_OUTPUTS = {

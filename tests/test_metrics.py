@@ -11,7 +11,7 @@ from scipy import stats as sps
 
 import paretorank as pr
 from conftest import items_of, matrix_from
-from paretorank import store
+from paretorank import metrics, store
 from paretorank.cli import main
 from paretorank.errors import ConfigError, DataError
 from test_model import assert_same_recs, reference_top_k
@@ -322,6 +322,32 @@ class TestCompareReports:
         assert sorted(r.mae_rank for r in rows) == [1, 2, 3, 4]
         assert sorted(r.fairness_rank for r in rows) == [1, 2, 3, 4]
 
+    def test_duplicate_algorithm_rejected(self):
+        reports = [make_report("A", 1.0, -0.2), make_report("A", 2.0, -0.3),
+                   make_report("B", 1.5, -0.4)]
+        with pytest.raises(ConfigError, match="'A'"):
+            pr.compare_reports(reports)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.text("abc", min_size=1, max_size=2),
+                              st.sampled_from([0.5, 1.0, 1.5]),
+                              st.sampled_from([-1.0, -0.5, 0.5, 1.0])),
+                    min_size=2, max_size=6, unique_by=lambda t: t[0]),
+           st.randoms(use_true_random=False))
+    def test_ranks_by_value_then_name_in_any_input_order(self, values, rnd):
+        reports = [make_report(*v) for v in values]
+        rows = pr.compare_reports(reports)
+        rnd.shuffle(reports)
+        assert pr.compare_reports(reports) == rows
+        assert [r.algorithm for r in rows] == sorted(r.algorithm for r in reports)
+        for row, report in zip(rows, sorted(reports, key=lambda r: r.algorithm)):
+            for name, rank_column in metrics.REPORT_METRICS.items():
+                assert getattr(row, name) == getattr(report, name)
+                if rank_column:
+                    key = (getattr(report, name), report.algorithm)
+                    before = sum((getattr(o, name), o.algorithm) < key for o in reports)
+                    assert getattr(row, rank_column) == before + 1
+
 
 class TestMetricsReport:
     def test_dme_abs_validated(self):
@@ -331,7 +357,7 @@ class TestMetricsReport:
                 fit_points=3, k=10, seed=1, test_ratio=0.2,
             )
 
-    @pytest.mark.parametrize("field", ["mae", "dme_slope", "dme_abs"])
+    @pytest.mark.parametrize("field", list(metrics.REPORT_METRICS))
     def test_non_finite_rejected(self, field):
         values = {"mae": 1.0, "dme_slope": -0.5, "dme_abs": 0.5, field: math.nan}
         with pytest.raises(ValueError):

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from paretorank import metrics
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SOURCES = sorted(PERFBENCH.glob("*.py"))
 
@@ -86,3 +88,8 @@ def test_traced_wrappers_are_checked():
     names = {name for path in SOURCES for name, _, _ in _uses(path)}
     assert {"metrics.top_k", "metrics.score_entries", "metrics.evaluate_scorer",
             "init_model", "save_model"} <= names
+
+
+def test_comparison_rows_carry_the_rank_columns_read():
+    # workload.py reads these from compare_reports' rows, which _uses cannot follow
+    assert {"mae_rank", "fairness_rank"} <= set(metrics.ComparisonRow._fields)

@@ -1,5 +1,6 @@
 """The README's library example, artifact list and definitions, checked against the code."""
 
+import json
 import math
 import re
 from pathlib import Path
@@ -44,6 +45,16 @@ def test_artifacts_section_names_every_csv_header(tiny_path, tmp_path, monkeypat
     for name in commands:
         header = Path(name).read_text(encoding="utf-8").splitlines()[1]
         assert f"`{header}`" in section, name
+
+
+def test_report_json_bullet_names_every_key(tiny_path, tmp_path):
+    assert main(["compare", "--data", str(tiny_path), "--algos", "random,zipf",
+                 "--out", str(tmp_path / "c.csv"), "--report-dir", str(tmp_path)]) == 0
+    keys = json.loads((tmp_path / "zipf.json").read_text(encoding="utf-8"))
+    text = README.read_text(encoding="utf-8")
+    bullet = text[text.index("- Report JSON:"):].split("\n- ", 1)[0]
+    words = set(re.findall(r"\w+", bullet))
+    assert sorted(set(keys) - words) == []
 
 
 def test_plain_line_definition_states_the_byte_path_caps():
