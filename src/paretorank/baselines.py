@@ -13,7 +13,7 @@ import numpy as np
 
 from .dataio import RatingMatrix
 from .errors import DataError, DivergenceError
-from .model import FactorModel, check_index, init_model, is_integer
+from .model import FactorModel, check_index, check_indices, init_model, is_integer
 
 
 class PopularityTable:
@@ -45,8 +45,10 @@ class RandomScorer:
     exactly one 64-bit output, so a row starts ``user * n_items`` outputs
     into the stream: the next user in order is drawn straight on, and any
     other user is reached by resetting the generator and advancing it that
-    far. Memory does not grow with n_users. An instance holds generator
-    state: it is not for concurrent use.
+    far. ``score_rows`` draws each run of consecutive users as one
+    (run, n_items) table, the same outputs in the same order. Memory does
+    not grow with n_users. An instance holds generator state: it is not for
+    concurrent use.
 
     Raises:
         ValueError: if n_users or n_items is not an integer >= 1, or seed is
@@ -76,11 +78,29 @@ class RandomScorer:
         self._next_user = user + 1
         return self._rng.random(self.n_items)
 
+    def score_rows(self, users: np.ndarray, out: np.ndarray) -> None:
+        """Fill ``out[r]`` with ``score_row(users[r])``, bit for bit."""
+        check_indices(users, self.n_users, "user")
+        # a run of consecutive users is one stretch of the stream; each run
+        # starts where score_row would, and leaves the next user drawn straight on
+        cuts = (np.flatnonzero(np.diff(users) != 1) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, users.size]):
+            if lo == hi:  # no users: one empty run
+                continue
+            first = int(users[lo])
+            if first != self._next_user:
+                self._bitgen.state = self._start
+                self._bitgen.advance(first * self.n_items)
+            self._next_user = first + hi - lo
+            # Generator.random writes only into a contiguous out: draw, then copy
+            out[lo:hi] = self._rng.random((hi - lo, self.n_items))
+
 
 class ZipfScorer:
     """Popularity-rank scores 1/rank, identical for every user.
 
-    Every call returns the same read-only row.
+    Every ``score_row`` call returns the same read-only row; ``score_rows``
+    copies it into each row of a block.
 
     Raises:
         ValueError: if n_users is not an integer >= 1.
@@ -98,6 +118,11 @@ class ZipfScorer:
     def score_row(self, user: int) -> np.ndarray:
         check_index(user, self.n_users, "user")
         return self._row
+
+    def score_rows(self, users: np.ndarray, out: np.ndarray) -> None:
+        """Fill ``out[r]`` with ``score_row(users[r])``: the shared row, copied."""
+        check_indices(users, self.n_users, "user")
+        out[...] = self._row
 
 
 _LEVEL_CHUNK = 8192

@@ -199,12 +199,14 @@ def evaluate_scorer(
 ) -> MetricsReport:
     """Full evaluation of one scorer: scaled-prediction MAE plus exposure slope.
 
-    One scoring pass: ``score_and_select`` calls ``score_row`` once per
-    user, and the same block of about 1 MiB of score rows gives both the
-    user's top-K list and the scores of the user's test entries, so the
-    memory in use beyond the lists and the entry scores is a few blocks. See
-    ``summarize`` for what the report holds. A caller that needs the lists
-    too calls ``score_and_select`` and ``summarize`` itself.
+    One scoring pass: ``score_and_select`` scores each user once (a block
+    of users per ``score_rows`` call, or one ``score_row`` call per user for
+    a scorer without it), and the same block of about 1 MiB of score rows
+    gives both the user's top-K list and the scores of the user's test
+    entries, so the memory in use beyond the lists and the entry scores is
+    a few blocks. See ``summarize`` for what the report holds. A caller
+    that needs the lists too calls ``score_and_select`` and ``summarize``
+    itself.
     """
     recs, raw = score_and_select(scorer, train, k, test)
     return summarize(recs, raw, train, test, algorithm, dataset, seed, test_ratio, config)

@@ -1,9 +1,12 @@
 """Latent factor model: scoring, rating-scale mapping, top-K recommendation.
 
 Every algorithm in the package exposes the same scorer surface — ``n_users``,
-``n_items`` and ``score_row(user)`` — so evaluation flows through one path
-regardless of how scores are produced: the blocked walk behind ``top_k``,
-``score_entries`` and ``score_and_select``, which concordance shares.
+``n_items``, ``score_row(user)`` and ``score_rows(users, out)`` — so
+evaluation flows through one path regardless of how scores are produced: the
+blocked walk behind ``top_k``, ``score_entries`` and ``score_and_select``,
+which concordance shares. ``score_rows`` fills a block of rows in one call,
+each equal bit for bit to ``score_row``; a scorer without it is walked one
+``score_row`` call per user.
 """
 
 from dataclasses import dataclass
@@ -26,6 +29,20 @@ def check_index(index: int, size: int, what: str) -> None:
         raise TypeError(f"{what} index must be an integer, got {index!r}")
     if not 0 <= index < size:
         raise IndexError(f"{what} index {index} out of range [0, {size})")
+
+
+def check_indices(indices: np.ndarray, size: int, what: str) -> None:
+    """``check_index`` for every element of an index array, in one vectorised pass.
+
+    Raises:
+        TypeError: if the array's dtype is not an integer type (bool is not).
+        IndexError: naming the first index outside [0, size).
+    """
+    if indices.dtype.kind not in "iu":
+        raise TypeError(f"{what} indices must be integers, got dtype {indices.dtype}")
+    bad = np.flatnonzero((indices < 0) | (indices >= size))
+    if bad.size:
+        raise IndexError(f"{what} index {indices[bad[0]]} out of range [0, {size})")
 
 
 def is_integer(value) -> bool:
@@ -56,6 +73,18 @@ class FactorModel:
         """Raw affinities of one user for every item: the user's factor row dotted with each item's."""
         check_index(user, self.n_users, "user")
         return self.U[user] @ self.V.T
+
+    def score_rows(self, users: np.ndarray, out: np.ndarray) -> None:
+        """Fill ``out[r]`` with ``score_row(users[r])``, bit for bit.
+
+        One stacked vector-matrix ``matmul``: numpy runs the same gemv for
+        each (1, d) user row as ``score_row`` does for the 1-D one, so the
+        two paths agree under whichever BLAS kernel runs (the scores
+        themselves still depend on the kernel). ``out`` is (len(users),
+        n_items) with unit-stride rows.
+        """
+        check_indices(users, self.n_users, "user")
+        np.matmul(self.U[users, None, :], self.V.T, out=out[:, None, :])
 
 
 @dataclass
@@ -117,9 +146,11 @@ def top_k(scorer, train: RatingMatrix, k: int) -> RecommendationSet:
     which makes the output fully deterministic. Users with fewer than k
     unrated items get shorter lists. Scores must not be NaN.
 
-    One scoring pass: ``score_row(u)`` is called once per user, in user
-    order, and each row is copied into a block of about 1 MiB of score rows
-    (``n_items`` rounded up to a multiple of 16 per row). The memory in use
+    One scoring pass, in user order, into a block of about 1 MiB of score
+    rows (``n_items`` rounded up to a multiple of 16 per row): one
+    ``score_rows`` call fills each block, or, for a scorer with only
+    ``score_row``, one ``score_row`` call per user is copied in. ``train``
+    must be (``scorer.n_users``, ``scorer.n_items``). The memory in use
     beyond the lists, which are arrays of their own, is a few blocks
     whatever ``n_users``. Each block is screened, not sorted: the rated
     items are masked out and the items are split into ``G`` groups (item
@@ -138,8 +169,10 @@ def top_k(scorer, train: RatingMatrix, k: int) -> RecommendationSet:
 def score_entries(scorer, matrix: RatingMatrix) -> np.ndarray:
     """Raw scores for every entry of a matrix, in entry order.
 
-    One ``score_row`` call per user that has entries, made by the same
-    blocked walk as ``top_k``.
+    Only the users that have entries are scored, by the same blocked walk
+    as ``top_k`` (one ``score_rows`` call per block, or one ``score_row``
+    call per user). ``matrix`` must be (``scorer.n_users``,
+    ``scorer.n_items``).
     """
     return _walk(scorer, np.flatnonzero(np.diff(matrix.indptr)), None, 0, matrix)[1]
 
@@ -149,11 +182,9 @@ def score_and_select(scorer, train: RatingMatrix, k: int,
     """``top_k(scorer, train, k)`` and ``score_entries(scorer, entries)`` from one walk.
 
     Every user is scored once: the block that selects a user's list also
-    gives the scores of that user's entries. ``entries`` must span the
-    scorer's users.
+    gives the scores of that user's entries. ``train`` and ``entries`` must
+    both be (``scorer.n_users``, ``scorer.n_items``).
     """
-    if entries.n_users != scorer.n_users:
-        raise ValueError(f"entries cover {entries.n_users} users, the scorer {scorer.n_users}")
     return _walk(scorer, np.arange(scorer.n_users), train, k, entries)
 
 
@@ -171,15 +202,29 @@ def _walk(scorer, users: np.ndarray, train: RatingMatrix | None, k: int,
           entries: RatingMatrix | None) -> tuple[RecommendationSet | None, np.ndarray | None]:
     """Score each of ``users`` (ascending) once, a block of rows at a time.
 
-    With ``train``, selects every walked user's top-k list (see ``top_k``);
-    with ``entries``, gathers the raw score of each entry, whose user must
-    be walked. Returns (lists or None, entry scores or None). No list is
-    longer than the catalogue, so the selection takes ``min(k, n_items)``
-    (a ``k`` past numpy's integer range included) and the lists keep ``k``.
+    A scorer with ``score_rows`` fills each block's first ``n_items``
+    columns in one call; any other is called ``score_row`` once per user,
+    and the row is copied in. With ``train``, selects every walked user's
+    top-k list (see ``top_k``); with ``entries``, gathers the raw score of
+    each entry, whose user must be walked. Returns (lists or None, entry
+    scores or None). No list is longer than the catalogue, so the selection
+    takes ``min(k, n_items)`` (a ``k`` past numpy's integer range included)
+    and the lists keep ``k``.
+
+    Raises:
+        ValueError: if ``k < 1`` with ``train``, or if ``train`` or
+            ``entries`` is not (``scorer.n_users``, ``scorer.n_items``): a
+            matrix of another shape would index past the block's rows or
+            into its padding.
     """
     if train is not None and k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n_items = scorer.n_items
+    for name, matrix in (("train", train), ("entries", entries)):
+        if matrix is not None and (matrix.n_users, matrix.n_items) != (scorer.n_users, n_items):
+            raise ValueError(f"{name} is {matrix.n_users} users x {matrix.n_items} items, "
+                             f"the scorer {scorer.n_users} x {n_items}")
+    score_rows = getattr(scorer, "score_rows", None)
     width = max(1, -(-n_items // _GROUP)) * _GROUP
     # the padding columns stay NaN: never a group's maximum, never selected
     block = np.full((max(1, _BLOCK_BYTES // (8 * width)), width), np.nan)
@@ -188,12 +233,15 @@ def _walk(scorer, users: np.ndarray, train: RatingMatrix | None, k: int,
     for start in range(0, users.size, block.shape[0]):
         walked = users[start:start + block.shape[0]]
         rows = block[:walked.size]
-        # a copy: score_row may return a shared row that must stay unwritten.
         # A score that overflows is inf, not a warning; summarize rejects it
         # among the test-entry scores
         with np.errstate(over="ignore", invalid="ignore"):
-            for r, u in enumerate(walked.tolist()):
-                rows[r, :n_items] = scorer.score_row(u)
+            if score_rows is not None:
+                score_rows(walked, rows[:, :n_items])
+            else:
+                # a copy: score_row may return a shared row that must stay unwritten
+                for r, u in enumerate(walked.tolist()):
+                    rows[r, :n_items] = scorer.score_row(u)
         if entries is not None:
             lo, hi, at = _block_rows(entries.indptr, walked)
             raw[lo:hi] = rows.reshape(-1)[at * width + entries.indices[lo:hi]]

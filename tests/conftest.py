@@ -6,6 +6,9 @@ real `ratings.dat` to run the dataset-scale tests against real data instead.
 """
 
 import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +94,56 @@ def tiny_movielens_lines(n_users=60, n_items=40, per_user=12, seed=5):
             r = int(rng.integers(1, 6))
             lines.append(f"{u + 1}::{i + 1}::{r}::{978300000 + u * 100 + int(i)}")
     return lines
+
+
+# Appended to a child's code: its last line of output names the OpenBLAS core
+# in use, read from the OpenBLAS that numpy bundles, or is empty.
+_PRINT_CORE_NAME = """
+import ctypes as _ctypes, glob as _glob, os as _os
+import numpy as _np
+_libs = _glob.glob(_os.path.join(_os.path.dirname(_np.__file__), _os.pardir, "numpy.libs",
+                                 "libscipy_openblas64_*.so"))
+_name = b""
+if _libs:
+    _get = getattr(_ctypes.CDLL(_libs[0]), "scipy_openblas_get_corename64_", None)
+    if _get is not None:
+        _get.restype, _get.argtypes = _ctypes.c_char_p, []
+        _name = _get()
+print()
+print(_name.decode())
+"""
+
+
+def run_under_openblas_core(core: str, code: str) -> tuple[str, str]:
+    """Run Python ``code`` in a child process with OpenBLAS forced onto ``core``.
+
+    Returns the child's stdout and the name of the core it ran on, as
+    OpenBLAS reports it ("" where it cannot be read). ``OPENBLAS_CORETYPE``
+    picks the kernel set an OpenBLAS built with ``DYNAMIC_ARCH`` uses, so
+    one host can run the arithmetic other CPUs get. The calling test is
+    skipped where that cannot be done: a host that is not x86-64, a numpy
+    not linked to OpenBLAS, or, for ``Haswell``, a CPU without avx2.
+    """
+    if platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip(f"OpenBLAS core types are x86-64 ones; this host is {platform.machine()}")
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    if "openblas" not in blas.get("name", "").lower():
+        pytest.skip(f"numpy is linked to {blas.get('name', 'an unknown BLAS')}, not OpenBLAS")
+    if core == "Haswell":
+        try:
+            flags = Path("/proc/cpuinfo").read_text(encoding="utf-8").split()
+        except OSError:
+            flags = []
+        if "avx2" not in flags:
+            pytest.skip("the Haswell kernels need avx2, which this CPU does not list")
+    src = str(Path(pr.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code + _PRINT_CORE_NAME], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    out, _, name = done.stdout.rstrip("\n").rpartition("\n")
+    return out, name
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import paretorank as pr
 from conftest import matrix_from
+from test_model import padded_block
 from paretorank.errors import DivergenceError
 
 
@@ -91,6 +92,29 @@ class TestRandomScorer:
     def test_matches_one_generator_per_row_property(self, data, n_users, n_items, seed):
         users = data.draw(st.lists(st.integers(0, n_users - 1), min_size=1, max_size=8))
         assert_rows_match_oracle(pr.RandomScorer(n_users, n_items, seed), users)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n_users=st.integers(1, 2**70), n_items=st.integers(1, 12),
+           seed=st.integers(0, 2**64))
+    def test_score_rows_matches_the_table(self, data, n_users, n_items, seed):
+        scorer = pr.RandomScorer(n_users, n_items, seed)
+        oracle = Table(n_users, n_items, seed)
+        # users of an int64 array: gapped, some runs of consecutive users
+        last = min(n_users, 2**63) - 1
+        starts = data.draw(st.lists(st.integers(0, last), max_size=4))
+        users = sorted({u for s in starts for u in range(s, min(s + 3, last + 1))})
+        # out-of-order score_row calls first, so the first run may need a reset
+        for u in data.draw(st.lists(st.integers(0, last), max_size=3)):
+            scorer.score_row(u)
+        block = padded_block(len(users), n_items)
+        scorer.score_rows(np.array(users, dtype=np.int64), block[:, :n_items])
+        want = np.stack([oracle.score_row(u) for u in users]) if users else np.empty((0, n_items))
+        assert block[:, :n_items].tobytes() == want.tobytes()
+        assert np.isnan(block[:, n_items:]).all()
+        if users and users[-1] < last:
+            # the user after the block is drawn straight on, with no reset
+            assert scorer._next_user == users[-1] + 1
+            assert scorer.score_row(users[-1] + 1).tobytes() == oracle.score_row(users[-1] + 1).tobytes()
 
     def test_memory_does_not_grow_with_users(self):
         scorer = pr.RandomScorer(2**40, 3, 1)

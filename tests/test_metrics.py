@@ -2,15 +2,16 @@ import itertools
 import json
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
 import paretorank as pr
-from conftest import items_of, matrix_from
+from conftest import items_of, matrix_from, tiny_movielens_lines
 from paretorank import metrics, store
 from paretorank.cli import main
 from paretorank.errors import ConfigError, DataError
@@ -132,6 +133,88 @@ class TestDegreeOfMatthewEffect:
             recs_with_counts([c * factor for c in counts]), len(counts)
         )
         assert slope1 == pytest.approx(slope2, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 15), min_size=1, max_size=5, unique=True),
+                    min_size=1, max_size=12))
+    def test_pooling_every_list_twice_keeps_the_slope(self, lists):
+        assume(len({item for items in lists for item in items}) >= 2)
+        items = [np.array(items, dtype=np.intp) for items in lists]
+        slope, fit_points = pr.degree_of_matthew_effect(pr.RecommendationSet(5, items), 16)
+        twice = pr.degree_of_matthew_effect(pr.RecommendationSet(5, items + items), 16)
+        assert twice[1] == fit_points
+        assert twice[0] == pytest.approx(slope, abs=1e-9)
+
+
+class _RowOnly:
+    """A scorer with only score_row, so the walk takes its per-row path: the
+    wrapped scorer's rows, passed through ``row_map`` when one is given."""
+
+    def __init__(self, inner, row_map=None):
+        self.inner, self.row_map = inner, row_map
+        self.n_users, self.n_items = inner.n_users, inner.n_items
+
+    def score_row(self, user):
+        row = self.inner.score_row(user)
+        return row if self.row_map is None else self.row_map(row)
+
+
+SHIPPED_SCORERS = {
+    "factors": lambda train, seed: pr.init_model(train.n_users, train.n_items, 3, seed),
+    "random": lambda train, seed: pr.RandomScorer(train.n_users, train.n_items, seed),
+    "zipf": lambda train, seed: pr.ZipfScorer(pr.PopularityTable.from_matrix(train),
+                                              train.n_users),
+}
+
+
+@st.composite
+def scorer_cases(draw):
+    """A small split, a shipped scorer of its shape, k, and a walk block of a few rows."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    lines = tiny_movielens_lines(n_users=draw(st.integers(5, 40)), n_items=draw(st.integers(8, 30)),
+                                 per_user=6, seed=seed)
+    matrix = matrix_from(tuple(line.split("::")[:2]) + (float(line.split("::")[2]),)
+                         for line in lines)
+    sp = pr.split(matrix, 0.25, seed)
+    make = SHIPPED_SCORERS[draw(st.sampled_from(sorted(SHIPPED_SCORERS)))]
+    block_bytes = draw(st.integers(1, 8)) * 8 * (-(-matrix.n_items // 16) * 16)
+    return sp, lambda: make(sp.train, seed), draw(st.integers(1, 8)), block_bytes
+
+
+class TestScorerRelations:
+    """Relations between whole evaluation results of a scorer and of a wrapper around it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scorer_cases())
+    def test_row_only_wrapper_gives_the_block_paths_bytes(self, case):
+        sp, make, k, block_bytes = case
+        with mock.patch.object(pr.model, "_BLOCK_BYTES", block_bytes):
+            recs, raw = pr.score_and_select(make(), sp.train, k, sp.test)
+            got_recs, got_raw = pr.score_and_select(_RowOnly(make()), sp.train, k, sp.test)
+        assert_same_recs(got_recs, recs)
+        assert got_raw.tobytes() == raw.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(scorer_cases())
+    def test_exact_increasing_score_map_keeps_lists_and_dme(self, case):
+        # ldexp by 3 multiplies by 8 exactly: an increasing map that keeps
+        # distinct scores distinct, so the lists cannot move
+        sp, make, k, block_bytes = case
+        args = (sp.train, sp.test, "a", "d", 12, 0.25)
+        with mock.patch.object(pr.model, "_BLOCK_BYTES", block_bytes):
+            recs, raw = pr.score_and_select(make(), sp.train, k, sp.test)
+            scaled = _RowOnly(make(), lambda row: np.ldexp(row, 3))
+            got_recs, got_raw = pr.score_and_select(scaled, sp.train, k, sp.test)
+        assert_same_recs(got_recs, recs)
+        try:
+            report = pr.summarize(recs, raw, *args)
+        except DataError:  # fewer than 2 distinct items recommended: no slope either way
+            with pytest.raises(DataError):
+                pr.summarize(got_recs, got_raw, *args)
+            return
+        got = pr.summarize(got_recs, got_raw, *args)
+        assert got.dme_abs == report.dme_abs
+        assert got.mae == pytest.approx(report.mae, rel=1e-12)
 
 
 def brute_force_diffs(matrix):

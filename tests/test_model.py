@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paretorank as pr
-from conftest import entry_triples, matrix_from
+from conftest import entry_triples, matrix_from, run_under_openblas_core
 
 
 class TestInitModel:
@@ -257,6 +257,18 @@ class _CountingScorer(_FixedScorer):
         return super().score_row(user)
 
 
+class _BlockCountingScorer(_CountingScorer):
+    """A fixed score table filled a block at a time, counting each user's fills;
+    score_row must not be called."""
+
+    def score_row(self, user):
+        raise AssertionError(f"score_row({user}) called on a scorer with score_rows")
+
+    def score_rows(self, users, out):
+        np.add.at(self.calls, users, 1)
+        out[...] = self.table[users]
+
+
 @st.composite
 def walk_cases(draw):
     """Catalogues up to five 64-item groups wide, tie-heavy or continuous rows with +-inf."""
@@ -301,21 +313,23 @@ class TestWalk:
         before = table.copy()
         # a few rows per block, so most walks cover several blocks and end on a part-full one
         with mock.patch.object(pr.model, "_BLOCK_BYTES", block_rows * 8 * width):
-            scorer = _CountingScorer(table)
-            recs, raw = pr.score_and_select(scorer, train, k, entries)
-            assert scorer.calls.tolist() == [1] * scorer.n_users
-            assert_same_recs(recs, want_recs)
-            # each list is its own array, not a view that keeps a block's candidates alive
-            assert all(items.flags.owndata for items in recs.items)
-            assert raw.tobytes() == want_raw.tobytes()
+            # the per-row path, then the block path: each user is scored exactly once
+            for make in (_CountingScorer, _BlockCountingScorer):
+                scorer = make(table)
+                recs, raw = pr.score_and_select(scorer, train, k, entries)
+                assert scorer.calls.tolist() == [1] * scorer.n_users
+                assert_same_recs(recs, want_recs)
+                # each list is its own array, not a view that keeps a block's candidates alive
+                assert all(items.flags.owndata for items in recs.items)
+                assert raw.tobytes() == want_raw.tobytes()
 
-            scorer = _CountingScorer(table)
-            assert_same_recs(pr.top_k(scorer, train, k), want_recs)
-            assert scorer.calls.tolist() == [1] * scorer.n_users
+                scorer = make(table)
+                assert_same_recs(pr.top_k(scorer, train, k), want_recs)
+                assert scorer.calls.tolist() == [1] * scorer.n_users
 
-            scorer = _CountingScorer(table)
-            assert pr.score_entries(scorer, entries).tobytes() == want_raw.tobytes()
-            assert scorer.calls.tolist() == (np.diff(entries.indptr) > 0).astype(int).tolist()
+                scorer = make(table)
+                assert pr.score_entries(scorer, entries).tobytes() == want_raw.tobytes()
+                assert scorer.calls.tolist() == (np.diff(entries.indptr) > 0).astype(int).tolist()
         assert table.tobytes() == before.tobytes()  # score rows are copied, never written
 
     def test_lone_neg_inf_candidate_sorts_before_the_padding(self):
@@ -331,8 +345,113 @@ class TestWalk:
         assert_same_recs(recs, reference_top_k(_FixedScorer(table), train, 600))
         assert recs.items[0][-1] == unrated[0]
 
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 4), (2, 2)],
+                             ids=["more users", "fewer users", "fewer items"])
+    def test_matrices_must_have_the_scorers_shape(self, shape):
+        # a 2-user x 4-item train matrix: a scorer of another shape must not be walked
+        train = matrix_with_rated([{0}, {1, 3}], n_items=4)
+        for make in (_FixedScorer, _BlockCountingScorer):
+            scorer = make(np.zeros(shape))
+            with pytest.raises(ValueError, match="^train is 2 users x 4 items, the scorer"):
+                pr.top_k(scorer, train, 2)
+            with pytest.raises(ValueError, match="^entries is 2 users x 4 items, the scorer"):
+                pr.score_entries(scorer, train)
+            with pytest.raises(ValueError):
+                pr.score_and_select(scorer, train, 2, train)
+
     def test_entries_must_span_the_scorers_users(self):
         train = matrix_with_rated([set(), set()], n_items=3)
         with pytest.raises(ValueError):
             pr.score_and_select(_FixedScorer(np.zeros((2, 3))), train, 1,
                                 matrix_with_rated([{0}], n_items=3))
+        with pytest.raises(ValueError, match="^entries is 2 users x 2 items"):
+            pr.score_and_select(_FixedScorer(np.zeros((2, 3))), train, 1,
+                                matrix_with_rated([{0}, {1}], n_items=2))
+
+
+def padded_block(n_rows, n_items):
+    """A walk-like block: rows of n_items rounded up to 16 columns, NaN-filled."""
+    return np.full((n_rows, -(-n_items // 16) * 16), np.nan)
+
+
+def assert_block_is_stacked_rows(scorer, users, **errstate):
+    """score_rows into a padded block equals score_row stacked, byte for byte; the padding stays NaN."""
+    block = padded_block(len(users), scorer.n_items)
+    with np.errstate(**errstate):
+        scorer.score_rows(np.asarray(users, dtype=np.intp), block[:, :scorer.n_items])
+        want = [scorer.score_row(u) for u in users]
+    want = np.stack(want) if want else np.empty((0, scorer.n_items))
+    assert block[:, :scorer.n_items].tobytes() == want.tobytes()
+    assert np.isnan(block[:, scorer.n_items:]).all()
+
+
+class TestScoreRows:
+    """Each shipped scorer's score_rows against its own score_row, bit for bit
+    (RandomScorer's against its table: tests/test_baselines.py)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n_users=st.integers(1, 8), n_items=st.integers(1, 40),
+           d=st.sampled_from([1, 1, 2, 3, 8, 9, 33]), exponent=st.sampled_from([0, 150, 160]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_factor_model(self, data, n_users, n_items, d, exponent, seed):
+        # exponents 150 and 160 push some dot products past the float range: inf,
+        # and NaN where +inf and -inf terms meet, as the walk's errstate allows
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** exponent
+        model = pr.FactorModel(U=rng.standard_normal((n_users, d)) * scale,
+                               V=rng.standard_normal((n_items, d)) * scale)
+        users = sorted(data.draw(st.sets(st.integers(0, n_users - 1))))
+        assert_block_is_stacked_rows(model, users, over="ignore", invalid="ignore")
+
+    @settings(max_examples=50, deadline=None)
+    @given(counts=st.lists(st.integers(0, 9), min_size=1, max_size=20), data=st.data())
+    def test_zipf_scorer_leaves_the_shared_row_unwritten(self, counts, data):
+        scorer = pr.ZipfScorer(pr.PopularityTable(np.array(counts)), 5)
+        row = scorer.score_row(0)
+        before = row.copy()
+        users = sorted(data.draw(st.sets(st.integers(0, 4))))
+        assert_block_is_stacked_rows(scorer, users)
+        assert scorer.score_row(4) is row and not row.flags.writeable
+        assert row.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda: pr.init_model(2, 3, 2, seed=0),
+        lambda: pr.RandomScorer(2, 3, 0),
+        lambda: pr.ZipfScorer(pr.PopularityTable(np.array([3, 1, 2])), 2),
+    ], ids=["factors", "random", "zipf"])
+    def test_bad_users_rejected(self, make):
+        out = np.zeros((2, 3))
+        for users in (np.array([0.0, 1.0]), np.array([False, True])):
+            with pytest.raises(TypeError, match="^user indices must be integers, got dtype"):
+                make().score_rows(users, out)
+        for users, bad in ((np.array([0, 2]), 2), (np.array([-1, 0]), -1),
+                           (np.array([1, 2**62], dtype=np.uint64), 2**62)):
+            with pytest.raises(IndexError, match=f"^user index {bad} out of range \\[0, 2\\)$"):
+                make().score_rows(users, out)
+
+
+_SAME_BITS_CHILD = """
+import numpy as np
+import paretorank as pr
+
+rng = np.random.default_rng(5)
+for n_users, n_items, d in ((9, 1, 1), (40, 37, 1), (40, 1500, 8), (25, 3706, 8), (30, 100, 33)):
+    model = pr.FactorModel(U=rng.standard_normal((n_users, d)), V=rng.standard_normal((n_items, d)))
+    users = np.flatnonzero(rng.random(n_users) < 0.7)
+    block = np.full((users.size, -(-n_items // 16) * 16), np.nan)
+    model.score_rows(users, block[:, :n_items])
+    rows = np.stack([model.score_row(int(u)) for u in users])
+    assert block[:, :n_items].tobytes() == rows.tobytes(), (n_users, n_items, d)
+print("same bits")
+"""
+
+
+@pytest.mark.parametrize("core, names", [("Prescott", {"Prescott", "Katmai"}),
+                                         ("Haswell", {"Haswell"})])
+def test_score_rows_keeps_score_rows_bits_under_other_blas_kernels(core, names):
+    # the walk's block path gives the per-row path's bits only while numpy runs
+    # the same gemv for each stacked row; a kernel that rounds differently must too
+    out, name = run_under_openblas_core(core, _SAME_BITS_CHILD)
+    assert out.split() == ["same", "bits"]
+    # the forced kernels ran (OpenBLAS runs Prescott on its Katmai kernels)
+    assert name in names or name == ""
