@@ -158,10 +158,11 @@ def top_k(scorer, train: RatingMatrix, k: int) -> RecommendationSet:
     while there are fewer than ``2k`` groups. Each row's ``kk``-th largest group
     maximum (``kk = min(k, unrated items)``) bounds its ``kk``-th best
     unrated score from below, because ``kk`` distinct groups each hold an
-    unrated item at or above it. Only the items of the groups whose maximum
-    is at or above the bound are compared with it, and only the unrated
-    items at or above it are sorted: about ``kk`` of them per user, unless
-    many scores tie at the bound.
+    unrated item at or above it. One comparison of the block with the
+    bounds finds the candidates, the unrated items at or above their row's
+    bound: about ``kk`` of them per user, unless many scores tie at the
+    bound. One stable argsort of their negated scores, one row per user
+    padded with ``+inf``, orders them, and each user keeps the first ``kk``.
     """
     return _walk(scorer, np.arange(scorer.n_users), train, k, None)[0]
 
@@ -259,7 +260,9 @@ def _select(rows: np.ndarray, users: np.ndarray, train: RatingMatrix, k: int,
     ``n_items`` columns and NaN after them, up to a multiple of 16. The
     rated items are overwritten with NaN, which ``fmax`` skips and no
     comparison selects, so a rated item is told apart from an unrated
-    ``-inf`` one.
+    ``-inf`` one. The candidates come out of one comparison in (row, item)
+    order, and one stable argsort of a (rows, most candidates in a row) key
+    matrix, no larger than the block, orders each row by score.
     """
     n_rows, width = rows.shape
     # flat indices into the block: 2-D fancy indexing costs several times more
@@ -280,22 +283,18 @@ def _select(rows: np.ndarray, users: np.ndarray, train: RatingMatrix, k: int,
     # the kk-th largest group maximum (kk never exceeds the groups); a row
     # with every item rated (kk = 0) has only -inf maxima and no candidate
     bound = np.sort(maxima, axis=1)[np.arange(n_rows), n_groups - np.maximum(kk, 1)]
-    # an item at or above its row's bound lifts its group's maximum there too,
-    # so only those groups' items are compared; NaN (rated or padding) passes
-    # no comparison
-    r, g = np.divmod(np.flatnonzero(maxima >= bound[:, None]), n_groups)
-    member = g[:, None] + n_groups * np.arange(size)
-    score = flat[(r * width)[:, None] + member]
-    keep = score >= bound[r][:, None]
-    r = np.broadcast_to(r[:, None], keep.shape)[keep]
-    cand = member[keep]
-    # the group gather leaves a row's candidates out of item order: one integer
-    # sort by (row, item) first, so the stable 2-key lexsort breaks score ties
-    # by item without a third key
-    by_item = np.argsort(r * width + cand)
-    r, cand, score = r[by_item], cand[by_item], score[keep][by_item]
-    cand = cand[np.lexsort((-score, r))]
-    # r still ascends: the lexsort orders within each row
-    starts = np.searchsorted(r, np.arange(n_rows))
-    # each row's candidates, in order, start with its list: it has at least kk
-    return [cand[s:s + n].copy() for s, n in zip(starts.tolist(), kk.tolist())]
+    # the candidates, every unrated item at or above its row's bound, as flat
+    # block indices in (row, item) order; NaN (rated or padding) passes no
+    # comparison. starts[r]:starts[r + 1] is row r's span, at least kk long
+    hits = np.flatnonzero(rows >= bound[:, None])
+    starts = np.searchsorted(hits, np.arange(n_rows + 1) * width)
+    spans = np.diff(starts)
+    # row r's negated candidate scores fill its first columns in item order, so
+    # the stable sort breaks score ties by item; +inf pads the rest, and a -inf
+    # score's equal key stays before the padding, in a lower column
+    keys = np.full((n_rows, spans.max()), np.inf)
+    keys[np.arange(keys.shape[1]) < spans[:, None]] = -flat[hits]
+    order = np.argsort(keys, axis=1, kind="stable")[:, :k] + starts[:-1, None]
+    picked = hits[order[np.arange(order.shape[1]) < kk[:, None]]] % width
+    ends = np.cumsum(kk).tolist()
+    return [picked[e - n:e].copy() for e, n in zip(ends, kk.tolist())]

@@ -216,6 +216,43 @@ class TestScorerRelations:
         assert got.dme_abs == report.dme_abs
         assert got.mae == pytest.approx(report.mae, rel=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(scorer_cases())
+    def test_exp_score_map_keeps_lists_and_dme(self, case):
+        sp, make, k, block_bytes = case
+        scorer = make()
+        # a precondition of the relation, not tuning: exp is increasing, but it
+        # can round two close scores to one, and then ties break by item
+        assume(all((np.diff(np.exp(np.unique(scorer.score_row(u)))) > 0).all()
+                   for u in range(scorer.n_users)))
+        with mock.patch.object(pr.model, "_BLOCK_BYTES", block_bytes):
+            recs = pr.top_k(scorer, sp.train, k)
+            got = pr.top_k(_RowOnly(make(), np.exp), sp.train, k)
+        assert_same_recs(got, recs)
+        try:
+            slope = pr.degree_of_matthew_effect(recs, sp.train.n_items)
+        except DataError:  # fewer than 2 distinct items recommended: no slope either way
+            return
+        assert pr.degree_of_matthew_effect(got, sp.train.n_items) == slope
+
+    @settings(max_examples=60, deadline=None)
+    @given(scorer_cases(), st.floats(0.25, 4.0), st.floats(-4.0, 4.0))
+    def test_positive_affine_score_map_keeps_mae(self, case, a, b):
+        sp, make, k, block_bytes = case
+        with mock.patch.object(pr.model, "_BLOCK_BYTES", block_bytes):
+            raw = pr.score_entries(make(), sp.test)
+            got_raw = pr.score_entries(_RowOnly(make(), lambda row: a * row + b), sp.test)
+        # a precondition, not tuning: a mapped score is off by at most
+        # 2u (|b| + a * max|s|), u = 2**-53, and min-max scaling divides the
+        # errors by the mapped spread a * ptp(s). Within 64 spreads, each
+        # prediction on a scale 4 wide moves by at most 8 * 4 * 64 * u, 2.3e-13
+        spread = np.ptp(raw)
+        assume(spread == 0 or abs(b) + a * np.abs(raw).max() <= 64 * a * spread)
+        recs = pr.RecommendationSet(k, [np.arange(2)])  # the lists do not enter the MAE
+        args = (sp.train, sp.test, "a", "d", 12, 0.25)
+        got = pr.summarize(recs, got_raw, *args).mae
+        assert got == pytest.approx(pr.summarize(recs, raw, *args).mae, rel=1e-12)
+
 
 def brute_force_diffs(matrix):
     hist = Counter()

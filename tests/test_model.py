@@ -1,4 +1,6 @@
 import re
+import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -344,6 +346,54 @@ class TestWalk:
         recs = pr.top_k(_FixedScorer(table), train, 600)
         assert_same_recs(recs, reference_top_k(_FixedScorer(table), train, 600))
         assert recs.items[0][-1] == unrated[0]
+
+    def test_one_ragged_block(self):
+        # 200 items, k = 4: groups of 16 items, item i in group i mod 13. Every
+        # row is in one block, and their candidate spans differ: 0, 200, 150, 4, 2
+        n_items, k = 200, 4
+        table = np.zeros((5, n_items))
+        rated = [set(range(n_items)), set(), set(range(50)), set(), set(range(n_items)) - {7, 150}]
+        table[1] = 1.0  # every item ties at the bound: the key matrix is the catalogue wide
+        table[2, 50:] = -np.inf  # -inf candidates among two finite ones, then padding
+        table[2, [60, 120]] = [2.0, 0.5]
+        table[3, [5, 20, 100, 199]] = [1.0, 3.0, 2.0, 4.0]  # 4 groups above the rest: kk candidates
+        table[4] = np.random.default_rng(5).standard_normal(n_items)  # kk = 2 unrated items
+        train = matrix_with_rated(rated, n_items)
+        want = reference_top_k(_FixedScorer(table), train, k)
+        assert [items.tolist() for items in want.items[:4]] == [
+            [], [0, 1, 2, 3], [60, 120, 50, 51], [199, 20, 100, 5]]
+        assert sorted(want.items[4].tolist()) == [7, 150]
+        width = -(-n_items // pr.model._GROUP) * pr.model._GROUP
+        for make in (_FixedScorer, _BlockCountingScorer):
+            with (mock.patch.object(pr.model, "_BLOCK_BYTES", 5 * 8 * width),
+                  mock.patch.object(pr.model, "_select", wraps=pr.model._select) as select):
+                recs = pr.top_k(make(table), train, k)
+            assert select.call_count == 1 and select.call_args.args[0].shape == (5, width)
+            assert_same_recs(recs, want)
+
+    def test_peak_memory_is_a_few_blocks_when_every_item_is_a_candidate(self):
+        class ConstantScorer:
+            n_users, n_items = 300, 4000
+
+            def score_rows(self, users, out):
+                out[...] = 0.5
+
+        rated = [{u, (7 * u + 3) % 4000} for u in range(300)]
+        train = matrix_with_rated(rated, 4000)
+        tracemalloc.start()
+        try:
+            recs = pr.top_k(ConstantScorer(), train, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [items.tolist() for items in recs.items] == [
+            [i for i in range(12) if i not in r][:10] for r in rated]
+        lists = sys.getsizeof(recs.items) + sum(sys.getsizeof(items) for items in recs.items)
+        # at most one block (32 rows of 4,000 scores) of each: the scores, the
+        # candidates' flat indices, the key matrix, the gathered scores and their
+        # negation, and the sort's order, at most 5 of them live at once; 8 leaves
+        # room for the small per-row and per-group arrays
+        assert peak - lists < 8 * pr.model._BLOCK_BYTES
 
     @pytest.mark.parametrize("shape", [(3, 4), (1, 4), (2, 2)],
                              ids=["more users", "fewer users", "fewer items"])
