@@ -7,13 +7,12 @@ evaluation path as the pairwise trainer.
 """
 
 import math
-import operator
 
 import numpy as np
 
 from .dataio import RatingMatrix
 from .errors import DataError, DivergenceError
-from .model import FactorModel, check_index, check_indices, init_model, is_integer
+from .model import FactorModel, Scorer, check_index, init_model, is_integer
 
 
 class PopularityTable:
@@ -35,20 +34,19 @@ class PopularityTable:
         return cls(np.bincount(train.indices, minlength=train.n_items))
 
 
-class RandomScorer:
+class RandomScorer(Scorer):
     """Seeded uniform-random scores: row u of one table that is never built.
 
-    ``score_row(user)`` is row ``user`` of
+    User u's row is row ``u`` of
     ``np.random.default_rng(seed).random((n_users, n_items))`` bit for bit,
     so every (seed, user, item) triple pins down one value. The scorer holds
     the PCG64 generator that ``default_rng(seed)`` wraps. Each double takes
-    exactly one 64-bit output, so a row starts ``user * n_items`` outputs
-    into the stream: the next user in order is drawn straight on, and any
-    other user is reached by resetting the generator and advancing it that
-    far. ``score_rows`` draws each run of consecutive users as one
-    (run, n_items) table, the same outputs in the same order. Memory does
-    not grow with n_users. An instance holds generator state: it is not for
-    concurrent use.
+    exactly one 64-bit output, so a run of users from ``start`` is one
+    (users, n_items) draw that starts ``start * n_items`` outputs into the
+    stream: the run after the last one is drawn straight on, and any other
+    is reached by resetting the generator and advancing it that far. Memory
+    does not grow with n_users. An instance holds generator state: it is not
+    for concurrent use.
 
     Raises:
         ValueError: if n_users or n_items is not an integer >= 1, or seed is
@@ -61,7 +59,7 @@ class RandomScorer:
                 raise ValueError(f"random {name} must be an integer >= 1, got {value!r}")
         if not (is_integer(seed) and seed >= 0):
             raise ValueError(f"random seed must be an integer >= 0, got {seed!r}")
-        # Python ints, so user * n_items cannot wrap as int64 would
+        # Python ints, so start * n_items cannot wrap as int64 would
         self.n_users = int(n_users)
         self.n_items = int(n_items)
         self.seed = int(seed)
@@ -70,37 +68,20 @@ class RandomScorer:
         self._rng = np.random.Generator(self._bitgen)
         self._next_user = 0
 
-    def score_row(self, user: int) -> np.ndarray:
-        check_index(user, self.n_users, "user")
-        if user != self._next_user:
+    def score_rows(self, start: int, out: np.ndarray) -> None:
+        start = check_index(start, self.n_users, "user", len(out))
+        if start != self._next_user:
             self._bitgen.state = self._start
-            self._bitgen.advance(operator.index(user) * self.n_items)
-        self._next_user = user + 1
-        return self._rng.random(self.n_items)
-
-    def score_rows(self, users: np.ndarray, out: np.ndarray) -> None:
-        """Fill ``out[r]`` with ``score_row(users[r])``, bit for bit."""
-        check_indices(users, self.n_users, "user")
-        # a run of consecutive users is one stretch of the stream; each run
-        # starts where score_row would, and leaves the next user drawn straight on
-        cuts = (np.flatnonzero(np.diff(users) != 1) + 1).tolist()
-        for lo, hi in zip([0, *cuts], [*cuts, users.size]):
-            if lo == hi:  # no users: one empty run
-                continue
-            first = int(users[lo])
-            if first != self._next_user:
-                self._bitgen.state = self._start
-                self._bitgen.advance(first * self.n_items)
-            self._next_user = first + hi - lo
-            # Generator.random writes only into a contiguous out: draw, then copy
-            out[lo:hi] = self._rng.random((hi - lo, self.n_items))
+            self._bitgen.advance(start * self.n_items)
+        self._next_user = start + len(out)
+        # Generator.random writes only into a contiguous out: draw, then copy
+        out[...] = self._rng.random((len(out), self.n_items))
 
 
-class ZipfScorer:
+class ZipfScorer(Scorer):
     """Popularity-rank scores 1/rank, identical for every user.
 
-    Every ``score_row`` call returns the same read-only row; ``score_rows``
-    copies it into each row of a block.
+    ``score_rows`` copies one shared read-only row into each row of a block.
 
     Raises:
         ValueError: if n_users is not an integer >= 1.
@@ -115,13 +96,8 @@ class ZipfScorer:
         self._row = 1.0 / popularity.ranks
         self._row.flags.writeable = False
 
-    def score_row(self, user: int) -> np.ndarray:
-        check_index(user, self.n_users, "user")
-        return self._row
-
-    def score_rows(self, users: np.ndarray, out: np.ndarray) -> None:
-        """Fill ``out[r]`` with ``score_row(users[r])``: the shared row, copied."""
-        check_indices(users, self.n_users, "user")
+    def score_rows(self, start: int, out: np.ndarray) -> None:
+        check_index(start, self.n_users, "user", len(out))
         out[...] = self._row
 
 

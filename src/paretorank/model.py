@@ -1,14 +1,15 @@
 """Latent factor model: scoring, rating-scale mapping, top-K recommendation.
 
-Every algorithm in the package exposes the same scorer surface — ``n_users``,
-``n_items``, ``score_row(user)`` and ``score_rows(users, out)`` — so
-evaluation flows through one path regardless of how scores are produced: the
-blocked walk behind ``top_k``, ``score_entries`` and ``score_and_select``,
-which concordance shares. ``score_rows`` fills a block of rows in one call,
-each equal bit for bit to ``score_row``; a scorer without it is walked one
-``score_row`` call per user.
+Every algorithm in the package is a ``Scorer``: ``n_users``, ``n_items`` and
+one scoring method, ``score_rows(start, out)``, which fills a block of rows
+for a run of consecutive users; ``score_row(user)`` is its one-user run.
+Evaluation flows through one path regardless of how scores are produced:
+the blocked walk over every user behind ``top_k``, ``score_entries`` and
+``score_and_select``, which concordance shares. A duck-typed scorer with
+only ``score_row`` is walked one call per user.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,32 +18,23 @@ from .dataio import RatingMatrix
 from .errors import ConfigError
 
 
-def check_index(index: int, size: int, what: str) -> None:
-    """Check a user or item index (``what`` names which) against the ``size`` there are.
+def check_index(index: int, size: int, what: str, count: int = 1) -> int:
+    """Check the run of ``count`` user or item indices (``what`` names which) from
+    ``index`` against the ``size`` there are; return ``index`` as a Python int.
 
     Raises:
         TypeError: if index is not an integer (see ``is_integer``).
-        IndexError: unless 0 <= index < size.
+        IndexError: naming the run's first index outside [0, size).
     """
     # the type test first: a Python int, as a walk passes it, skips is_integer's call
-    if type(index) is not int and not is_integer(index):
-        raise TypeError(f"{what} index must be an integer, got {index!r}")
-    if not 0 <= index < size:
-        raise IndexError(f"{what} index {index} out of range [0, {size})")
-
-
-def check_indices(indices: np.ndarray, size: int, what: str) -> None:
-    """``check_index`` for every element of an index array, in one vectorised pass.
-
-    Raises:
-        TypeError: if the array's dtype is not an integer type (bool is not).
-        IndexError: naming the first index outside [0, size).
-    """
-    if indices.dtype.kind not in "iu":
-        raise TypeError(f"{what} indices must be integers, got dtype {indices.dtype}")
-    bad = np.flatnonzero((indices < 0) | (indices >= size))
-    if bad.size:
-        raise IndexError(f"{what} index {indices[bad[0]]} out of range [0, {size})")
+    if type(index) is not int:
+        if not is_integer(index):
+            raise TypeError(f"{what} index must be an integer, got {index!r}")
+        index = operator.index(index)
+    if index < 0 or index + count > size:
+        raise IndexError(f"{what} index {index if index < 0 else max(index, size)} "
+                         f"out of range [0, {size})")
+    return index
 
 
 def is_integer(value) -> bool:
@@ -50,8 +42,34 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+class Scorer:
+    """The scorer surface: ``n_users``, ``n_items`` and ``score_rows``.
+
+    A subclass defines ``score_rows`` only; ``score_row`` is its one-user
+    run, so the two cannot differ.
+    """
+
+    n_users: int
+    n_items: int
+
+    def score_rows(self, start: int, out: np.ndarray) -> None:
+        """Fill ``out[r]`` with user ``start + r``'s scores for every item.
+
+        ``out`` is (users, ``n_items``) with unit-stride rows. A non-integer
+        ``start`` (bool included) raises ``TypeError``, and a run that leaves
+        [0, ``n_users``) raises ``IndexError`` naming its first user outside.
+        """
+        raise NotImplementedError
+
+    def score_row(self, user: int) -> np.ndarray:
+        """One user's scores for every item, as a fresh array."""
+        out = np.empty((1, self.n_items))
+        self.score_rows(user, out)
+        return out[0]
+
+
 @dataclass
-class FactorModel:
+class FactorModel(Scorer):
     """User factors U (n_users x d) and item factors V (n_items x d)."""
 
     U: np.ndarray
@@ -69,22 +87,15 @@ class FactorModel:
     def n_factors(self) -> int:
         return self.U.shape[1]
 
-    def score_row(self, user: int) -> np.ndarray:
-        """Raw affinities of one user for every item: the user's factor row dotted with each item's."""
-        check_index(user, self.n_users, "user")
-        return self.U[user] @ self.V.T
+    def score_rows(self, start: int, out: np.ndarray) -> None:
+        """Raw affinities of a run of users for every item: each user's factor
+        row dotted with each item's.
 
-    def score_rows(self, users: np.ndarray, out: np.ndarray) -> None:
-        """Fill ``out[r]`` with ``score_row(users[r])``, bit for bit.
-
-        One stacked vector-matrix ``matmul``: numpy runs the same gemv for
-        each (1, d) user row as ``score_row`` does for the 1-D one, so the
-        two paths agree under whichever BLAS kernel runs (the scores
-        themselves still depend on the kernel). ``out`` is (len(users),
-        n_items) with unit-stride rows.
+        One stacked vector-matrix ``matmul`` over a view of the run's factor
+        rows (see ``Scorer.score_rows``).
         """
-        check_indices(users, self.n_users, "user")
-        np.matmul(self.U[users, None, :], self.V.T, out=out[:, None, :])
+        start = check_index(start, self.n_users, "user", len(out))
+        np.matmul(self.U[start:start + len(out), None, :], self.V.T, out=out[:, None, :])
 
 
 @dataclass
@@ -148,11 +159,12 @@ def top_k(scorer, train: RatingMatrix, k: int) -> RecommendationSet:
 
     One scoring pass, in user order, into a block of about 1 MiB of score
     rows (``n_items`` rounded up to a multiple of 16 per row): one
-    ``score_rows`` call fills each block, or, for a scorer with only
-    ``score_row``, one ``score_row`` call per user is copied in. ``train``
-    must be (``scorer.n_users``, ``scorer.n_items``). The memory in use
-    beyond the lists, which are arrays of their own, is a few blocks
-    whatever ``n_users``. Each block is screened, not sorted: the rated
+    ``score_rows`` call fills each block with its run of users, or, for a
+    scorer with only ``score_row``, one ``score_row`` call per user is
+    copied in. ``train`` must be (``scorer.n_users``, ``scorer.n_items``).
+    The memory in use beyond the lists is a few blocks whatever
+    ``n_users``; a block's lists are slices of one array that holds only
+    their items. Each block is screened, not sorted: the rated
     items are masked out and the items are split into ``G`` groups (item
     ``i`` in group ``i mod G``) of 16 items, halved, down to one item,
     while there are fewer than ``2k`` groups. Each row's ``kk``-th largest group
@@ -164,18 +176,17 @@ def top_k(scorer, train: RatingMatrix, k: int) -> RecommendationSet:
     bound. One stable argsort of their negated scores, one row per user
     padded with ``+inf``, orders them, and each user keeps the first ``kk``.
     """
-    return _walk(scorer, np.arange(scorer.n_users), train, k, None)[0]
+    return _walk(scorer, train, k, None)[0]
 
 
 def score_entries(scorer, matrix: RatingMatrix) -> np.ndarray:
     """Raw scores for every entry of a matrix, in entry order.
 
-    Only the users that have entries are scored, by the same blocked walk
-    as ``top_k`` (one ``score_rows`` call per block, or one ``score_row``
-    call per user). ``matrix`` must be (``scorer.n_users``,
-    ``scorer.n_items``).
+    Every user is scored, by the same blocked walk as ``top_k`` (one
+    ``score_rows`` call per block, or one ``score_row`` call per user).
+    ``matrix`` must be (``scorer.n_users``, ``scorer.n_items``).
     """
-    return _walk(scorer, np.flatnonzero(np.diff(matrix.indptr)), None, 0, matrix)[1]
+    return _walk(scorer, None, 0, matrix)[1]
 
 
 def score_and_select(scorer, train: RatingMatrix, k: int,
@@ -186,28 +197,25 @@ def score_and_select(scorer, train: RatingMatrix, k: int,
     gives the scores of that user's entries. ``train`` and ``entries`` must
     both be (``scorer.n_users``, ``scorer.n_items``).
     """
-    return _walk(scorer, np.arange(scorer.n_users), train, k, entries)
+    return _walk(scorer, train, k, entries)
 
 
-def _block_rows(indptr: np.ndarray, users: np.ndarray) -> tuple[int, int, np.ndarray]:
-    """The entry span [lo, hi) of a block's users and each entry's row in the block.
-
-    Users between the block's first and last that are not in it must have
-    no entries.
-    """
-    lo, hi = indptr[users[0]], indptr[users[-1] + 1]
-    return lo, hi, np.repeat(np.arange(users.size), indptr[users + 1] - indptr[users])
+def _block_rows(indptr: np.ndarray, start: int, n_rows: int) -> tuple[int, int, np.ndarray]:
+    """The entry span [lo, hi) of the run of ``n_rows`` users from ``start``,
+    and each entry's row in the run's block."""
+    counts = np.diff(indptr[start:start + n_rows + 1])
+    return indptr[start], indptr[start + n_rows], np.repeat(np.arange(n_rows), counts)
 
 
-def _walk(scorer, users: np.ndarray, train: RatingMatrix | None, k: int,
+def _walk(scorer, train: RatingMatrix | None, k: int,
           entries: RatingMatrix | None) -> tuple[RecommendationSet | None, np.ndarray | None]:
-    """Score each of ``users`` (ascending) once, a block of rows at a time.
+    """Score every user once, in order, a block of rows at a time.
 
     A scorer with ``score_rows`` fills each block's first ``n_items``
-    columns in one call; any other is called ``score_row`` once per user,
-    and the row is copied in. With ``train``, selects every walked user's
-    top-k list (see ``top_k``); with ``entries``, gathers the raw score of
-    each entry, whose user must be walked. Returns (lists or None, entry
+    columns with its run of users in one call; any other is called
+    ``score_row`` once per user, and the row is copied in. With ``train``,
+    selects every user's top-k list (see ``top_k``); with ``entries``,
+    gathers the raw score of each entry. Returns (lists or None, entry
     scores or None). No list is longer than the catalogue, so the selection
     takes ``min(k, n_items)`` (a ``k`` past numpy's integer range included)
     and the lists keep ``k``.
@@ -220,41 +228,41 @@ def _walk(scorer, users: np.ndarray, train: RatingMatrix | None, k: int,
     """
     if train is not None and k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    n_items = scorer.n_items
+    n_users, n_items = scorer.n_users, scorer.n_items
     for name, matrix in (("train", train), ("entries", entries)):
-        if matrix is not None and (matrix.n_users, matrix.n_items) != (scorer.n_users, n_items):
+        if matrix is not None and (matrix.n_users, matrix.n_items) != (n_users, n_items):
             raise ValueError(f"{name} is {matrix.n_users} users x {matrix.n_items} items, "
-                             f"the scorer {scorer.n_users} x {n_items}")
+                             f"the scorer {n_users} x {n_items}")
     score_rows = getattr(scorer, "score_rows", None)
     width = max(1, -(-n_items // _GROUP)) * _GROUP
     # the padding columns stay NaN: never a group's maximum, never selected
     block = np.full((max(1, _BLOCK_BYTES // (8 * width)), width), np.nan)
     items = [] if train is not None else None
     raw = np.empty(entries.n_entries) if entries is not None else None
-    for start in range(0, users.size, block.shape[0]):
-        walked = users[start:start + block.shape[0]]
-        rows = block[:walked.size]
+    for start in range(0, n_users, block.shape[0]):
+        rows = block[:min(block.shape[0], n_users - start)]
         # A score that overflows is inf, not a warning; summarize rejects it
         # among the test-entry scores
         with np.errstate(over="ignore", invalid="ignore"):
             if score_rows is not None:
-                score_rows(walked, rows[:, :n_items])
+                score_rows(start, rows[:, :n_items])
             else:
                 # a copy: score_row may return a shared row that must stay unwritten
-                for r, u in enumerate(walked.tolist()):
-                    rows[r, :n_items] = scorer.score_row(u)
+                for r in range(rows.shape[0]):
+                    rows[r, :n_items] = scorer.score_row(start + r)
         if entries is not None:
-            lo, hi, at = _block_rows(entries.indptr, walked)
+            lo, hi, at = _block_rows(entries.indptr, start, rows.shape[0])
             raw[lo:hi] = rows.reshape(-1)[at * width + entries.indices[lo:hi]]
         if train is not None:
-            items += _select(rows, walked, train, min(k, n_items), n_items)
+            items += _select(rows, start, train, min(k, n_items), n_items)
     recs = RecommendationSet(k=k, items=items) if train is not None else None
     return recs, raw
 
 
-def _select(rows: np.ndarray, users: np.ndarray, train: RatingMatrix, k: int,
+def _select(rows: np.ndarray, start: int, train: RatingMatrix, k: int,
             n_items: int) -> list[np.ndarray]:
-    """Each row's top-k unrated items, by (score descending, item ascending).
+    """Each row's top-k unrated items, by (score descending, item ascending);
+    row r holds user ``start + r``'s scores.
 
     ``rows``, a C-contiguous block, holds the scores in its first
     ``n_items`` columns and NaN after them, up to a multiple of 16. The
@@ -262,14 +270,15 @@ def _select(rows: np.ndarray, users: np.ndarray, train: RatingMatrix, k: int,
     comparison selects, so a rated item is told apart from an unrated
     ``-inf`` one. The candidates come out of one comparison in (row, item)
     order, and one stable argsort of a (rows, most candidates in a row) key
-    matrix, no larger than the block, orders each row by score.
+    matrix, no larger than the block, orders each row by score. The lists
+    are slices of one gather of the selected items.
     """
     n_rows, width = rows.shape
     # flat indices into the block: 2-D fancy indexing costs several times more
     flat = rows.reshape(-1)
-    lo, hi, at = _block_rows(train.indptr, users)
+    lo, hi, at = _block_rows(train.indptr, start, n_rows)
     flat[at * width + train.indices[lo:hi]] = np.nan
-    kk = np.minimum(k, n_items - (train.indptr[users + 1] - train.indptr[users]))
+    kk = np.minimum(k, n_items - np.diff(train.indptr[start:start + n_rows + 1]))
     # groups of the widest size (a power of two, at most 16) that leaves at
     # least _SPREAD * k groups: one item per group when k is that large
     size = _GROUP
@@ -297,4 +306,4 @@ def _select(rows: np.ndarray, users: np.ndarray, train: RatingMatrix, k: int,
     order = np.argsort(keys, axis=1, kind="stable")[:, :k] + starts[:-1, None]
     picked = hits[order[np.arange(order.shape[1]) < kk[:, None]]] % width
     ends = np.cumsum(kk).tolist()
-    return [picked[e - n:e].copy() for e, n in zip(ends, kk.tolist())]
+    return [picked[e - n:e] for e, n in zip(ends, kk.tolist())]

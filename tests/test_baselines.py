@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import paretorank as pr
 from conftest import matrix_from
-from test_model import padded_block
+from test_model import assert_block_is_stacked_rows
 from paretorank.errors import DivergenceError
 
 
@@ -99,22 +99,25 @@ class TestRandomScorer:
     def test_score_rows_matches_the_table(self, data, n_users, n_items, seed):
         scorer = pr.RandomScorer(n_users, n_items, seed)
         oracle = Table(n_users, n_items, seed)
-        # users of an int64 array: gapped, some runs of consecutive users
-        last = min(n_users, 2**63) - 1
-        starts = data.draw(st.lists(st.integers(0, last), max_size=4))
-        users = sorted({u for s in starts for u in range(s, min(s + 3, last + 1))})
-        # out-of-order score_row calls first, so the first run may need a reset
-        for u in data.draw(st.lists(st.integers(0, last), max_size=3)):
+        # out-of-order one-user runs first, so the run may need a reset
+        for u in data.draw(st.lists(st.integers(0, n_users - 1), max_size=3)):
             scorer.score_row(u)
-        block = padded_block(len(users), n_items)
-        scorer.score_rows(np.array(users, dtype=np.int64), block[:, :n_items])
-        want = np.stack([oracle.score_row(u) for u in users]) if users else np.empty((0, n_items))
-        assert block[:, :n_items].tobytes() == want.tobytes()
-        assert np.isnan(block[:, n_items:]).all()
-        if users and users[-1] < last:
-            # the user after the block is drawn straight on, with no reset
-            assert scorer._next_user == users[-1] + 1
-            assert scorer.score_row(users[-1] + 1).tobytes() == oracle.score_row(users[-1] + 1).tobytes()
+        start = data.draw(st.integers(0, n_users - 1))
+        stop = data.draw(st.integers(start, min(start + 4, n_users)))
+        assert_block_is_stacked_rows(scorer, start, stop - start, oracle)
+        if stop < n_users:
+            # the run after the block is drawn straight on, with no reset
+            assert scorer._next_user == stop
+            assert scorer.score_row(stop).tobytes() == oracle.score_row(stop).tobytes()
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_runs_at_and_past_2_63(self, seed):
+        # Python-int starts reach users past numpy's integer range
+        scorer = pr.RandomScorer(N_EDGE_USERS, 5, seed)
+        oracle = Table(N_EDGE_USERS, 5, seed)
+        for start in (2**63 - 2, 2**63, np.uint64(2**63 + 5), 2**63 + 8, 2**64 + 1, 0,
+                      N_EDGE_USERS - 3):
+            assert_block_is_stacked_rows(scorer, start, 3, oracle)
 
     def test_memory_does_not_grow_with_users(self):
         scorer = pr.RandomScorer(2**40, 3, 1)
@@ -248,9 +251,13 @@ class TestZipfScorer:
     def test_row_is_read_only(self):
         m = matrix_from([("a", "x", 5), ("b", "y", 3)])
         scorer = pr.ZipfScorer(pr.PopularityTable.from_matrix(m), m.n_users)
-        row = scorer.score_row(0)
+        pr.top_k(scorer, m, 1)
+        # the row shared by every user is read-only, and the walk left it unwritten
         with pytest.raises(ValueError, match="read-only"):
-            row[0] = 42.0
+            scorer._row[0] = 42.0
+        assert scorer._row.tolist() == [1.0, 0.5]
+        # score_row returns a fresh row: writing it changes no later row
+        scorer.score_row(0)[0] = 42.0
         assert scorer.score_row(1).tolist() == [1.0, 0.5]
 
     @pytest.mark.parametrize("user", [-1, 2, 3])

@@ -40,6 +40,13 @@ class TestInitModel:
             pr.init_model(3, 3, 0, seed=0)
 
 
+SHIPPED = [
+    lambda: pr.init_model(2, 3, 2, seed=0),
+    lambda: pr.RandomScorer(2, 3, 0),
+    lambda: pr.ZipfScorer(pr.PopularityTable(np.array([3, 1, 2])), 2),
+]
+
+
 class TestScore:
     def test_dot_product(self):
         m = pr.FactorModel(U=np.array([[2.0, 0.0]]), V=np.array([[3.0, 5.0]]))
@@ -60,11 +67,7 @@ class TestScore:
         with pytest.raises(IndexError):
             m.score_row(-1)
 
-    @pytest.mark.parametrize("make", [
-        lambda: pr.init_model(2, 3, 2, seed=0),
-        lambda: pr.RandomScorer(2, 3, 0),
-        lambda: pr.ZipfScorer(pr.PopularityTable(np.array([3, 1, 2])), 2),
-    ], ids=["factors", "random", "zipf"])
+    @pytest.mark.parametrize("make", SHIPPED, ids=["factors", "random", "zipf"])
     @pytest.mark.parametrize("user", [1.5, 0.0, np.float64(1.0), True, "0", None])
     def test_non_integer_user_rejected(self, make, user):
         message = f"user index must be an integer, got {user!r}"
@@ -122,9 +125,6 @@ class _FixedScorer:
 
     def score_row(self, user):
         return self.table[user]
-
-    def score(self, user, item):
-        return float(self.table[user, item])
 
 
 def one_user_matrix(rated_items, n_items):
@@ -196,10 +196,13 @@ class TestTopK:
     def test_leaves_shared_score_row_unchanged(self):
         train = matrix_with_rated([{0, 3}, {1}, set()], n_items=5)
         scorer = pr.ZipfScorer(pr.PopularityTable.from_matrix(train), train.n_users)
-        before = scorer.score_row(0).copy()
+        before = scorer._row.copy()
         recs = pr.top_k(scorer, train, k=2)
-        assert scorer.score_row(0) is scorer.score_row(2)  # the row is shared by every user
-        assert scorer.score_row(0).tobytes() == before.tobytes()
+        # the row shared by every user stays read-only and unwritten by the walk
+        assert not scorer._row.flags.writeable and scorer._row.tobytes() == before.tobytes()
+        # score_row returns a fresh row: writing it changes no later row
+        scorer.score_row(0)[:] = 42.0
+        assert scorer.score_row(2).tobytes() == before.tobytes()
         assert_same_recs(recs, reference_top_k(scorer, train, k=2))
 
     def test_forced_ordering(self):
@@ -266,9 +269,9 @@ class _BlockCountingScorer(_CountingScorer):
     def score_row(self, user):
         raise AssertionError(f"score_row({user}) called on a scorer with score_rows")
 
-    def score_rows(self, users, out):
-        np.add.at(self.calls, users, 1)
-        out[...] = self.table[users]
+    def score_rows(self, start, out):
+        self.calls[start:start + len(out)] += 1
+        out[...] = self.table[start:start + len(out)]
 
 
 @st.composite
@@ -321,8 +324,13 @@ class TestWalk:
                 recs, raw = pr.score_and_select(scorer, train, k, entries)
                 assert scorer.calls.tolist() == [1] * scorer.n_users
                 assert_same_recs(recs, want_recs)
-                # each list is its own array, not a view that keeps a block's candidates alive
-                assert all(items.flags.owndata for items in recs.items)
+                # a list owns its data or views its block's gather of selected items, never
+                # more: no list keeps a block's candidates or scores alive
+                held = {}
+                for items in recs.items:
+                    if items.base is not None:
+                        held.setdefault(id(items.base), [items.base.size, 0])[1] += items.size
+                assert all(size <= listed for size, listed in held.values())
                 assert raw.tobytes() == want_raw.tobytes()
 
                 scorer = make(table)
@@ -331,7 +339,7 @@ class TestWalk:
 
                 scorer = make(table)
                 assert pr.score_entries(scorer, entries).tobytes() == want_raw.tobytes()
-                assert scorer.calls.tolist() == (np.diff(entries.indptr) > 0).astype(int).tolist()
+                assert scorer.calls.tolist() == [1] * scorer.n_users
         assert table.tobytes() == before.tobytes()  # score rows are copied, never written
 
     def test_lone_neg_inf_candidate_sorts_before_the_padding(self):
@@ -375,7 +383,7 @@ class TestWalk:
         class ConstantScorer:
             n_users, n_items = 300, 4000
 
-            def score_rows(self, users, out):
+            def score_rows(self, start, out):
                 out[...] = 0.5
 
         rated = [{u, (7 * u + 3) % 4000} for u in range(300)]
@@ -424,19 +432,34 @@ def padded_block(n_rows, n_items):
     return np.full((n_rows, -(-n_items // 16) * 16), np.nan)
 
 
-def assert_block_is_stacked_rows(scorer, users, **errstate):
-    """score_rows into a padded block equals score_row stacked, byte for byte; the padding stays NaN."""
-    block = padded_block(len(users), scorer.n_items)
+def assert_block_is_stacked_rows(scorer, start, n_rows, reference=None, **errstate):
+    """score_rows of a many-user run into a padded block equals the one-user rows of
+    ``reference`` (the scorer itself by default) stacked, byte for byte; the padding
+    stays NaN."""
+    block = padded_block(n_rows, scorer.n_items)
     with np.errstate(**errstate):
-        scorer.score_rows(np.asarray(users, dtype=np.intp), block[:, :scorer.n_items])
-        want = [scorer.score_row(u) for u in users]
+        scorer.score_rows(start, block[:, :scorer.n_items])
+        want = [(reference or scorer).score_row(u) for u in range(start, start + n_rows)]
     want = np.stack(want) if want else np.empty((0, scorer.n_items))
     assert block[:, :scorer.n_items].tobytes() == want.tobytes()
     assert np.isnan(block[:, scorer.n_items:]).all()
 
 
+def draw_run(data, n_users):
+    """A run of users (start, n_rows) within [0, n_users), empty runs included."""
+    start = data.draw(st.integers(0, n_users))
+    return start, data.draw(st.integers(0, n_users - start))
+
+
+@pytest.mark.parametrize("scorer", [pr.FactorModel, pr.RandomScorer, pr.ZipfScorer])
+def test_shipped_scorers_define_score_rows_and_inherit_score_row(scorer):
+    assert issubclass(scorer, pr.model.Scorer)
+    assert "score_rows" in vars(scorer) and "score_row" not in vars(scorer)
+    assert scorer.score_row is pr.model.Scorer.score_row
+
+
 class TestScoreRows:
-    """Each shipped scorer's score_rows against its own score_row, bit for bit
+    """Each shipped scorer's score_rows of a run against its one-user runs, bit for bit
     (RandomScorer's against its table: tests/test_baselines.py)."""
 
     @settings(max_examples=150, deadline=None)
@@ -450,34 +473,31 @@ class TestScoreRows:
         scale = 10.0 ** exponent
         model = pr.FactorModel(U=rng.standard_normal((n_users, d)) * scale,
                                V=rng.standard_normal((n_items, d)) * scale)
-        users = sorted(data.draw(st.sets(st.integers(0, n_users - 1))))
-        assert_block_is_stacked_rows(model, users, over="ignore", invalid="ignore")
+        assert_block_is_stacked_rows(model, *draw_run(data, n_users),
+                                     over="ignore", invalid="ignore")
 
     @settings(max_examples=50, deadline=None)
     @given(counts=st.lists(st.integers(0, 9), min_size=1, max_size=20), data=st.data())
     def test_zipf_scorer_leaves_the_shared_row_unwritten(self, counts, data):
         scorer = pr.ZipfScorer(pr.PopularityTable(np.array(counts)), 5)
-        row = scorer.score_row(0)
-        before = row.copy()
-        users = sorted(data.draw(st.sets(st.integers(0, 4))))
-        assert_block_is_stacked_rows(scorer, users)
-        assert scorer.score_row(4) is row and not row.flags.writeable
-        assert row.tobytes() == before.tobytes()
+        before = scorer._row.copy()
+        assert_block_is_stacked_rows(scorer, *draw_run(data, 5))
+        assert not scorer._row.flags.writeable and scorer._row.tobytes() == before.tobytes()
+        # score_row returns a fresh row: writing it changes no later row
+        scorer.score_row(0)[:] = -1.0
+        assert scorer.score_row(4).tobytes() == before.tobytes()
 
-    @pytest.mark.parametrize("make", [
-        lambda: pr.init_model(2, 3, 2, seed=0),
-        lambda: pr.RandomScorer(2, 3, 0),
-        lambda: pr.ZipfScorer(pr.PopularityTable(np.array([3, 1, 2])), 2),
-    ], ids=["factors", "random", "zipf"])
+    @pytest.mark.parametrize("make", SHIPPED, ids=["factors", "random", "zipf"])
     def test_bad_users_rejected(self, make):
-        out = np.zeros((2, 3))
-        for users in (np.array([0.0, 1.0]), np.array([False, True])):
-            with pytest.raises(TypeError, match="^user indices must be integers, got dtype"):
-                make().score_rows(users, out)
-        for users, bad in ((np.array([0, 2]), 2), (np.array([-1, 0]), -1),
-                           (np.array([1, 2**62], dtype=np.uint64), 2**62)):
+        for start in (0.0, np.float64(1.0), True, np.False_, np.array([0]), None):
+            message = f"user index must be an integer, got {start!r}"
+            with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+                make().score_rows(start, np.zeros((1, 3)))
+        # the first user of the run outside [0, 2) is named
+        for start, n_rows, bad in ((-1, 2, -1), (1, 2, 2), (0, 3, 2), (2, 1, 2), (5, 0, 5),
+                                   (np.uint64(2**62), 1, 2**62), (2**64, 1, 2**64)):
             with pytest.raises(IndexError, match=f"^user index {bad} out of range \\[0, 2\\)$"):
-                make().score_rows(users, out)
+                make().score_rows(start, np.zeros((n_rows, 3)))
 
 
 _SAME_BITS_CHILD = """
@@ -487,10 +507,10 @@ import paretorank as pr
 rng = np.random.default_rng(5)
 for n_users, n_items, d in ((9, 1, 1), (40, 37, 1), (40, 1500, 8), (25, 3706, 8), (30, 100, 33)):
     model = pr.FactorModel(U=rng.standard_normal((n_users, d)), V=rng.standard_normal((n_items, d)))
-    users = np.flatnonzero(rng.random(n_users) < 0.7)
-    block = np.full((users.size, -(-n_items // 16) * 16), np.nan)
-    model.score_rows(users, block[:, :n_items])
-    rows = np.stack([model.score_row(int(u)) for u in users])
+    start, stop = sorted(rng.choice(n_users + 1, size=2, replace=False).tolist())
+    block = np.full((stop - start, -(-n_items // 16) * 16), np.nan)
+    model.score_rows(start, block[:, :n_items])
+    rows = np.stack([model.score_row(u) for u in range(start, stop)])
     assert block[:, :n_items].tobytes() == rows.tobytes(), (n_users, n_items, d)
 print("same bits")
 """
@@ -499,8 +519,9 @@ print("same bits")
 @pytest.mark.parametrize("core, names", [("Prescott", {"Prescott", "Katmai"}),
                                          ("Haswell", {"Haswell"})])
 def test_score_rows_keeps_score_rows_bits_under_other_blas_kernels(core, names):
-    # the walk's block path gives the per-row path's bits only while numpy runs
-    # the same gemv for each stacked row; a kernel that rounds differently must too
+    # score_row is the one-user run of score_rows: a many-user run gives the
+    # one-user runs' bits only while numpy runs the same gemv for each stacked
+    # row; a kernel that rounds differently must too
     out, name = run_under_openblas_core(core, _SAME_BITS_CHILD)
     assert out.split() == ["same", "bits"]
     # the forced kernels ran (OpenBLAS runs Prescott on its Katmai kernels)

@@ -697,6 +697,42 @@ class TestRatingMapInvariance:
         assert ppr_outcome(pr.train_ppr, mapped, config) == ppr_outcome(pr.train_ppr,
                                                                        matrix_from(named), config)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        triples=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 13),
+                                   st.sampled_from([1.0, 2.0, 3.0, 3.5, 4.0, 5.0])),
+                         min_size=1, max_size=80),
+        max_iters=st.integers(1, 5),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exp_rating_map_keeps_lists_and_dme(self, triples, max_iters, k, seed):
+        # the top-K lists and DME of a trained PPR model, of zipf and of random,
+        # each selected against the matrix it was built from
+        named = [(f"u{u}", f"i{i}", r) for u, i, r in triples]
+        config = pr.TrainConfig(n_factors=4, max_iters=max_iters, user_sample_size=4,
+                                item_sample_size=8, seed=seed)
+
+        def lists_and_dme(matrix):
+            out = {}
+            scorers = {"zipf": pr.ZipfScorer(pr.PopularityTable.from_matrix(matrix), matrix.n_users),
+                       "random": pr.RandomScorer(matrix.n_users, matrix.n_items, seed)}
+            try:
+                scorers["ppr"] = pr.train_ppr(matrix, config)[0]
+            except DataError as exc:  # no pair to train on: the same error either way
+                out["ppr"] = str(exc)
+            for name, scorer in scorers.items():
+                recs = pr.top_k(scorer, matrix, k)
+                try:
+                    dme = pr.degree_of_matthew_effect(recs, matrix.n_items)
+                except DataError:  # fewer than 2 distinct items recommended
+                    dme = None
+                out[name] = ([items.tolist() for items in recs.items], dme)
+            return out
+
+        plain = lists_and_dme(matrix_from(named))
+        assert lists_and_dme(matrix_from((u, i, math.exp(r)) for u, i, r in named)) == plain
+
 
 class TestDotKernel:
     @settings(max_examples=500, deadline=None)
