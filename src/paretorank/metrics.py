@@ -102,8 +102,7 @@ def recommendation_frequencies(recs: RecommendationSet, n_items: int) -> np.ndar
 
     Ties sort by ascending item index so the ranking is deterministic.
     """
-    pooled = np.concatenate([np.empty(0, dtype=np.intp), *recs.items])
-    counts = np.bincount(pooled, minlength=n_items)
+    counts = np.bincount(recs.indices, minlength=n_items)
     pos = np.flatnonzero(counts)
     order = np.lexsort((pos, -counts[pos]))
     return counts[pos][order]

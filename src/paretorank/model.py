@@ -100,13 +100,15 @@ class FactorModel(Scorer):
 
 @dataclass
 class RecommendationSet:
-    """Per-user top-K lists: ``items[u]`` holds user u's item indices in descending score order.
+    """Every user's top-K list in the rating matrix's CSR layout: user u's list,
+    ``indices[indptr[u]:indptr[u + 1]]``, holds items by descending score, then index.
 
-    The lists keep no scores; ``scorer.score_row(u)[items[u]]`` gives them.
+    The lists keep no scores; ``scorer.score_row(u)`` indexed by a list gives them.
     """
 
     k: int
-    items: list[np.ndarray]
+    indptr: np.ndarray
+    indices: np.ndarray
 
 
 def init_model(n_users: int, n_items: int, n_factors: int, seed: int) -> FactorModel:
@@ -163,12 +165,13 @@ def top_k(scorer, train: RatingMatrix, k: int) -> RecommendationSet:
     scorer with only ``score_row``, one ``score_row`` call per user is
     copied in. ``train`` must be (``scorer.n_users``, ``scorer.n_items``).
     The memory in use beyond the lists is a few blocks whatever
-    ``n_users``; a block's lists are slices of one array that holds only
-    their items. Each block is screened, not sorted: the rated
-    items are masked out and the items are split into ``G`` groups (item
-    ``i`` in group ``i mod G``) of 16 items, halved, down to one item,
-    while there are fewer than ``2k`` groups. Each row's ``kk``-th largest group
-    maximum (``kk = min(k, unrated items)``) bounds its ``kk``-th best
+    ``n_users``; the lists are one array, sized from ``train`` before any
+    score, and each block fills its users' slice. Each block is screened,
+    not sorted: the rated items are masked out and the items are split into
+    ``G`` groups (item ``i`` in group ``i mod G``) of 16 items, halved, down
+    to one item, while there are fewer groups than twice the block's longest
+    list. Each row's ``kk``-th largest group maximum (``kk``, its list's
+    length, is ``min(k, unrated items)``) bounds its ``kk``-th best
     unrated score from below, because ``kk`` distinct groups each hold an
     unrated item at or above it. One comparison of the block with the
     bounds finds the candidates, the unrated items at or above their row's
@@ -216,9 +219,8 @@ def _walk(scorer, train: RatingMatrix | None, k: int,
     ``score_row`` once per user, and the row is copied in. With ``train``,
     selects every user's top-k list (see ``top_k``); with ``entries``,
     gathers the raw score of each entry. Returns (lists or None, entry
-    scores or None). No list is longer than the catalogue, so the selection
-    takes ``min(k, n_items)`` (a ``k`` past numpy's integer range included)
-    and the lists keep ``k``.
+    scores or None). User u's list holds ``min(k, n_items, u's unrated
+    items)`` items (a ``k`` past numpy's integer range included); the lists keep ``k``.
 
     Raises:
         ValueError: if ``k < 1`` with ``train``, or if ``train`` or
@@ -237,7 +239,10 @@ def _walk(scorer, train: RatingMatrix | None, k: int,
     width = max(1, -(-n_items // _GROUP)) * _GROUP
     # the padding columns stay NaN: never a group's maximum, never selected
     block = np.full((max(1, _BLOCK_BYTES // (8 * width)), width), np.nan)
-    items = [] if train is not None else None
+    if train is not None:
+        lengths = np.minimum(min(k, n_items), n_items - np.diff(train.indptr))
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        indices = np.empty(indptr[-1], dtype=np.intp)
     raw = np.empty(entries.n_entries) if entries is not None else None
     for start in range(0, n_users, block.shape[0]):
         rows = block[:min(block.shape[0], n_users - start)]
@@ -254,31 +259,29 @@ def _walk(scorer, train: RatingMatrix | None, k: int,
             lo, hi, at = _block_rows(entries.indptr, start, rows.shape[0])
             raw[lo:hi] = rows.reshape(-1)[at * width + entries.indices[lo:hi]]
         if train is not None:
-            items += _select(rows, start, train, min(k, n_items), n_items)
-    recs = RecommendationSet(k=k, items=items) if train is not None else None
-    return recs, raw
+            stop = start + rows.shape[0]
+            indices[indptr[start]:indptr[stop]] = _select(rows, start, train, lengths[start:stop])
+    return (RecommendationSet(k, indptr, indices) if train is not None else None), raw
 
 
-def _select(rows: np.ndarray, start: int, train: RatingMatrix, k: int,
-            n_items: int) -> list[np.ndarray]:
-    """Each row's top-k unrated items, by (score descending, item ascending);
-    row r holds user ``start + r``'s scores.
+def _select(rows: np.ndarray, start: int, train: RatingMatrix, kk: np.ndarray) -> np.ndarray:
+    """Row r's top ``kk[r]`` unrated items by (score descending, item ascending),
+    row after row in one array; row r holds user ``start + r``'s scores.
 
     ``rows``, a C-contiguous block, holds the scores in its first
     ``n_items`` columns and NaN after them, up to a multiple of 16. The
     rated items are overwritten with NaN, which ``fmax`` skips and no
     comparison selects, so a rated item is told apart from an unrated
     ``-inf`` one. The candidates come out of one comparison in (row, item)
-    order, and one stable argsort of a (rows, most candidates in a row) key
-    matrix, no larger than the block, orders each row by score. The lists
-    are slices of one gather of the selected items.
+    order; one stable argsort of a (rows, most candidates in a row) key
+    matrix, no larger than the block, orders each row by score.
     """
     n_rows, width = rows.shape
     # flat indices into the block: 2-D fancy indexing costs several times more
     flat = rows.reshape(-1)
     lo, hi, at = _block_rows(train.indptr, start, n_rows)
     flat[at * width + train.indices[lo:hi]] = np.nan
-    kk = np.minimum(k, n_items - np.diff(train.indptr[start:start + n_rows + 1]))
+    k = int(kk.max())
     # groups of the widest size (a power of two, at most 16) that leaves at
     # least _SPREAD * k groups: one item per group when k is that large
     size = _GROUP
@@ -304,6 +307,4 @@ def _select(rows: np.ndarray, start: int, train: RatingMatrix, k: int,
     keys = np.full((n_rows, spans.max()), np.inf)
     keys[np.arange(keys.shape[1]) < spans[:, None]] = -flat[hits]
     order = np.argsort(keys, axis=1, kind="stable")[:, :k] + starts[:-1, None]
-    picked = hits[order[np.arange(order.shape[1]) < kk[:, None]]] % width
-    ends = np.cumsum(kk).tolist()
-    return [picked[e - n:e] for e, n in zip(ends, kk.tolist())]
+    return hits[order[np.arange(order.shape[1]) < kk[:, None]]] % width

@@ -434,7 +434,7 @@ def _pair_counts(test: RatingMatrix, scores: np.ndarray) -> np.ndarray:
     there counts its pairs, ``left`` less the span's start the lower scores,
     and ``right - left`` the equal ones.
     """
-    user = np.repeat(np.arange(test.n_users), np.diff(test.indptr))
+    user = test.entry_users()
     _, level = np.unique(test.ratings, return_inverse=True)
     _, rank = np.unique(scores, return_inverse=True)
     n_ranks = int(rank.max(initial=0)) + 1

@@ -5,6 +5,7 @@ tailed item popularity, unimodal rating marginal). Point PARETORANK_ML1M at a
 real `ratings.dat` to run the dataset-scale tests against real data instead.
 """
 
+import inspect
 import os
 import platform
 import subprocess
@@ -69,6 +70,19 @@ def entry_triples(matrix):
     return list(zip(matrix.entry_users().tolist(), matrix.indices.tolist(), matrix.ratings.tolist()))
 
 
+def recs_from_lists(lists, k):
+    """A RecommendationSet of per-user item lists, in user order."""
+    indptr = np.concatenate(([0], np.cumsum([len(items) for items in lists], dtype=np.int64)))
+    indices = np.array([item for items in lists for item in items], dtype=np.intp)
+    return pr.RecommendationSet(k=k, indptr=indptr, indices=indices)
+
+
+def lists_of(recs):
+    """Each user's list of a RecommendationSet, as a list of item indices."""
+    bounds = recs.indptr.tolist()
+    return [recs.indices[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])]
+
+
 def planted_matrix(n_users=200, n_items=100, d=8, per_user=40, seed=11):
     """Ratings quantized from dot products of positive ground-truth factors."""
     rng = np.random.default_rng(seed)
@@ -96,22 +110,29 @@ def tiny_movielens_lines(n_users=60, n_items=40, per_user=12, seed=5):
     return lines
 
 
+def openblas_core_name() -> str:
+    """The OpenBLAS core in use, read from the OpenBLAS that numpy bundles, or ""."""
+    # self-contained: its source is also appended to a child's code
+    import ctypes
+    import glob
+    import os
+
+    import numpy
+
+    libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    if libs:
+        get = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None)
+        if get is not None:
+            get.restype, get.argtypes = ctypes.c_char_p, []
+            return get().decode()
+    return ""
+
+
 # Appended to a child's code: its last line of output names the OpenBLAS core
-# in use, read from the OpenBLAS that numpy bundles, or is empty.
-_PRINT_CORE_NAME = """
-import ctypes as _ctypes, glob as _glob, os as _os
-import numpy as _np
-_libs = _glob.glob(_os.path.join(_os.path.dirname(_np.__file__), _os.pardir, "numpy.libs",
-                                 "libscipy_openblas64_*.so"))
-_name = b""
-if _libs:
-    _get = getattr(_ctypes.CDLL(_libs[0]), "scipy_openblas_get_corename64_", None)
-    if _get is not None:
-        _get.restype, _get.argtypes = _ctypes.c_char_p, []
-        _name = _get()
-print()
-print(_name.decode())
-"""
+# in use, or is empty.
+_PRINT_CORE_NAME = (f"\n{inspect.getsource(openblas_core_name)}\n"
+                    "print()\nprint(openblas_core_name())\n")
 
 
 def run_under_openblas_core(core: str, code: str) -> tuple[str, str]:

@@ -14,7 +14,8 @@ import pytest
 from scipy import stats as sps
 
 import paretorank as pr
-from conftest import items_of, matrix_from, planted_matrix, tiny_movielens_lines
+from conftest import (items_of, matrix_from, planted_matrix, recs_from_lists,
+                      tiny_movielens_lines)
 from paretorank.cli import main
 
 PAIR = pr.PairSample(user=0, preferred=0, other=1)
@@ -117,7 +118,7 @@ def test_criterion_4_dme_oracle_fixtures():
         lists = []
         for item, count in enumerate(counts):
             lists += [np.array([item])] * count
-        return pr.RecommendationSet(k=1, items=lists)
+        return recs_from_lists(lists, k=1)
 
     slope, _ = pr.degree_of_matthew_effect(recs_with_counts([7] * 6), 6)
     assert abs(slope) <= 1e-9

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paretorank as pr
-from conftest import matrix_from
+from conftest import lists_of, matrix_from
 from test_model import assert_block_is_stacked_rows
 from paretorank.errors import DivergenceError
 
@@ -143,7 +143,7 @@ class TestRandomScorer:
         recs, raw = pr.score_and_select(scorer, sp.train, 5, sp.test)
         want_recs, want_raw = pr.score_and_select(Table(n_users, n_items, 12),
                                                   sp.train, 5, sp.test)
-        assert [r.tolist() for r in recs.items] == [r.tolist() for r in want_recs.items]
+        assert lists_of(recs) == lists_of(want_recs)
         assert raw.tobytes() == want_raw.tobytes()
 
     def test_report_matches_oracle_on_test_corpus(self, ml_like_split):
@@ -299,12 +299,12 @@ class TestZipfScorer:
         ])
         table = pr.PopularityTable.from_matrix(m)
         scorer = pr.ZipfScorer(table, m.n_users)
-        recs = pr.top_k(scorer, m, k=2)
+        recs = lists_of(pr.top_k(scorer, m, k=2))
         u0 = m.user_ids.index("u0")
         # u0 rated A, B and C; best remaining by popularity is D
-        assert recs.items[u0].tolist() == [m.item_ids.index("D")]
+        assert recs[u0] == [m.item_ids.index("D")]
         u9 = m.user_ids.index("u9")
-        assert recs.items[u9].tolist() == [m.item_ids.index("A"), m.item_ids.index("B")]
+        assert recs[u9] == [m.item_ids.index("A"), m.item_ids.index("B")]
 
 
 class TestClassicMf:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 import paretorank as pr
-from conftest import items_of, matrix_from, tiny_movielens_lines
+from conftest import items_of, lists_of, matrix_from, recs_from_lists, tiny_movielens_lines
 from paretorank import metrics, store
 from paretorank.cli import main
 from paretorank.errors import ConfigError, DataError
@@ -23,7 +23,7 @@ def recs_with_counts(counts, n_items=None):
     lists = []
     for item, count in enumerate(counts):
         lists += [np.array([item])] * count
-    return pr.RecommendationSet(k=1, items=lists)
+    return recs_from_lists(lists, k=1)
 
 
 def oracle_slope(ranks, counts):
@@ -102,7 +102,7 @@ class TestDegreeOfMatthewEffect:
 
     @pytest.mark.parametrize("n_lists", [0, 3])
     def test_frequencies_without_recommendations(self, n_lists):
-        recs = pr.RecommendationSet(k=10, items=[np.empty(0, dtype=np.intp)] * n_lists)
+        recs = recs_from_lists([[]] * n_lists, k=10)
         freqs = pr.recommendation_frequencies(recs, 4)
         assert freqs.tolist() == []
         assert freqs.dtype == np.int64
@@ -139,9 +139,8 @@ class TestDegreeOfMatthewEffect:
                     min_size=1, max_size=12))
     def test_pooling_every_list_twice_keeps_the_slope(self, lists):
         assume(len({item for items in lists for item in items}) >= 2)
-        items = [np.array(items, dtype=np.intp) for items in lists]
-        slope, fit_points = pr.degree_of_matthew_effect(pr.RecommendationSet(5, items), 16)
-        twice = pr.degree_of_matthew_effect(pr.RecommendationSet(5, items + items), 16)
+        slope, fit_points = pr.degree_of_matthew_effect(recs_from_lists(lists, 5), 16)
+        twice = pr.degree_of_matthew_effect(recs_from_lists(lists + lists, 5), 16)
         assert twice[1] == fit_points
         assert twice[0] == pytest.approx(slope, abs=1e-9)
 
@@ -248,7 +247,7 @@ class TestScorerRelations:
         # prediction on a scale 4 wide moves by at most 8 * 4 * 64 * u, 2.3e-13
         spread = np.ptp(raw)
         assume(spread == 0 or abs(b) + a * np.abs(raw).max() <= 64 * a * spread)
-        recs = pr.RecommendationSet(k, [np.arange(2)])  # the lists do not enter the MAE
+        recs = recs_from_lists([np.arange(2)], k)  # the lists do not enter the MAE
         args = (sp.train, sp.test, "a", "d", 12, 0.25)
         got = pr.summarize(recs, got_raw, *args).mae
         assert got == pytest.approx(pr.summarize(recs, raw, *args).mae, rel=1e-12)
@@ -268,8 +267,8 @@ def brute_force_diffs(matrix):
 def reference_frequencies(recs, n_items):
     """Per-list loop oracle for recommendation_frequencies."""
     counts = np.zeros(n_items, dtype=np.int64)
-    for items in recs.items:
-        counts += np.bincount(items, minlength=n_items)
+    for items in lists_of(recs):
+        counts += np.bincount(np.asarray(items, dtype=np.intp), minlength=n_items)
     pos = np.flatnonzero(counts)
     order = np.lexsort((pos, -counts[pos]))
     return counts[pos][order]

@@ -1,5 +1,4 @@
 import re
-import sys
 import tracemalloc
 from unittest import mock
 
@@ -9,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paretorank as pr
-from conftest import entry_triples, matrix_from, run_under_openblas_core
+from conftest import (entry_triples, lists_of, matrix_from, recs_from_lists,
+                      run_under_openblas_core)
 
 
 class TestInitModel:
@@ -145,16 +145,14 @@ def reference_top_k(scorer, train, k):
         cand = np.flatnonzero(unrated)
         s = scorer.score_row(u)[cand]
         items.append(cand[np.lexsort((cand, -s))[:k]])
-    return pr.RecommendationSet(k=k, items=items)
+    return recs_from_lists(items, k)
 
 
 def assert_same_recs(got, want):
     """List for list: same items, same dtypes."""
     assert got.k == want.k
-    assert len(got.items) == len(want.items)
-    for gi, wi in zip(got.items, want.items):
-        assert gi.dtype == wi.dtype
-        assert gi.tolist() == wi.tolist()
+    assert got.indptr.dtype == want.indptr.dtype and got.indices.dtype == want.indices.dtype
+    assert lists_of(got) == lists_of(want)
 
 
 def matrix_with_rated(rated_sets, n_items):
@@ -209,20 +207,20 @@ class TestTopK:
         train = one_user_matrix(rated_items=[], n_items=3)
         scorer = _FixedScorer([[0.9, 0.5, 0.1]])
         recs = pr.top_k(scorer, train, k=2)
-        assert recs.items[0].tolist() == [0, 1]
-        assert scorer.score_row(0)[recs.items[0]].tolist() == [0.9, 0.5]
+        assert lists_of(recs) == [[0, 1]]
+        assert scorer.score_row(0)[lists_of(recs)[0]].tolist() == [0.9, 0.5]
 
     def test_k_larger_than_candidates(self):
         train = one_user_matrix(rated_items=[0], n_items=3)
         scorer = _FixedScorer([[0.9, 0.5, 0.1]])
         recs = pr.top_k(scorer, train, k=10)
-        assert recs.items[0].tolist() == [1, 2]
+        assert lists_of(recs) == [[1, 2]]
 
     def test_tie_breaks_to_lower_index(self):
         train = one_user_matrix(rated_items=[], n_items=4)
         scorer = _FixedScorer([[0.5, 0.9, 0.9, 0.2]])
         recs = pr.top_k(scorer, train, k=3)
-        assert recs.items[0].tolist() == [1, 2, 0]
+        assert lists_of(recs) == [[1, 2, 0]]
 
     def test_excludes_training_items(self):
         rng = np.random.default_rng(8)
@@ -232,9 +230,9 @@ class TestTopK:
             for j in rng.choice(30, size=10, replace=False)
         )
         model = pr.init_model(train.n_users, train.n_items, 4, seed=2)
-        out = pr.top_k(model, train, k=5)
+        out = lists_of(pr.top_k(model, train, k=5))
         for u in range(train.n_users):
-            assert not set(out.items[u].tolist()) & set(train.row(u)[0].tolist())
+            assert not set(out[u]) & set(train.row(u)[0].tolist())
 
     def test_k_must_be_positive(self):
         train = one_user_matrix(rated_items=[], n_items=3)
@@ -316,6 +314,10 @@ class TestWalk:
         want_raw = [table[u, entries.row(u)[0]] for u in range(entries.n_users)]
         want_raw = np.concatenate([np.empty(0), *want_raw])
         before = table.copy()
+        # each list's length is min(k, unrated items), known before any score
+        unrated = table.shape[1] - np.array([len(r) for r in rated], dtype=np.int64)
+        want_indptr = np.concatenate(([0], np.cumsum(np.minimum(k, unrated))))
+        paths = []
         # a few rows per block, so most walks cover several blocks and end on a part-full one
         with mock.patch.object(pr.model, "_BLOCK_BYTES", block_rows * 8 * width):
             # the per-row path, then the block path: each user is scored exactly once
@@ -324,13 +326,11 @@ class TestWalk:
                 recs, raw = pr.score_and_select(scorer, train, k, entries)
                 assert scorer.calls.tolist() == [1] * scorer.n_users
                 assert_same_recs(recs, want_recs)
-                # a list owns its data or views its block's gather of selected items, never
-                # more: no list keeps a block's candidates or scores alive
-                held = {}
-                for items in recs.items:
-                    if items.base is not None:
-                        held.setdefault(id(items.base), [items.base.size, 0])[1] += items.size
-                assert all(size <= listed for size, listed in held.values())
+                # the lists are one intp array of indptr[-1] items, which owns its data
+                assert recs.indptr.tolist() == want_indptr.tolist()
+                assert recs.indices.dtype == np.intp and recs.indices.shape == (recs.indptr[-1],)
+                assert recs.indices.flags.owndata
+                paths.append((recs.indptr.tobytes(), recs.indices.tobytes()))
                 assert raw.tobytes() == want_raw.tobytes()
 
                 scorer = make(table)
@@ -340,6 +340,7 @@ class TestWalk:
                 scorer = make(table)
                 assert pr.score_entries(scorer, entries).tobytes() == want_raw.tobytes()
                 assert scorer.calls.tolist() == [1] * scorer.n_users
+        assert paths[0] == paths[1]  # the per-row and block paths give the same bytes
         assert table.tobytes() == before.tobytes()  # score rows are copied, never written
 
     def test_lone_neg_inf_candidate_sorts_before_the_padding(self):
@@ -353,7 +354,7 @@ class TestWalk:
         train = matrix_with_rated(rated, 2048)
         recs = pr.top_k(_FixedScorer(table), train, 600)
         assert_same_recs(recs, reference_top_k(_FixedScorer(table), train, 600))
-        assert recs.items[0][-1] == unrated[0]
+        assert lists_of(recs)[0][-1] == unrated[0]
 
     def test_one_ragged_block(self):
         # 200 items, k = 4: groups of 16 items, item i in group i mod 13. Every
@@ -368,9 +369,8 @@ class TestWalk:
         table[4] = np.random.default_rng(5).standard_normal(n_items)  # kk = 2 unrated items
         train = matrix_with_rated(rated, n_items)
         want = reference_top_k(_FixedScorer(table), train, k)
-        assert [items.tolist() for items in want.items[:4]] == [
-            [], [0, 1, 2, 3], [60, 120, 50, 51], [199, 20, 100, 5]]
-        assert sorted(want.items[4].tolist()) == [7, 150]
+        assert lists_of(want)[:4] == [[], [0, 1, 2, 3], [60, 120, 50, 51], [199, 20, 100, 5]]
+        assert sorted(lists_of(want)[4]) == [7, 150]
         width = -(-n_items // pr.model._GROUP) * pr.model._GROUP
         for make in (_FixedScorer, _BlockCountingScorer):
             with (mock.patch.object(pr.model, "_BLOCK_BYTES", 5 * 8 * width),
@@ -394,9 +394,8 @@ class TestWalk:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert [items.tolist() for items in recs.items] == [
-            [i for i in range(12) if i not in r][:10] for r in rated]
-        lists = sys.getsizeof(recs.items) + sum(sys.getsizeof(items) for items in recs.items)
+        assert lists_of(recs) == [[i for i in range(12) if i not in r][:10] for r in rated]
+        lists = recs.indices.nbytes + recs.indptr.nbytes
         # at most one block (32 rows of 4,000 scores) of each: the scores, the
         # candidates' flat indices, the key matrix, the gathered scores and their
         # negation, and the sort's order, at most 5 of them live at once; 8 leaves

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import paretorank as pr
-from conftest import items_of, matrix_from
+from conftest import items_of, lists_of, matrix_from
 from paretorank import cli
 from paretorank.errors import DataError, DivergenceError
 
@@ -727,7 +727,7 @@ class TestRatingMapInvariance:
                     dme = pr.degree_of_matthew_effect(recs, matrix.n_items)
                 except DataError:  # fewer than 2 distinct items recommended
                     dme = None
-                out[name] = ([items.tolist() for items in recs.items], dme)
+                out[name] = (lists_of(recs), dme)
             return out
 
         plain = lists_and_dme(matrix_from(named))
